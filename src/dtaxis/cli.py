@@ -35,23 +35,11 @@ from .diagnostics import MonitorRow
 from .grid import Grid
 from .model import (INITIAL_KINDS, InitialData, Params, State, build_initial,
                     build_initial_from_fields)
-from .stepper import StepControl, run
+from .stepper import Cadence, StepControl, run
 
 SNAPSHOT_MAGIC = b"DTXS1"
 
 _REQUIRED = object()
-
-
-def _parse_float(s: str) -> float:
-    return float(s)
-
-
-def _parse_int(s: str) -> int:
-    return int(s)
-
-
-def _parse_str(s: str) -> str:
-    return s
 
 
 def _parse_int_list(s: str) -> tuple[int, ...]:
@@ -63,33 +51,32 @@ def _parse_float_list(s: str) -> tuple[float, ...]:
 
 
 _SCHEMA: dict = {
-    "dim": (_parse_int, None),
+    "dim": (int, None),
     "cells": (_parse_int_list, _REQUIRED),
     "lengths": (_parse_float_list, None),
-    "alpha": (_parse_float, _REQUIRED),
-    "chi": (_parse_float, 1.0),
-    "ell": (_parse_float, 0.0),
-    "epsilon": (_parse_float, _REQUIRED),
-    "cfl_safety": (_parse_float, 0.9),
-    "avg_mode": (_parse_str, "geometric"),
-    "u0_kind": (_parse_str, "gaussian_bump"),
-    "u0_base": (_parse_float, 0.0),
-    "u0_amplitude": (_parse_float, 1.0),
-    "u0_width": (_parse_float, 0.15),
-    "u0_mode": (_parse_int, 2),
-    "v0_base": (_parse_float, 1.0),
-    "v0_amplitude": (_parse_float, 0.0),
-    "v0_mode": (_parse_int, 1),
-    "v0_floor": (_parse_float, 1e-3),
-    "snapshot_in": (_parse_str, None),
-    "t_end": (_parse_float, _REQUIRED),
-    "dt_max": (_parse_float, math.inf),
-    "max_rejects": (_parse_int, 40),
-    "monitor_cadence": (_parse_float, None),
-    "snapshot_cadence": (_parse_float, None),
+    "alpha": (float, _REQUIRED),
+    "chi": (float, 1.0),
+    "ell": (float, 0.0),
+    "epsilon": (float, _REQUIRED),
+    "cfl_safety": (float, 0.9),
+    "avg_mode": (str, "geometric"),
+    "u0_kind": (str, "gaussian_bump"),
+    "u0_base": (float, 0.0),
+    "u0_amplitude": (float, 1.0),
+    "u0_width": (float, 0.15),
+    "u0_mode": (int, 2),
+    "v0_base": (float, 1.0),
+    "v0_amplitude": (float, 0.0),
+    "v0_mode": (int, 1),
+    "v0_floor": (float, 1e-3),
+    "snapshot_in": (str, None),
+    "t_end": (float, _REQUIRED),
+    "dt_max": (float, math.inf),
+    "max_rejects": (int, 40),
+    "monitor_cadence": (float, None),
+    "snapshot_cadence": (float, None),
     "p_list": (_parse_float_list, (1.0, 2.0, 3.0)),
-    "output_dir": (_parse_str, "out"),
-    "seed": (_parse_int, 0),
+    "output_dir": (str, "out"),
 }
 
 
@@ -103,7 +90,6 @@ class RunConfig:
     snapshot_cadence: float | None
     p_list: tuple[float, ...]
     output_dir: str
-    seed: int
 
 
 def parse_config(text: str) -> RunConfig:
@@ -126,6 +112,8 @@ def parse_config(text: str) -> RunConfig:
         if key in raw:
             try:
                 vals[key] = parser(raw[key])
+                if parser is not str and np.isnan(vals[key]).any():
+                    raise ValueError
             except (TypeError, ValueError):
                 raise ValueError(f"invalid value for {key}: {raw[key]!r}") from None
         elif default is _REQUIRED:
@@ -162,15 +150,15 @@ def parse_config(text: str) -> RunConfig:
                           v_floor=vals["v0_floor"], snapshot_path=vals["snapshot_in"])
     control = StepControl(t_end=vals["t_end"], dt_max=vals["dt_max"],
                           max_rejects=vals["max_rejects"])
+    for key in ("monitor_cadence", "snapshot_cadence"):
+        if vals[key] is not None and not 0.0 < vals[key] < math.inf:
+            raise ValueError(f"invalid value for {key}: {vals[key]}")
     cadence = vals["monitor_cadence"]
     if cadence is None:
         cadence = vals["t_end"] / 20.0
-    if cadence <= 0.0:
-        raise ValueError(f"invalid value for monitor_cadence: {cadence}")
     return RunConfig(grid=grid, initial=initial, params=params, control=control,
                      monitor_cadence=cadence, snapshot_cadence=vals["snapshot_cadence"],
-                     p_list=vals["p_list"], output_dir=vals["output_dir"],
-                     seed=vals["seed"])
+                     p_list=vals["p_list"], output_dir=vals["output_dir"])
 
 
 def parse_config_file(path) -> RunConfig:
@@ -274,17 +262,12 @@ class _ResidualObserver:
 
     def __init__(self, params: Params, cadence: float, t_end: float):
         self.params = params
-        self.cadence = cadence
-        self.t_end = t_end
-        self.tick = 1
+        self.ticks = Cadence(cadence, t_end)
         self.rows: list[list] = []
 
     def __call__(self, prev: State, new: State, dt: float):
-        tiny = 1e-12 * max(1.0, self.t_end)
-        if new.t < self.tick * self.cadence - tiny:
+        if self.ticks.due(new.t) is None:
             return
-        while new.t >= self.tick * self.cadence - tiny:
-            self.tick += 1
         reports = [
             diagnostics.residual_v_energy(prev, new, self.params),
             diagnostics.residual_vq_identity(prev, new, 2.0, self.params),
@@ -300,24 +283,17 @@ class _ResidualObserver:
 
 
 class _SnapshotObserver:
+    """Write one snapshot per step that reaches a tick, numbered by the first."""
+
     def __init__(self, out_dir: Path, params: Params, cadence: float, t_end: float):
         self.out_dir = out_dir
         self.params = params
-        self.cadence = cadence
-        self.t_end = t_end
-        self.k = 1
-        self.written = 0
+        self.ticks = Cadence(cadence, t_end)
 
     def __call__(self, prev: State, new: State, dt: float):
-        tiny = 1e-12 * max(1.0, self.t_end)
-        wrote = False
-        while (self.k * self.cadence <= self.t_end + tiny
-               and new.t >= self.k * self.cadence - tiny):
-            if not wrote:
-                save_snapshot(new, self.params, self.out_dir / f"snap_{self.k:04d}.dtxs")
-                self.written += 1
-                wrote = True
-            self.k += 1
+        k = self.ticks.due(new.t)
+        if k is not None:
+            save_snapshot(new, self.params, self.out_dir / f"snap_{k:04d}.dtxs")
 
 
 RESIDCOLS = ["identity", "t0", "t1", "lhs", "rhs", "residual", "normalizer",
@@ -330,15 +306,14 @@ def cmd_run(config: RunConfig, output_dir=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         state = build_state(config)
-        observers = []
         resid = _ResidualObserver(config.params, config.monitor_cadence,
                                   config.control.t_end)
-        observers.append(resid)
-        if config.snapshot_cadence:
-            save_snapshot(state, config.params, out / "snap_0000.dtxs")
+        observers = [resid]
+        if config.snapshot_cadence is not None:
             observers.append(_SnapshotObserver(out, config.params,
                                                config.snapshot_cadence,
                                                config.control.t_end))
+            save_snapshot(state, config.params, out / "snap_0000.dtxs")
         traj = run(state, config.params, config.control, observers=observers,
                    monitor_cadence=config.monitor_cadence, p_list=config.p_list)
         _write_csv(out / "monitors.csv", MonitorRow.csv_header(config.p_list),

@@ -22,12 +22,12 @@ such functional is a plain cell quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .grid import Grid
-from .model import Params, State, _power
+from .model import Accumulators, Params, State, _power
 
 # ---------------------------------------------------------------------------
 # small helpers
@@ -47,30 +47,24 @@ def _interior(grid: Grid) -> tuple[slice, ...]:
     return tuple(slice(1, -1) for _ in range(grid.dim))
 
 
+def _neighbours(grid: Grid, f: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper neighbour of every cell along one axis; at a wall the
+    cell itself stands in (edge ghosts, the zero-flux reflection)."""
+    p = np.pad(f, [(1, 1) if b == a else (0, 0) for b in range(grid.dim)], mode="edge")
+    # applying lo (hi) twice drops the last (first) two padded entries
+    return p[grid.lo[a]][grid.lo[a]], p[grid.hi[a]][grid.hi[a]]
+
+
 def _axis_second_diff(grid: Grid, f: np.ndarray, a: int) -> np.ndarray:
     """Second difference along one axis with reflected (zero-flux) ghosts."""
-    widths = [(0, 0)] * grid.dim
-    widths[a] = (1, 1)
-    p = np.pad(f, widths, mode="edge")
-    lo = [slice(None)] * grid.dim
-    lo[a] = slice(0, -2)
-    mid = [slice(None)] * grid.dim
-    mid[a] = slice(1, -1)
-    hi = [slice(None)] * grid.dim
-    hi[a] = slice(2, None)
-    return (p[tuple(hi)] - 2.0 * p[tuple(mid)] + p[tuple(lo)]) / (grid.h[a] ** 2)
+    lower, upper = _neighbours(grid, f, a)
+    return (upper - 2.0 * f + lower) / (grid.h[a] ** 2)
 
 
 def _axis_central_diff(grid: Grid, f: np.ndarray, a: int) -> np.ndarray:
     """Central first difference along one axis, one-sided closure at the walls."""
-    widths = [(0, 0)] * grid.dim
-    widths[a] = (1, 1)
-    p = np.pad(f, widths, mode="edge")
-    lo = [slice(None)] * grid.dim
-    lo[a] = slice(0, -2)
-    hi = [slice(None)] * grid.dim
-    hi[a] = slice(2, None)
-    return (p[tuple(hi)] - p[tuple(lo)]) / (2.0 * grid.h[a])
+    lower, upper = _neighbours(grid, f, a)
+    return (upper - lower) / (2.0 * grid.h[a])
 
 
 def hessian_sq(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -108,39 +102,20 @@ class MonitorRow:
     grad4_energy: float
     combined_flux_energy: float
     lp_norms: tuple[float, ...]
-    acc_uv: float
-    acc_v_gradu_sq: float
-    acc_u_gradv_sq: float
-    acc_lap_v_sq: float
-    acc_u1ma_v_gradu_sq: float
-    acc_v_over_u_gradu_sq: float
-    acc_u_over_v_gradv_sq: float
-    acc_u_gradv4_over_v3: float
-    acc_gradv6_over_v5: float
-    acc_u73_v: float
+    acc: Accumulators
 
-    _SCALARS = (
-        "t", "mass_u", "mass_v", "total_mass", "sup_u", "sup_v", "inf_v",
-        "log_energy", "grad2_over_v", "grad4_energy", "combined_flux_energy",
-    )
-    _ACCS = (
-        "acc_uv", "acc_v_gradu_sq", "acc_u_gradv_sq", "acc_lap_v_sq",
-        "acc_u1ma_v_gradu_sq", "acc_v_over_u_gradu_sq", "acc_u_over_v_gradv_sq",
-        "acc_u_gradv4_over_v3", "acc_gradv6_over_v5", "acc_u73_v",
-    )
+    @staticmethod
+    def _scalars() -> list[str]:
+        return [f.name for f in fields(MonitorRow) if f.name not in ("lp_norms", "acc")]
 
     @classmethod
     def csv_header(cls, p_list: tuple[float, ...]) -> list[str]:
-        cols = list(cls._SCALARS)
-        cols += [f"lp_{p:g}_u" for p in p_list]
-        cols += list(cls._ACCS)
-        return cols
+        return (cls._scalars() + [f"lp_{p:g}_u" for p in p_list]
+                + [f"acc_{n}" for n in Accumulators.names()])
 
     def csv_values(self) -> list[float]:
-        vals = [getattr(self, n) for n in self._SCALARS]
-        vals += list(self.lp_norms)
-        vals += [getattr(self, n) for n in self._ACCS]
-        return vals
+        return ([getattr(self, n) for n in self._scalars()] + list(self.lp_norms)
+                + list(self.acc.values()))
 
 
 def monitor_row(state: State, params: Params,
@@ -171,22 +146,11 @@ def monitor_row(state: State, params: Params,
         grad4_energy=g.integrate(cgv2 * cgv2 / v ** 3),
         combined_flux_energy=cfe,
         lp_norms=tuple(g.lp_norm(u, p) for p in p_list),
-        acc_uv=state.acc.uv,
-        acc_v_gradu_sq=state.acc.v_gradu_sq,
-        acc_u_gradv_sq=state.acc.u_gradv_sq,
-        acc_lap_v_sq=state.acc.lap_v_sq,
-        acc_u1ma_v_gradu_sq=state.acc.u1ma_v_gradu_sq,
-        acc_v_over_u_gradu_sq=state.acc.v_over_u_gradu_sq,
-        acc_u_over_v_gradv_sq=state.acc.u_over_v_gradv_sq,
-        acc_u_gradv4_over_v3=state.acc.u_gradv4_over_v3,
-        acc_gradv6_over_v5=state.acc.gradv6_over_v5,
-        acc_u73_v=state.acc.u73_v,
+        acc=state.acc,
     )
-    for name in row._SCALARS + row._ACCS:
-        if not math.isfinite(getattr(row, name)):
+    for name, x in zip(MonitorRow.csv_header(p_list), row.csv_values()):
+        if not math.isfinite(x):
             raise ValueError(f"non-finite monitor entry {name} at t={state.t:.6g}")
-    if any(not math.isfinite(x) for x in row.lp_norms):
-        raise ValueError(f"non-finite lp monitor at t={state.t:.6g}")
     return row
 
 

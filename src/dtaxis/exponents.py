@@ -32,14 +32,6 @@ class ExponentTriple:
     r: float
 
 
-@dataclass(frozen=True)
-class RegimeParams:
-    """A sampled admissible (alpha, seed) pair for one regime."""
-
-    alpha: float
-    seed_value: float
-
-
 def weak_feedback_p(r: float, alpha: float, slack: float = 1e-6) -> float:
     """The moment exponent one feedback pass upgrades r to, minus a slack.
 

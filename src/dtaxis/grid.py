@@ -31,7 +31,8 @@ FaceData = list[np.ndarray]
 class Grid:
     """Structured uniform grid in 1, 2 or 3 dimensions."""
 
-    __slots__ = ("dim", "cells", "lengths", "h", "shape", "size", "cell_volume")
+    __slots__ = ("dim", "cells", "lengths", "h", "shape", "size", "cell_volume",
+                 "lo", "hi", "inner")
 
     def __init__(self, cells, lengths=None):
         if isinstance(cells, (int, np.integer)):
@@ -49,12 +50,22 @@ class Grid:
         self.lengths = tuple(float(L) for L in lengths)
         if len(self.lengths) != self.dim:
             raise ValueError("lengths and cells must have the same dimension")
-        if any(L <= 0.0 for L in self.lengths):
-            raise ValueError(f"domain lengths must be positive, got {self.lengths}")
+        if any(not 0.0 < L < math.inf for L in self.lengths):
+            raise ValueError(f"domain lengths must be positive and finite, got {self.lengths}")
         self.h = tuple(L / n for L, n in zip(self.lengths, self.cells))
         self.shape = self.cells
         self.size = math.prod(self.cells)
         self.cell_volume = math.prod(self.h)
+
+        def along(a: int, sl: slice) -> tuple[slice, ...]:
+            return tuple(sl if b == a else slice(None) for b in range(self.dim))
+        # Per-axis index tuples.  lo/hi drop the last/first entry along the
+        # axis: on a cell field they pick the two cells of every interior
+        # face, on face data the two faces of every cell.  On face data inner
+        # picks the interior faces.
+        self.lo = [along(a, slice(0, -1)) for a in range(self.dim)]
+        self.hi = [along(a, slice(1, None)) for a in range(self.dim)]
+        self.inner = [along(a, slice(1, -1)) for a in range(self.dim)]
 
     def __repr__(self):
         return f"Grid(cells={self.cells}, lengths={self.lengths})"
@@ -101,17 +112,15 @@ class Grid:
         out = []
         for a in range(self.dim):
             g = np.zeros(self.face_shape(a))
-            sl = [slice(None)] * self.dim
-            sl[a] = slice(1, self.cells[a])
-            g[tuple(sl)] = np.diff(f, axis=a) / self.h[a]
+            g[self.inner[a]] = (f[self.hi[a]] - f[self.lo[a]]) / self.h[a]
             out.append(g)
         return out
 
     def div_faces(self, flux: FaceData) -> np.ndarray:
         """Discrete divergence of face fluxes; integrates to zero by telescoping."""
-        out = np.diff(flux[0], axis=0) / self.h[0]
+        out = (flux[0][self.hi[0]] - flux[0][self.lo[0]]) / self.h[0]
         for a in range(1, self.dim):
-            out += np.diff(flux[a], axis=a) / self.h[a]
+            out += (flux[a][self.hi[a]] - flux[a][self.lo[a]]) / self.h[a]
         return out
 
     def laplacian_neumann(self, f: np.ndarray) -> np.ndarray:
@@ -143,15 +152,10 @@ class Grid:
         """
         tot = 0.0
         for a in range(self.dim):
-            lo = [slice(None)] * self.dim
-            lo[a] = slice(0, -1)
-            hi = [slice(None)] * self.dim
-            hi[a] = slice(1, None)
-            it = [slice(None)] * self.dim
-            it[a] = slice(1, -1)
-            prod = ga[a][tuple(it)] * gb[a][tuple(it)]
+            it = self.inner[a]
+            prod = ga[a][it] * gb[a][it]
             if w is not None:
-                prod = prod * (0.5 * (w[tuple(lo)] + w[tuple(hi)]))
+                prod = prod * (0.5 * (w[self.lo[a]] + w[self.hi[a]]))
             tot += float(np.sum(prod))
         return tot * self.cell_volume
 
@@ -159,10 +163,6 @@ class Grid:
         """|grad f|^2 at cell centers by averaging squared face gradients."""
         out = np.zeros(self.shape)
         for a in range(self.dim):
-            lo = [slice(None)] * self.dim
-            lo[a] = slice(0, -1)
-            hi = [slice(None)] * self.dim
-            hi[a] = slice(1, None)
             g2 = grads[a] ** 2
-            out += 0.5 * (g2[tuple(lo)] + g2[tuple(hi)])
+            out += 0.5 * (g2[self.lo[a]] + g2[self.hi[a]])
         return out

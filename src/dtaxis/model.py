@@ -13,6 +13,7 @@ total mass.  The initial cell density is lifted by the regularization shift
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -39,10 +40,10 @@ class Params:
             raise ValueError(f"alpha must satisfy 0 <= alpha < 2, got {self.alpha}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.chi < 0.0:
-            raise ValueError(f"chi must be nonnegative, got {self.chi}")
-        if self.ell < 0.0:
-            raise ValueError(f"ell must be nonnegative, got {self.ell}")
+        if not 0.0 <= self.chi < math.inf:
+            raise ValueError(f"chi must be nonnegative and finite, got {self.chi}")
+        if not 0.0 <= self.ell < math.inf:
+            raise ValueError(f"ell must be nonnegative and finite, got {self.ell}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if self.avg_mode not in AVG_MODES:
@@ -146,12 +147,16 @@ def initial_profiles(grid: Grid, data: InitialData) -> tuple[np.ndarray, np.ndar
 def build_initial_from_fields(grid: Grid, u0: np.ndarray, v0: np.ndarray,
                               params: Params, v_floor: float = 1e-3) -> State:
     """Validate (u0, v0), apply the epsilon shift, zero the accumulators."""
-    if v_floor <= 0.0:
+    if not v_floor > 0.0:
         raise ValueError("initial v must be strictly positive")
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if u0.shape != grid.shape or v0.shape != grid.shape:
         raise ValueError(f"initial fields of shape {u0.shape}/{v0.shape} do not fit grid {grid.shape}")
+    for name, f in (("u0", u0), ("v0", v0)):
+        bad = np.argwhere(~np.isfinite(f))
+        if bad.size:
+            raise ValueError(f"{name} is not finite at cell {tuple(int(i) for i in bad[0])}")
     if bool((u0 < 0.0).any()):
         raise ValueError("u0 must be nonnegative")
     if float(u0.max()) == 0.0:
@@ -177,16 +182,11 @@ def face_average(grid: Grid, w: np.ndarray, mode: str) -> FaceData:
     out = []
     for a in range(grid.dim):
         f = np.zeros(grid.face_shape(a))
-        lo = [slice(None)] * grid.dim
-        lo[a] = slice(0, -1)
-        hi = [slice(None)] * grid.dim
-        hi[a] = slice(1, None)
-        it = [slice(None)] * grid.dim
-        it[a] = slice(1, -1)
+        lo, hi = w[grid.lo[a]], w[grid.hi[a]]
         if mode == "arithmetic":
-            f[tuple(it)] = 0.5 * (w[tuple(lo)] + w[tuple(hi)])
+            f[grid.inner[a]] = 0.5 * (lo + hi)
         elif mode == "geometric":
-            f[tuple(it)] = np.sqrt(w[tuple(lo)] * w[tuple(hi)])
+            f[grid.inner[a]] = np.sqrt(lo * hi)
         else:
             raise ValueError(f"avg_mode must be one of {AVG_MODES}, got {mode!r}")
         out.append(f)

@@ -44,12 +44,39 @@ class StepControl:
     max_rejects: int = 40
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
-        if self.dt_max <= 0.0:
-            raise ValueError("dt_max must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if not self.dt_max > 0.0:
+            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
         if self.max_rejects < 1:
             raise ValueError("max_rejects must be at least 1")
+
+
+class Cadence:
+    """Clock ticking at k * every for k = 1, 2, ...; every=None never ticks.
+
+    A tick counts as reached once t is within 1e-12 * max(1, t_end) of it, so
+    a step whose dt was clipped to land on a tick reaches it despite rounding.
+    """
+
+    def __init__(self, every: float | None, t_end: float):
+        if every is not None and not 0.0 < every < math.inf:
+            raise ValueError(f"cadence must be positive and finite, got {every}")
+        self.every = every
+        self.tol = 1e-12 * max(1.0, t_end)
+        self.k = 1
+
+    def next_tick(self) -> float:
+        return math.inf if self.every is None else self.k * self.every
+
+    def due(self, t: float) -> int | None:
+        """First tick index reached by t, advancing past every reached tick."""
+        if t < self.next_tick() - self.tol:
+            return None
+        first = self.k
+        while t >= self.next_tick() - self.tol:
+            self.k += 1
+        return first
 
 
 @dataclass
@@ -140,16 +167,15 @@ def run(state: State, params: Params, control: StepControl, observers=(),
     clipped to them), and at t_end.
     """
     t_end = control.t_end
+    ticks = Cadence(monitor_cadence, t_end)
+    tiny = ticks.tol
     rows = [diagnostics.monitor_row(state, params, p_list)]
-    tick = 1
-    tiny = 1e-12 * max(1.0, t_end)
     n_steps = n_rejected = 0
     while state.t < t_end - tiny:
         dt = min(stable_dt(state, params, control.dt_max),
                  max_principle_dt(state),
-                 t_end - state.t)
-        if monitor_cadence:
-            dt = min(dt, tick * monitor_cadence - state.t)
+                 t_end - state.t,
+                 ticks.next_tick() - state.t)
         dt = max(dt, tiny)
         rejects = 0
         while True:
@@ -167,9 +193,8 @@ def run(state: State, params: Params, control: StepControl, observers=(),
             obs(state, new, dt)
         state = new
         n_steps += 1
-        if monitor_cadence and state.t >= tick * monitor_cadence - tiny:
+        if ticks.due(state.t) is not None:
             rows.append(diagnostics.monitor_row(state, params, p_list))
-            tick += 1
     if rows[-1].t < state.t - tiny or len(rows) == 1:
         rows.append(diagnostics.monitor_row(state, params, p_list))
     return Trajectory(rows=rows, final=state, n_steps=n_steps, n_rejected=n_rejected)

@@ -233,7 +233,7 @@ def test_criterion_8_eps_study(tmp_path):
         params=Params(alpha=1.0, epsilon=0.1, cfl_safety=1.0),
         control=StepControl(t_end=0.25),
         monitor_cadence=0.25, snapshot_cadence=None, p_list=(1.0, 2.0),
-        output_dir=str(tmp_path), seed=0)
+        output_dir=str(tmp_path))
     rows = run_eps_study(cfg, [1e-1, 1e-2, 1e-3, 1e-4])
     elapsed = time.perf_counter() - t0
     diffs = [r.l2_diff_u for r in rows]

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from dtaxis.cli import (RunConfig, build_state, cmd_eps_study, cmd_run,
                         load_snapshot, parse_config, regime_label, run_eps_study,
                         run_sweep, save_snapshot)
 from dtaxis.model import State
+from dtaxis.stepper import run
 
 MINIMAL = "alpha = 1.25\nepsilon = 0.01\ncells = 256\nt_end = 0.1\n"
 
@@ -72,8 +74,7 @@ def _small_config(tmp_path, **over):
     cfg = RunConfig(grid=g, initial=initial, params=params, control=control,
                     monitor_cadence=over.pop("monitor_cadence", 0.01),
                     snapshot_cadence=over.pop("snapshot_cadence", None),
-                    p_list=(1.0, 2.0, 3.0), output_dir=str(tmp_path / "out"),
-                    seed=0)
+                    p_list=(1.0, 2.0, 3.0), output_dir=str(tmp_path / "out"))
     assert not over
     return cfg
 
@@ -141,6 +142,97 @@ def test_cmd_run_snapshot_cadence_count(tmp_path):
     assert cmd_run(cfg) == 0
     snaps = sorted((tmp_path / "out").glob("snap_*.dtxs"))
     assert len(snaps) == 6  # t = 0.0, 0.1, ..., 0.5
+
+
+def _read_csv(path):
+    lines = path.read_text().strip().splitlines()
+    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+def test_cmd_run_cadence_not_dividing_t_end(tmp_path):
+    cfg = _small_config(tmp_path, t_end=0.5, monitor_cadence=0.3, snapshot_cadence=0.3)
+    assert cmd_run(cfg) == 0
+    out = tmp_path / "out"
+    _, mon = _read_csv(out / "monitors.csv")
+    np.testing.assert_allclose([float(r[0]) for r in mon], [0.0, 0.3, 0.5], atol=1e-12)
+    _, res = _read_csv(out / "residuals.csv")
+    assert [r[0] for r in res] == ["v_energy", "v_pow_2", "u0.5_v1", "first_energy"]
+    assert [p.name for p in sorted(out.glob("snap_*.dtxs"))] == \
+        ["snap_0000.dtxs", "snap_0001.dtxs"]
+
+
+def test_cmd_run_snapshot_cadence_finer_than_step(tmp_path):
+    c = 1e-4
+    cfg = _small_config(tmp_path, cells=16, t_end=0.01, snapshot_cadence=c,
+                        initial=InitialData(kind="gaussian_bump", u_amplitude=1.0))
+    assert cmd_run(cfg) == 0
+    traj = run(build_state(cfg), cfg.params, cfg.control,
+               monitor_cadence=cfg.monitor_cadence)
+    snaps = sorted((tmp_path / "out").glob("snap_*.dtxs"))
+    assert len(snaps) == traj.n_steps + 1  # one per step, every step crosses a tick
+    tol = 1e-12
+    ks = [int(p.stem[5:]) for p in snaps]
+    ts = [load_snapshot(p).state.t for p in snaps]
+    assert ks[0] == 0 and ts[0] == 0.0
+    for k, t, t_prev in zip(ks[1:], ts[1:], ts):
+        # numbered by the first tick the step crossed
+        assert t_prev < k * c - tol <= t
+        assert (k - 1) * c - tol <= t_prev
+
+
+def test_cmd_run_four_residual_rows_per_monitor_tick(tmp_path):
+    cfg = _small_config(tmp_path, t_end=0.05, monitor_cadence=0.01,
+                        initial=InitialData(kind="gaussian_bump", u_amplitude=1.0))
+    assert cmd_run(cfg) == 0
+    _, mon = _read_csv(tmp_path / "out" / "monitors.csv")
+    _, res = _read_csv(tmp_path / "out" / "residuals.csv")
+    assert len(mon) == 6
+    assert len(res) == 4 * (len(mon) - 1)
+    for i, row in enumerate(mon[1:]):
+        block = res[4 * i:4 * i + 4]
+        assert [r[0] for r in block] == ["v_energy", "v_pow_2", "u0.5_v1", "first_energy"]
+        assert {r[2] for r in block} == {row[0]}  # t1 of the step landing on the tick
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.005"])
+@pytest.mark.parametrize("key", ["monitor_cadence", "snapshot_cadence"])
+def test_main_run_rejects_bad_cadence(tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(MINIMAL.replace("cells = 256", "cells = 16")
+                        + f"output_dir = {tmp_path / 'out'}\n{key} = {value}\n")
+    t0 = time.perf_counter()
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert f"invalid value for {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["t_end", "dt_max", "chi", "ell", "u0_base",
+                                 "v0_floor", "lengths", "p_list"])
+def test_parse_rejects_nan(key):
+    with pytest.raises(ValueError, match=f"invalid value for {key}"):
+        parse_config(MINIMAL + f"{key} = nan\n")  # a repeated key overrides
+
+
+def test_main_run_t_end_nan_exit_code(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(MINIMAL.replace("t_end = 0.1", "t_end = nan"))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert "invalid value for t_end" in capsys.readouterr().err
+
+
+def test_build_state_rejects_non_finite_snapshot(tmp_path):
+    g = Grid(16)
+    u = np.ones(g.shape)
+    u[5] = np.nan
+    snap_path = tmp_path / "nan.dtxs"
+    save_snapshot(State(grid=g, t=0.0, u=u, v=np.ones(g.shape)),
+                  Params(alpha=1.0, epsilon=0.01), snap_path)
+    cfg = _small_config(tmp_path, cells=16,
+                        initial=InitialData(kind="from_snapshot",
+                                            snapshot_path=str(snap_path)))
+    with pytest.raises(ValueError, match=r"u0 is not finite at cell \(5,\)"):
+        build_state(cfg)
 
 
 def test_cmd_run_positivity_failure_exit_code(tmp_path, capsys):

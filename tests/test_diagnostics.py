@@ -56,6 +56,17 @@ def test_monitor_lp_list_and_header():
     assert len(header) == len(row.csv_values())
 
 
+def test_monitor_header_is_the_documented_column_order():
+    assert MonitorRow.csv_header((1.0, 2.0, 3.0)) == [
+        "t", "mass_u", "mass_v", "total_mass", "sup_u", "sup_v", "inf_v",
+        "log_energy", "grad2_over_v", "grad4_energy", "combined_flux_energy",
+        "lp_1_u", "lp_2_u", "lp_3_u",
+        "acc_uv", "acc_v_gradu_sq", "acc_u_gradv_sq", "acc_lap_v_sq",
+        "acc_u1ma_v_gradu_sq", "acc_v_over_u_gradu_sq", "acc_u_over_v_gradv_sq",
+        "acc_u_gradv4_over_v3", "acc_gradv6_over_v5", "acc_u73_v",
+    ]
+
+
 def test_monitor_positivity_hard_failure():
     g = Grid(8)
     p = Params(alpha=1.0, epsilon=0.01)

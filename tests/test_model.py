@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dtaxis import Grid, InitialData, Params, assemble_rhs, build_initial, face_diffusivity
-from dtaxis.model import State, face_average, initial_profiles
+from dtaxis.model import (State, build_initial_from_fields, face_average,
+                          initial_profiles)
 
 
 def test_params_validation():
@@ -15,6 +16,27 @@ def test_params_validation():
         kw.update(bad)
         with pytest.raises(ValueError):
             Params(**kw)
+
+
+def test_constructors_reject_non_finite_numbers():
+    nan = float("nan")
+    for bad in (dict(alpha=nan), dict(epsilon=nan), dict(chi=nan), dict(ell=nan),
+                dict(chi=float("inf")), dict(cfl_safety=nan)):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=name):
+            Params(**{"alpha": 1.0, "epsilon": 0.01, **bad})
+    with pytest.raises(ValueError, match="domain lengths"):
+        Grid(8, nan)
+    g = Grid((4, 3))
+    p = Params(alpha=1.0, epsilon=0.01)
+    v0 = np.ones(g.shape)
+    v0[2, 1] = nan
+    with pytest.raises(ValueError, match=r"v0 is not finite at cell \(2, 1\)"):
+        build_initial_from_fields(g, np.ones(g.shape), v0, p)
+    with pytest.raises(ValueError, match=r"u0 is not finite at cell \(0, 0\)"):
+        build_initial_from_fields(g, np.full(g.shape, np.inf), np.ones(g.shape), p)
+    with pytest.raises(ValueError, match="initial v must be strictly positive"):
+        build_initial_from_fields(g, np.ones(g.shape), np.ones(g.shape), p, v_floor=nan)
 
 
 def test_build_initial_constant_shift():

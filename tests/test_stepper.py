@@ -5,7 +5,7 @@ import pytest
 
 from dtaxis import Grid, InitialData, Params, StepControl, StepRejected, build_initial
 from dtaxis.model import State
-from dtaxis.stepper import max_principle_dt, run, stable_dt, step
+from dtaxis.stepper import Cadence, max_principle_dt, run, stable_dt, step
 
 
 def _const_state(g, u=1.0, v=1.0):
@@ -127,6 +127,37 @@ def test_run_monitor_cadence_rows():
     assert times[0] == 0.0
     assert times == sorted(times)
     np.testing.assert_allclose(times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], atol=1e-9)
+
+
+def test_cadence_due_returns_first_reached_tick():
+    ticks = Cadence(0.1, t_end=1.0)
+    assert ticks.next_tick() == 0.1
+    assert ticks.due(0.05) is None
+    assert ticks.due(0.1 - 1e-13) == 1  # within the tolerance counts as reached
+    assert ticks.due(0.35) == 2  # crosses ticks 2 and 3 at once
+    assert ticks.next_tick() == pytest.approx(0.4)
+    assert ticks.due(0.35) is None
+    assert Cadence(None, t_end=1.0).due(1e9) is None
+
+
+@pytest.mark.parametrize("every", [0.0, -0.005, math.nan, math.inf, -math.inf])
+def test_cadence_rejects_bad_periods(every):
+    with pytest.raises(ValueError, match="cadence must be positive and finite"):
+        Cadence(every, t_end=1.0)
+    g = Grid(8)
+    p = Params(alpha=1.0, epsilon=0.01)
+    s = build_initial(g, InitialData(kind="constant"), p)
+    with pytest.raises(ValueError, match="cadence must be positive and finite"):
+        run(s, p, StepControl(t_end=0.01), monitor_cadence=every)
+
+
+def test_step_control_rejects_non_finite():
+    for name, bad in (("t_end", dict(t_end=math.nan)), ("t_end", dict(t_end=math.inf)),
+                      ("dt_max", dict(t_end=0.1, dt_max=math.nan)),
+                      ("dt_max", dict(t_end=0.1, dt_max=0.0))):
+        with pytest.raises(ValueError, match=name):
+            StepControl(**bad)
+    assert StepControl(t_end=0.1).dt_max == math.inf
 
 
 def test_run_accumulator_bookkeeping():
