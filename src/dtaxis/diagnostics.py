@@ -12,11 +12,11 @@ of checks live in this module:
   ``check_struc2_balance`` probe standalone integral inequalities on given
   positive fields or trajectory windows.
 
-Quadrature conventions: gradient-squared integrands are evaluated on faces
-with arithmetically averaged coefficients (consistent with the flux form, and
-exact under discrete summation by parts), while fourth- and sixth-power
-gradient functionals average squared face gradients into cells first so every
-such functional is a plain cell quadrature.
+Quadrature conventions: gradient-squared integrands here are evaluated on
+faces with arithmetically averaged coefficients (consistent with the flux
+form, exact under summation by parts); higher gradient powers are cell
+quadratures of averaged squared face gradients.  The stepper's accumulators
+are all cell quadratures: an averaged-weight face sum regroups exactly.
 """
 
 from __future__ import annotations
@@ -133,11 +133,12 @@ def monitor_row(state: State, params: Params,
     cgv2 = g.cell_grad_sq(gv)
     a = params.alpha
     cfe = g.integrate(_power(u, 3.0 - a) / ((2.0 - a) * (3.0 - a)) - u * v)
+    mass_u, mass_v = g.integrate(u), g.integrate(v)
     row = MonitorRow(
         t=state.t,
-        mass_u=g.integrate(u),
-        mass_v=g.integrate(v),
-        total_mass=g.integrate(u) + params.ell * g.integrate(v),
+        mass_u=mass_u,
+        mass_v=mass_v,
+        total_mass=mass_u + params.ell * mass_v,
         sup_u=float(u.max()),
         sup_v=float(v.max()),
         inf_v=inf_v,
@@ -288,11 +289,10 @@ def check_first_energy(prev: State, nxt: State, params: Params) -> FirstEnergyRe
     a = params.alpha
     c = (2.0 - a) * (3.0 - a)
     dt = nxt.t - prev.t
-
-    def energy(s: State) -> float:
-        return g.integrate(_power(s.u, 3.0 - a) / c - s.u * s.v)
-
-    rate = (energy(nxt) - energy(prev)) / dt
+    u3a, uv = _power(u, 3.0 - a), u * v
+    u3av = u3a * v
+    e_next = g.integrate(_power(nxt.u, 3.0 - a) / c - nxt.u * nxt.v)
+    rate = (e_next - g.integrate(u3a / c - uv)) / dt
     gu = g.face_gradient(u)
     gv = g.face_gradient(v)
     gw = g.face_gradient(_power(u, 2.0 - a) / (2.0 - a))
@@ -300,10 +300,9 @@ def check_first_energy(prev: State, nxt: State, params: Params) -> FirstEnergyRe
     dissipation = g.face_dot(_power(u, a) * v, gdiff, gdiff)
     t_mix = g.face_dot(None, gu, gv)
     t_quad = g.integrate(u * u * v)
-    t_grow = params.ell * g.integrate(_power(u, 3.0 - a) * v / (2.0 - a) - u * v * v)
+    t_grow = params.ell * g.integrate(u3av / (2.0 - a) - uv * v)
     rhs_eq = t_grow + t_mix + t_quad
-    rhs_ineq = (params.ell / (2.0 - a)) * g.integrate(_power(u, 3.0 - a) * v) \
-        + t_mix + t_quad
+    rhs_ineq = (params.ell / (2.0 - a)) * g.integrate(u3av) + t_mix + t_quad
     residual = (rate + dissipation) - rhs_eq
     return FirstEnergyReport(
         t0=prev.t, t1=nxt.t, rate=rate, dissipation=dissipation,

@@ -207,17 +207,18 @@ def _power(u: np.ndarray, a: float) -> np.ndarray:
 
 
 def _rhs_core(state: State, params: Params):
-    """Right-hand side plus the shared intermediates the stepper reuses."""
+    """Right-hand side plus its shared intermediates: du, dv, gu, gv, uv, u^alpha, lap_v."""
     g, u, v = state.grid, state.u, state.v
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         uv = u * v
+        ua = _power(u, params.alpha)
         gu = g.face_gradient(u)
         gv = g.face_gradient(v)
         dcoef = face_average(g, uv, params.avg_mode)
         du = g.div_faces([dcoef[a] * gu[a] for a in range(g.dim)])
         lap_v = g.div_faces(gv)
         if params.chi != 0.0:
-            acoef = face_average(g, _power(u, params.alpha) * v, params.avg_mode)
+            acoef = face_average(g, ua * v, params.avg_mode)
             du = du - params.chi * g.div_faces([acoef[a] * gv[a] for a in range(g.dim)])
         if params.ell != 0.0:
             du = du + params.ell * uv
@@ -225,7 +226,7 @@ def _rhs_core(state: State, params: Params):
     if not np.isfinite(du).all() or not np.isfinite(dv).all():
         bad = np.argwhere(~(np.isfinite(du) & np.isfinite(dv)))[0]
         raise FloatingPointError(f"rhs overflow at cell {tuple(int(i) for i in bad)}")
-    return du, dv, gu, gv, uv, lap_v
+    return du, dv, gu, gv, uv, ua, lap_v
 
 
 def assemble_rhs(state: State, params: Params) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,8 @@ The run loop additionally caps dt by the discrete maximum-principle bound of
 the nutrient update, dt * (2*dim/h^2 + max u) <= 1, so sup v is provably
 nonincreasing step by step.  The diffusive CFL alone does not imply this when
 the degenerate diffusivity is small, because v diffuses with unit coefficient
-regardless of u.
+regardless of u.  One right-hand side per state sets dt, serves every
+attempt and feeds the ten running accumulators, all of them cell quadratures.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from .model import Accumulators, Params, State, _power, _rhs_core
 
 
 class StepRejected(Exception):
-    """An attempted update produced a negative density; retry with smaller dt."""
+    """An attempted update made field ("u" or "v") negative, first at cell; halve dt."""
 
-    def __init__(self, t: float, dt: float):
-        super().__init__(f"positivity lost in step from t={t:.6g} with dt={dt:.3g}")
-        self.t = t
-        self.dt = dt
+    def __init__(self, t: float, dt: float, field: str, cell: tuple[int, ...]):
+        super().__init__(f"positivity lost in step from t={t:.6g} with dt={dt:.3g}: "
+                         f"{field} at cell {cell}")
+        self.t, self.dt, self.field, self.cell = t, dt, field, cell
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,21 @@ class Trajectory:
     n_rejected: int = 0
 
 
+def _dt_limits(state: State, params: Params | None = None, uv=None, ua=None) -> tuple[float, float]:
+    """(stable_dt without dt_max, max_principle_dt); stable is inf without params."""
+    g, u_max = state.grid, float(state.u.max())
+    hmin2 = min(h * h for h in g.h)
+    max_principle = 1.0 / (2.0 * g.dim / hmin2 + u_max)
+    if params is None:
+        return math.inf, max_principle
+    dstar = float(np.max(uv + params.chi * ua * state.v))
+    if not math.isfinite(dstar):
+        raise RuntimeError("state blew up")
+    dt = params.cfl_safety * hmin2 / (2.0 * g.dim * dstar) if dstar > 0.0 else math.inf
+    reaction = u_max + params.ell * float(state.v.max())
+    return (min(dt, 1.0 / reaction) if reaction > 0.0 else dt), max_principle
+
+
 def stable_dt(state: State, params: Params, dt_max: float = math.inf) -> float:
     """Stability-limited step size for the current state.
 
@@ -96,62 +112,52 @@ def stable_dt(state: State, params: Params, dt_max: float = math.inf) -> float:
     D* = max over cells of (u v + chi u^alpha v), further capped by the
     reaction bound 1 / (max u + ell * max v) and by dt_max.
     """
-    g, u, v = state.grid, state.u, state.v
-    dstar = float(np.max(u * v + params.chi * _power(u, params.alpha) * v))
-    if not math.isfinite(dstar):
-        raise RuntimeError("state blew up")
-    dt = math.inf
-    if dstar > 0.0:
-        dt = params.cfl_safety * min(h * h for h in g.h) / (2.0 * g.dim * dstar)
-    reaction = float(u.max()) + params.ell * float(v.max())
-    if reaction > 0.0:
-        dt = min(dt, 1.0 / reaction)
-    return min(dt, dt_max)
+    uv, ua = state.u * state.v, _power(state.u, params.alpha)
+    return min(_dt_limits(state, params, uv, ua)[0], dt_max)
 
 
 def max_principle_dt(state: State) -> float:
-    """Largest dt for which the explicit v-update cannot raise sup v."""
-    g = state.grid
-    hmin2 = min(h * h for h in g.h)
-    return 1.0 / (2.0 * g.dim / hmin2 + float(state.u.max()))
+    """Largest dt for which the explicit v-update cannot raise sup v:
+    dt * (2 * dim / min_axes(h^2) + max u) = 1."""
+    return _dt_limits(state)[1]
 
 
 def _advance_accumulators(state: State, params: Params, dt: float,
                           gu, gv, uv, lap_v) -> Accumulators:
-    """Left-endpoint update of every catalogued running integral."""
+    """Left-endpoint update of every catalogued running integral, each a cell quadrature:
+    sum_faces (w_lo + w_hi) / 2 * g_f^2 regroups exactly into sum_cells w * cell_grad_sq(g)."""
     g, u, v = state.grid, state.u, state.v
-    acc = state.acc
-    vol = g.cell_volume
-    cgv2 = g.cell_grad_sq(gv)
-    return Accumulators(
-        uv=acc.uv + dt * float(np.sum(uv)) * vol,
-        v_gradu_sq=acc.v_gradu_sq + dt * g.face_dot(v, gu, gu),
-        u_gradv_sq=acc.u_gradv_sq + dt * g.face_dot(u, gv, gv),
-        lap_v_sq=acc.lap_v_sq + dt * float(np.sum(lap_v * lap_v)) * vol,
-        u1ma_v_gradu_sq=acc.u1ma_v_gradu_sq
-        + dt * g.face_dot(_power(u, 1.0 - params.alpha) * v, gu, gu),
-        v_over_u_gradu_sq=acc.v_over_u_gradu_sq + dt * g.face_dot(v / u, gu, gu),
-        u_over_v_gradv_sq=acc.u_over_v_gradv_sq + dt * g.face_dot(u / v, gv, gv),
-        u_gradv4_over_v3=acc.u_gradv4_over_v3
-        + dt * float(np.sum(u * cgv2 * cgv2 / (v * v * v))) * vol,
-        gradv6_over_v5=acc.gradv6_over_v5
-        + dt * float(np.sum(cgv2 ** 3 / v ** 5)) * vol,
-        u73_v=acc.u73_v + dt * float(np.sum(u ** (7.0 / 3.0) * v)) * vol,
-    )
+    cgu2, cgv2 = g.cell_grad_sq(gu), g.cell_grad_sq(gv)
+    # with q = |grad v|^2 / v: u |grad v|^4 / v^3 = (u / v) q^2, |grad v|^6 / v^5 = q^2 q / v^2
+    u_over_v, q = u / v, cgv2 / v
+    q2 = q * q
+    sums = dict(uv=uv.sum(),
+                v_gradu_sq=np.vdot(v, cgu2),
+                u_gradv_sq=np.vdot(u, cgv2),
+                lap_v_sq=np.vdot(lap_v, lap_v),
+                u1ma_v_gradu_sq=np.vdot(_power(u, 1.0 - params.alpha) * v, cgu2),
+                v_over_u_gradu_sq=np.vdot(v / u, cgu2),
+                u_over_v_gradv_sq=np.vdot(u_over_v, cgv2),
+                u_gradv4_over_v3=np.vdot(u_over_v, q2),
+                gradv6_over_v5=np.vdot(q2, q / (v * v)),
+                u73_v=np.vdot(u ** (7.0 / 3.0), v))
+    return Accumulators(**{n: getattr(state.acc, n) + dt * float(x) * g.cell_volume
+                           for n, x in sums.items()})
 
 
-def step(state: State, params: Params, dt: float) -> State:
+def step(state: State, params: Params, dt: float, rhs=None) -> State:
     """One accepted forward-Euler step, or StepRejected; never mutates input.
 
-    Per step the discrete mass law holds to rounding:
-    integrate(u') = integrate(u) + dt * ell * integrate(u v) and
-    integrate(v') = integrate(v) - dt * integrate(u v).
+    rhs is the state's ``_rhs_core`` result, computed here if None.  The discrete
+    mass law holds to rounding: integrate(u') = integrate(u) + dt * ell * integrate(u v)
+    and integrate(v') = integrate(v) - dt * integrate(u v).
     """
-    du, dv, gu, gv, uv, lap_v = _rhs_core(state, params)
+    du, dv, gu, gv, uv, _, lap_v = rhs or _rhs_core(state, params)
     u2 = state.u + dt * du
     v2 = state.v + dt * dv
-    if bool((u2 < 0.0).any()) or bool((v2 <= 0.0).any()):
-        raise StepRejected(state.t, dt)
+    for field, bad in (("u", u2 < 0.0), ("v", v2 <= 0.0)):
+        if bool(bad.any()):
+            raise StepRejected(state.t, dt, field, tuple(map(int, np.argwhere(bad)[0])))
     acc = _advance_accumulators(state, params, dt, gu, gv, uv, lap_v)
     return State(grid=state.grid, t=state.t + dt, u=u2, v=v2, acc=acc)
 
@@ -172,23 +178,25 @@ def run(state: State, params: Params, control: StepControl, observers=(),
     rows = [diagnostics.monitor_row(state, params, p_list)]
     n_steps = n_rejected = 0
     while state.t < t_end - tiny:
-        dt = min(stable_dt(state, params, control.dt_max),
-                 max_principle_dt(state),
-                 t_end - state.t,
-                 ticks.next_tick() - state.t)
-        dt = max(dt, tiny)
-        rejects = 0
-        while True:
+        try:
+            rhs = _rhs_core(state, params)
+        except FloatingPointError:
+            stable_dt(state, params)  # a non-finite D* is "state blew up", as ever
+            raise
+        stable, max_principle = _dt_limits(state, params, *rhs[4:6])  # uv, u^alpha
+        dt = max(min(stable, control.dt_max, max_principle, t_end - state.t,
+                     ticks.next_tick() - state.t), tiny)
+        for _ in range(control.max_rejects + 1):
             try:
-                new = step(state, params, dt)
+                new = step(state, params, dt, rhs)
                 break
-            except StepRejected:
-                rejects += 1
+            except StepRejected as exc:
                 n_rejected += 1
-                if rejects > control.max_rejects:
-                    raise RuntimeError(
-                        f"positivity unrecoverable at t={state.t:.8g}") from None
                 dt *= 0.5
+                where = f"{exc.field} at cell {exc.cell}"
+        else:
+            raise RuntimeError(f"positivity unrecoverable at t={state.t:.8g}: {where}")
+        del rhs  # observers and monitor rows run without the rhs arrays alive
         for obs in observers:
             obs(state, new, dt)
         state = new

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dtaxis import Grid, InitialData, Params, StepControl, StepRejected, build_initial
-from dtaxis.model import State
+from dtaxis import stepper
+from dtaxis.model import Accumulators, State
 from dtaxis.stepper import Cadence, max_principle_dt, run, stable_dt, step
 
 
@@ -100,10 +101,18 @@ def test_step_rejection_is_pure():
     v = 1.0 + 0.5 * np.cos(2 * np.pi * g.centers(0))
     s = State(grid=g, t=0.0, u=u, v=v)
     u_copy, v_copy = s.u.copy(), s.v.copy()
-    with pytest.raises(StepRejected):
+    with pytest.raises(StepRejected) as info:
         step(s, p, 1e-3)
+    assert (info.value.field, info.value.cell) == ("u", (16,))
     assert np.array_equal(s.u, u_copy) and np.array_equal(s.v, v_copy)
     assert s.t == 0.0 and s.acc.uv == 0.0
+    # a v peak drained by diffusion: u is untouched (chi = 0, u constant)
+    v = np.ones(g.shape)
+    v[5] = 3.0
+    s = State(grid=g, t=0.0, u=np.ones(g.shape), v=v)
+    with pytest.raises(StepRejected, match=r"v at cell \(5,\)") as info:
+        step(s, Params(alpha=1.0, epsilon=0.01, chi=0.0), 0.01)
+    assert (info.value.field, info.value.cell) == ("v", (5,))
 
 
 def test_run_constant_data_freezes_u():
@@ -179,8 +188,131 @@ def test_run_positivity_unrecoverable():
     u[16] = 1e-12
     v = 1.0 + 0.5 * np.cos(2 * np.pi * g.centers(0))
     s = State(grid=g, t=0.0, u=u, v=v)
-    with pytest.raises(RuntimeError, match="positivity unrecoverable at t="):
+    with pytest.raises(RuntimeError,
+                       match=r"positivity unrecoverable at t=0: u at cell \(16,\)$"):
         run(s, p, StepControl(t_end=0.1, max_rejects=3))
+
+
+@pytest.mark.parametrize("value, avg_mode, error, match", [
+    (np.inf, "geometric", RuntimeError, "state blew up"),
+    (1e160, "arithmetic", FloatingPointError, r"rhs overflow at cell \(1,\)"),
+])
+def test_run_blowup_errors(value, avg_mode, error, match):
+    # an observer poisons the accepted state, so the blow-up meets the step
+    # loop and not the monitor row; a non-finite D* and a finite state whose
+    # rhs overflows raise different errors
+    g = Grid(8)
+    p = Params(alpha=1.0, epsilon=0.01, avg_mode=avg_mode)
+
+    def poison(prev, new, dt):
+        new.u[2] = value
+    with pytest.raises(error, match=match):
+        run(_const_state(g), p, StepControl(t_end=0.1), observers=[poison])
+    s = _const_state(g)
+    s.u[2] = np.inf
+    with pytest.raises(ValueError, match="non-finite field"), np.errstate(invalid="ignore"):
+        run(s, p, StepControl(t_end=0.1))
+
+
+def _notch_state():
+    """Near-vacuum cell at a sharp v notch: with chi = 5 the tactic drain
+    rejects the CFL step several times, and the run still recovers."""
+    g = Grid(32)
+    u = np.full(g.shape, 0.5)
+    u[16] = 1e-6
+    v = np.ones(g.shape)
+    v[16] = 0.1
+    return State(grid=g, t=0.0, u=u, v=v), Params(alpha=1.25, epsilon=0.01, chi=5.0)
+
+
+def test_run_one_rhs_per_step_one_step_call_per_attempt(monkeypatch):
+    calls = {"rhs": 0, "step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(stepper, "_rhs_core", counted("rhs", stepper._rhs_core))
+    monkeypatch.setattr(stepper, "step", counted("step", stepper.step))
+    s, p = _notch_state()
+    traj = run(s, p, StepControl(t_end=2e-3, max_rejects=60))
+    assert traj.n_rejected >= 1
+    assert calls["rhs"] == traj.n_steps
+    assert calls["step"] == traj.n_steps + traj.n_rejected
+
+
+def _dt_trace(s, p, control, cadence):
+    """(dt taken, min of the public limits of the previous state) per step."""
+    ticks = Cadence(cadence, control.t_end)
+    pairs = []
+
+    def observer(prev, new, dt):
+        limit = min(stable_dt(prev, p, control.dt_max), max_principle_dt(prev),
+                    control.t_end - prev.t, ticks.next_tick() - prev.t)
+        pairs.append((dt, limit))
+        ticks.due(new.t)
+    traj = run(s, p, control, observers=[observer], monitor_cadence=cadence)
+    return traj, pairs
+
+
+_CHI3_2D = (Grid((12, 10)), Params(alpha=0.5, epsilon=0.01, chi=3.0, ell=1.0,
+                                   avg_mode="arithmetic"), 1.0, -0.4)
+
+
+@pytest.mark.parametrize("g, p, u_base, u_amplitude, dt_max, t_end, cadence", [
+    (*_CHI3_2D, math.inf, 0.01, 0.0025),
+    (*_CHI3_2D, 2.6e-4, 0.01, 0.0025),
+    (Grid(16), Params(alpha=0.5, epsilon=0.01, chi=0.5, ell=1.0), 0.3, -0.25,
+     math.inf, 0.05, 0.01),
+], ids=["cfl-ticks-t_end", "dt_max", "max_principle"])
+def test_run_dt_equals_public_limits(g, p, u_base, u_amplitude, dt_max, t_end, cadence):
+    s = build_initial(g, InitialData(kind="cosine_mix", u_base=u_base,
+                                     u_amplitude=u_amplitude, u_mode=1, v_base=1.0,
+                                     v_amplitude=0.2), p)
+    traj, pairs = _dt_trace(s, p, StepControl(t_end=t_end, dt_max=dt_max), cadence)
+    assert traj.n_rejected == 0 and len(pairs) == traj.n_steps
+    assert all(dt == limit for dt, limit in pairs)
+
+
+def test_run_rejected_dt_is_its_limit_halved():
+    s, p = _notch_state()
+    traj, pairs = _dt_trace(s, p, StepControl(t_end=2e-3, max_rejects=60), None)
+    halvings = [math.log2(limit / dt) for dt, limit in pairs]
+    assert all(k == round(k) for k in halvings)
+    assert sum(halvings) == traj.n_rejected >= 1
+
+
+@pytest.mark.parametrize("cells, lengths", [(40, 1.0), ((9, 7), (1.0, 0.7)),
+                                            ((5, 4, 6), (1.0, 0.7, 1.3))])
+def test_accumulator_increments_match_their_definitions(cells, lengths):
+    # the stepper's cell quadratures against face sums and plain cell sums
+    g = Grid(cells, lengths)
+    rng = np.random.default_rng(g.dim)
+    u = rng.uniform(0.1, 2.0, g.shape)
+    v = rng.uniform(0.3, 1.5, g.shape)
+    p = Params(alpha=1.25, epsilon=0.01, chi=1.0, ell=1.0)
+    s = State(grid=g, t=0.0, u=u, v=v)
+    dt = 0.5 * min(stable_dt(s, p), max_principle_dt(s))
+    acc = step(s, p, dt).acc
+    gu, gv = g.face_gradient(u), g.face_gradient(v)
+    lap_v = g.laplacian_neumann(v)
+    cgv2 = g.cell_grad_sq(gv)
+    vol = g.cell_volume
+    want = Accumulators(
+        uv=np.sum(u * v) * vol,
+        v_gradu_sq=g.face_dot(v, gu, gu),
+        u_gradv_sq=g.face_dot(u, gv, gv),
+        lap_v_sq=np.sum(lap_v ** 2) * vol,
+        u1ma_v_gradu_sq=g.face_dot(u ** (1.0 - p.alpha) * v, gu, gu),
+        v_over_u_gradu_sq=g.face_dot(v / u, gu, gu),
+        u_over_v_gradv_sq=g.face_dot(u / v, gv, gv),
+        u_gradv4_over_v3=np.sum(u * cgv2 ** 2 / v ** 3) * vol,
+        gradv6_over_v5=np.sum(cgv2 ** 3 / v ** 5) * vol,
+        u73_v=np.sum(u ** (7.0 / 3.0) * v) * vol,
+    )
+    for name, got, ref in zip(Accumulators.names(), acc.values(), want.values()):
+        assert got == pytest.approx(dt * ref, rel=1e-12, abs=0.0), name
 
 
 def test_run_observer_sees_every_step():
