@@ -272,14 +272,11 @@ class _ResidualObserver:
             diagnostics.residual_v_energy(prev, new, self.params),
             diagnostics.residual_vq_identity(prev, new, 2.0, self.params),
             diagnostics.residual_upvq_identity(prev, new, 0.5, 1.0, self.params),
+            diagnostics.check_first_energy(prev, new, self.params),
         ]
         for rep in reports:
-            self.rows.append([rep.name, rep.t0, rep.t1, rep.lhs, rep.rhs,
-                              rep.residual, rep.normalizer, rep.rel, ""])
-        fe = diagnostics.check_first_energy(prev, new, self.params)
-        self.rows.append(["first_energy", fe.t0, fe.t1, fe.rate + fe.dissipation,
-                          fe.rhs_equality, fe.residual, fe.normalizer, fe.rel,
-                          _fmt(fe.slack)])
+            self.rows.append([rep.name, rep.t0, rep.t1, rep.lhs, rep.rhs, rep.residual,
+                              rep.normalizer, rep.rel, getattr(rep, "slack", "")])
 
 
 class _SnapshotObserver:

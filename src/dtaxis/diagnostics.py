@@ -16,7 +16,9 @@ Quadrature conventions: gradient-squared integrands here are evaluated on
 faces with arithmetically averaged coefficients (consistent with the flux
 form, exact under summation by parts); higher gradient powers are cell
 quadratures of averaged squared face gradients.  The stepper's accumulators
-are all cell quadratures: an averaged-weight face sum regroups exactly.
+are all cell quadratures: an averaged-weight face sum regroups exactly.  The
+Hessian is built from the grid's face gradients, whose wall entries are zero,
+so it needs no ghost cells of its own.
 """
 
 from __future__ import annotations
@@ -43,42 +45,26 @@ def _normalizer(*terms: float) -> float:
     return max(1.0, *(abs(t) for t in terms))
 
 
-def _interior(grid: Grid) -> tuple[slice, ...]:
-    return tuple(slice(1, -1) for _ in range(grid.dim))
-
-
-def _neighbours(grid: Grid, f: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper neighbour of every cell along one axis; at a wall the
-    cell itself stands in (edge ghosts, the zero-flux reflection)."""
-    p = np.pad(f, [(1, 1) if b == a else (0, 0) for b in range(grid.dim)], mode="edge")
-    # applying lo (hi) twice drops the last (first) two padded entries
-    return p[grid.lo[a]][grid.lo[a]], p[grid.hi[a]][grid.hi[a]]
-
-
-def _axis_second_diff(grid: Grid, f: np.ndarray, a: int) -> np.ndarray:
-    """Second difference along one axis with reflected (zero-flux) ghosts."""
-    lower, upper = _neighbours(grid, f, a)
-    return (upper - 2.0 * f + lower) / (grid.h[a] ** 2)
-
-
-def _axis_central_diff(grid: Grid, f: np.ndarray, a: int) -> np.ndarray:
-    """Central first difference along one axis, one-sided closure at the walls."""
-    lower, upper = _neighbours(grid, f, a)
-    return (upper - lower) / (2.0 * grid.h[a])
-
-
 def hessian_sq(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of the composed-difference Hessian of f.
 
-    Boundary cells use the reflected/one-sided closures; callers that need
-    clean second-order behavior exclude them from quadratures.
+    Built from the grid's face gradients g, whose wall entries are zero: along
+    axis a the second difference is (g_hi - g_lo) / h, the central difference
+    the cell mean (g_lo + g_hi) / 2, and a mixed term the central difference
+    of a central one.  Boundary cells thus get a first-order closure; callers
+    that need clean second-order behavior exclude them from quadratures.
     """
+    def mean(g: np.ndarray, a: int) -> np.ndarray:
+        return 0.5 * (g[grid.lo[a]] + g[grid.hi[a]])
+
+    gf = grid.face_gradient(f)
     out = np.zeros(grid.shape)
-    firsts = [_axis_central_diff(grid, f, a) for a in range(grid.dim)]
-    for a in range(grid.dim):
-        out += _axis_second_diff(grid, f, a) ** 2
-        for b in range(a + 1, grid.dim):
-            out += 2.0 * _axis_central_diff(grid, firsts[b], a) ** 2
+    for b in range(grid.dim):
+        out += ((gf[b][grid.hi[b]] - gf[b][grid.lo[b]]) / grid.h[b]) ** 2
+        if b:
+            gfirst = grid.face_gradient(mean(gf[b], b))
+            for a in range(b):
+                out += 2.0 * mean(gfirst[a], a) ** 2
     return out
 
 
@@ -257,28 +243,20 @@ def residual_upvq_identity(prev: State, nxt: State, p: float, q: float,
 
 
 @dataclass(frozen=True)
-class FirstEnergyReport:
+class FirstEnergyReport(ResidualReport):
     """Equality residual and inequality slack of the combined flux energy.
 
     The energy int( u^(3-alpha)/((2-alpha)(3-alpha)) - u v ) dissipates the
-    flux-weighted square int u^alpha v |grad(u^(2-alpha)/(2-alpha) - v)|^2;
-    dropping that term and the nonpositive -ell int u v^2 yields the one-sided
-    bound whose slack is reported here.
+    flux-weighted square int u^alpha v |grad(u^(2-alpha)/(2-alpha) - v)|^2, so
+    lhs = rate + dissipation balances the equality right side rhs; dropping
+    the dissipation and the nonpositive -ell int u v^2 yields the one-sided
+    bound rate <= rhs_inequality, whose slack is reported here.
     """
 
-    t0: float
-    t1: float
     rate: float
     dissipation: float
-    rhs_equality: float
     rhs_inequality: float
-    residual: float
-    normalizer: float
     slack: float
-
-    @property
-    def rel(self) -> float:
-        return abs(self.residual) / self.normalizer
 
     def passes(self, tol: float = 1e-8) -> bool:
         return self.slack >= -tol
@@ -301,13 +279,12 @@ def check_first_energy(prev: State, nxt: State, params: Params) -> FirstEnergyRe
     t_mix = g.face_dot(None, gu, gv)
     t_quad = g.integrate(u * u * v)
     t_grow = params.ell * g.integrate(u3av / (2.0 - a) - uv * v)
-    rhs_eq = t_grow + t_mix + t_quad
+    lhs, rhs = rate + dissipation, t_grow + t_mix + t_quad
     rhs_ineq = (params.ell / (2.0 - a)) * g.integrate(u3av) + t_mix + t_quad
-    residual = (rate + dissipation) - rhs_eq
     return FirstEnergyReport(
-        t0=prev.t, t1=nxt.t, rate=rate, dissipation=dissipation,
-        rhs_equality=rhs_eq, rhs_inequality=rhs_ineq, residual=residual,
-        normalizer=_normalizer(rate, dissipation, t_mix, t_quad, t_grow),
+        "first_energy", prev.t, nxt.t, lhs, rhs, lhs - rhs,
+        _normalizer(rate, dissipation, t_mix, t_quad, t_grow),
+        rate=rate, dissipation=dissipation, rhs_inequality=rhs_ineq,
         slack=rhs_ineq - rate,
     )
 
@@ -397,7 +374,7 @@ def check_log_hessian(grid: Grid, phi: np.ndarray, q: float) -> LogHessianReport
         raise ValueError("nonpositive field")
     n = grid.dim
     vol = grid.cell_volume
-    inner = _interior(grid)
+    inner = (slice(1, -1),) * n
     g2 = grid.cell_grad_sq(grid.face_gradient(phi))[inner]
     ph = phi[inner]
     hess_log = hessian_sq(grid, np.log(phi))[inner]

@@ -176,8 +176,9 @@ def face_average(grid: Grid, w: np.ndarray, mode: str) -> FaceData:
     """Average a cell field onto interior faces; wall faces stay zero.
 
     Geometric averaging keeps a face coefficient at exactly zero whenever one
-    adjacent cell carries zero, so degenerate (vacuum) regions exchange no
-    diffusive or tactic flux.
+    adjacent cell carries zero.  So vacuum (u = 0) cells exchange no diffusive
+    flux, and for alpha > 0 no tactic flux; at alpha = 0 the taxis flux
+    chi v grad v does not depend on u, and a vacuum cell is not insulated from it.
     """
     out = []
     for a in range(grid.dim):

@@ -56,15 +56,15 @@ class StepControl:
 class Cadence:
     """Clock ticking at k * every for k = 1, 2, ...; every=None never ticks.
 
-    A tick counts as reached once t is within 1e-12 * max(1, t_end) of it, so
-    a step whose dt was clipped to land on a tick reaches it despite rounding.
+    A tick counts as reached once t is within 1e-12 * t_end of it, so a step
+    whose dt was clipped to land on a tick reaches it despite rounding.
     """
 
     def __init__(self, every: float | None, t_end: float):
         if every is not None and not 0.0 < every < math.inf:
             raise ValueError(f"cadence must be positive and finite, got {every}")
         self.every = every
-        self.tol = 1e-12 * max(1.0, t_end)
+        self.tol = 1e-12 * t_end
         self.k = 1
 
     def next_tick(self) -> float:

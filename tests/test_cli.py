@@ -157,6 +157,7 @@ def test_cmd_run_cadence_not_dividing_t_end(tmp_path):
     np.testing.assert_allclose([float(r[0]) for r in mon], [0.0, 0.3, 0.5], atol=1e-12)
     _, res = _read_csv(out / "residuals.csv")
     assert [r[0] for r in res] == ["v_energy", "v_pow_2", "u0.5_v1", "first_energy"]
+    assert [r[-1] == "" for r in res] == [True, True, True, False]  # only first_energy has a slack
     assert [p.name for p in sorted(out.glob("snap_*.dtxs"))] == \
         ["snap_0000.dtxs", "snap_0001.dtxs"]
 
@@ -282,6 +283,19 @@ def test_sweep_three_regimes(tmp_path):
     lines = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 4
     assert lines[1].startswith("0.5,weak,ok,")
+
+
+def test_sweep_workers_match_serial(tmp_path):
+    # two worker processes write the same aggregated CSV as the serial loop
+    cfg = _small_config(tmp_path, t_end=0.02, monitor_cadence=0.01,
+                        initial=InitialData(kind="gaussian_bump"))
+    alphas = [0.5, 1.25, 1.75]
+    serial = run_sweep(cfg, alphas, output_dir=tmp_path / "serial")
+    pooled = run_sweep(cfg, alphas, output_dir=tmp_path / "pooled", workers=2)
+    assert [r[2] for r in pooled] == ["ok"] * 3
+    assert pooled == serial
+    assert ((tmp_path / "pooled" / "sweep.csv").read_bytes()
+            == (tmp_path / "serial" / "sweep.csv").read_bytes())
 
 
 def test_sweep_empty_and_duplicates(tmp_path):

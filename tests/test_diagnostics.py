@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dtaxis import Grid, InitialData, Params, StepControl, build_initial
-from dtaxis.diagnostics import (MonitorRow, check_first_energy, monitor_row,
-                                residual_upvq_identity, residual_v_energy,
-                                residual_vq_identity)
+from dtaxis.diagnostics import (MonitorRow, ResidualReport, check_first_energy,
+                                hessian_sq, monitor_row, residual_upvq_identity,
+                                residual_v_energy, residual_vq_identity)
 from dtaxis.model import State
 from dtaxis.stepper import run, step
 
@@ -211,3 +211,53 @@ def test_residual_report_fields():
     assert rep.residual == rep.lhs - rep.rhs
     assert rep.normalizer >= 1.0
     assert rep.rel == abs(rep.residual) / rep.normalizer
+
+
+def test_first_energy_report_is_a_residual_report():
+    g = Grid(16)
+    p = Params(alpha=1.25, epsilon=0.01, ell=1.0)
+    s = build_initial(g, InitialData(kind="gaussian_bump", u_amplitude=1.0), p)
+    rep = check_first_energy(s, step(s, p, 1e-5), p)
+    assert isinstance(rep, ResidualReport) and rep.name == "first_energy"
+    assert rep.lhs == rep.rate + rep.dissipation
+    assert rep.residual == rep.lhs - rep.rhs
+    assert rep.slack == rep.rhs_inequality - rep.rate
+
+
+def _interior_hessian_sq(cells, lengths, f):
+    g = Grid(cells, lengths)
+    return hessian_sq(g, f(*g.mesh()))[(slice(1, -1),) * g.dim]
+
+
+def test_hessian_sq_exact_for_quadratics_on_interior_cells():
+    # |D2 f|^2 = sum_ab (d_a d_b f)^2 with constant second derivatives
+    h1 = _interior_hessian_sq((10,), 2.0, lambda x: x * x)
+    np.testing.assert_allclose(h1, 4.0, rtol=1e-9)
+    h2 = _interior_hessian_sq((12, 9), (1.0, 1.5),
+                              lambda x, y: x * x + x * y + 3.0 * y * y)
+    np.testing.assert_allclose(h2, 4.0 + 2.0 * 1.0 + 36.0, rtol=1e-9)
+    # f_xx = 2, f_zz = 2, f_xy = 1, f_yz = 2: 4 + 4 + 2 * (1 + 4) = 18
+    h3 = _interior_hessian_sq((7, 6, 5), (1.0, 0.8, 1.2),
+                              lambda x, y, z: x * x + x * y + 2.0 * y * z + z * z)
+    np.testing.assert_allclose(h3, 18.0, rtol=1e-9)
+
+
+@pytest.mark.parametrize("cells", [(9, 8), (6, 5, 7)])
+def test_hessian_sq_commutes_with_mirroring(cells):
+    # centered differences have no preferred direction along any axis
+    g = Grid(cells)
+    f = np.random.default_rng(3).uniform(0.5, 2.0, g.shape)
+    h = hessian_sq(g, f)
+    for a in range(g.dim):
+        hm = np.flip(hessian_sq(g, np.flip(f, axis=a)), axis=a)
+        np.testing.assert_allclose(hm, h, rtol=1e-12, atol=1e-12 * h.max())
+
+
+def test_hessian_sq_wall_cell_one_sided_closure():
+    g = Grid(10, 2.0)
+    x = g.centers(0)
+    f = np.cos(1.3 * x) + x ** 3
+    h = g.h[0]
+    hs = hessian_sq(g, f)
+    assert hs[0] == pytest.approx(((f[1] - f[0]) / h ** 2) ** 2, rel=1e-12)
+    assert hs[-1] == pytest.approx(((f[-2] - f[-1]) / h ** 2) ** 2, rel=1e-12)

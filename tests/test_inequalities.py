@@ -98,8 +98,9 @@ def test_cosine_field_sampler_properties():
         assert phi.min() > math.exp(-0.6) - 1e-12
         assert phi.max() < math.exp(0.6) + 1e-12
         # continuous field has zero normal derivative; discrete wall faces too
-        for ga in g.face_gradient(phi):
-            pass  # wall faces are structurally zero
+        for a, ga in enumerate(g.face_gradient(phi)):
+            assert ga.shape == g.face_shape(a)
+            assert np.all(np.take(ga, [0, -1], axis=a) == 0.0)
 
 
 def _window_pairs(alpha, n=48, sigma=0.1, t_w=2e-3):

@@ -156,6 +156,27 @@ def test_rhs_degenerate_off_switch():
     assert np.all(du[10:21] == 0.0)
 
 
+def test_vacuum_insulates_tactic_flux_only_for_positive_alpha():
+    # the diffusive coefficient u v vanishes next to a vacuum cell for every
+    # alpha, the tactic one u^alpha v only for alpha > 0: at alpha = 0 the
+    # taxis flux chi v grad v does not depend on u and drains the empty cell
+    g = Grid(32)
+    u = np.ones(g.shape)
+    u[16] = 0.0
+    v = 1.0 + 0.5 * np.cos(2 * np.pi * g.centers(0))
+    s = State(grid=g, t=0.0, u=u, v=v)
+    for alpha in (0.5, 1.0, 1.25, 1.75):
+        du, _ = assemble_rhs(s, Params(alpha=alpha, epsilon=0.01, chi=5.0))
+        assert du[16] == 0.0
+    du, _ = assemble_rhs(s, Params(alpha=0.0, epsilon=0.01, chi=0.0))
+    assert du[16] == 0.0
+    du, _ = assemble_rhs(s, Params(alpha=0.0, epsilon=0.01, chi=5.0))
+    gv = g.face_gradient(v)
+    taxis = g.div_faces([face_average(g, v, "geometric")[0] * gv[0]])
+    assert du[16] == pytest.approx(-5.0 * taxis[16], rel=1e-14)
+    assert du[16] < -50.0
+
+
 def test_rhs_mirror_symmetry():
     g = Grid(33)
     p = Params(alpha=1.25, epsilon=0.01, ell=1.0)

@@ -138,6 +138,19 @@ def test_run_monitor_cadence_rows():
     np.testing.assert_allclose(times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], atol=1e-9)
 
 
+@pytest.mark.parametrize("t_end", [1e-14, 5e-13, 1e-9])
+def test_run_reaches_tiny_t_end(t_end):
+    # the tick tolerance scales with t_end, so no t_end is swallowed by it
+    g = Grid(16)
+    p = Params(alpha=1.25, epsilon=0.01, ell=1.0)
+    s = build_initial(g, InitialData(kind="gaussian_bump"), p)
+    traj = run(s, p, StepControl(t_end=t_end), monitor_cadence=t_end / 4)
+    assert traj.n_steps == 4
+    assert traj.final.t == pytest.approx(t_end, rel=1e-12)
+    np.testing.assert_allclose([row.t for row in traj.rows],
+                               t_end * np.arange(5) / 4, rtol=1e-12)
+
+
 def test_cadence_due_returns_first_reached_tick():
     ticks = Cadence(0.1, t_end=1.0)
     assert ticks.next_tick() == 0.1
