@@ -14,12 +14,14 @@ Subcommands:
 * ``verify-exponents``    randomized verification of the exponent recursions
 
 Config files are line-oriented ``key = value`` with ``#`` comments; unknown
-keys are rejected, missing required keys are reported by name.
+keys are rejected, and a key whose record field has no default is required.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import math
 import struct
@@ -31,53 +33,26 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, exponents
-from .diagnostics import MonitorRow
+from .diagnostics import P_LIST, MonitorRow
 from .grid import Grid
-from .model import (INITIAL_KINDS, InitialData, Params, State, build_initial,
-                    build_initial_from_fields)
+from .model import InitialData, Params, State, build_initial, build_initial_from_fields
 from .stepper import Cadence, StepControl, run
 
 SNAPSHOT_MAGIC = b"DTXS1"
 
-_REQUIRED = object()
+
+def _tuple_of(kind):
+    return lambda s: tuple(map(kind, s.split(",")))
 
 
-def _parse_int_list(s: str) -> tuple[int, ...]:
-    return tuple(int(x.strip()) for x in s.split(","))
-
-
-def _parse_float_list(s: str) -> tuple[float, ...]:
-    return tuple(float(x.strip()) for x in s.split(","))
-
-
-_SCHEMA: dict = {
-    "dim": (int, None),
-    "cells": (_parse_int_list, _REQUIRED),
-    "lengths": (_parse_float_list, None),
-    "alpha": (float, _REQUIRED),
-    "chi": (float, 1.0),
-    "ell": (float, 0.0),
-    "epsilon": (float, _REQUIRED),
-    "cfl_safety": (float, 0.9),
-    "avg_mode": (str, "geometric"),
-    "u0_kind": (str, "gaussian_bump"),
-    "u0_base": (float, 0.0),
-    "u0_amplitude": (float, 1.0),
-    "u0_width": (float, 0.15),
-    "u0_mode": (int, 2),
-    "v0_base": (float, 1.0),
-    "v0_amplitude": (float, 0.0),
-    "v0_mode": (int, 1),
-    "v0_floor": (float, 1e-3),
-    "snapshot_in": (str, None),
-    "t_end": (float, _REQUIRED),
-    "dt_max": (float, math.inf),
-    "max_rejects": (int, 40),
-    "monitor_cadence": (float, None),
-    "snapshot_cadence": (float, None),
-    "p_list": (_parse_float_list, (1.0, 2.0, 3.0)),
-    "output_dir": (str, "out"),
-}
+def _grid(cells: tuple[int, ...], dim: int | None = None, lengths=None) -> Grid:
+    """The configured grid; a single entry of cells or lengths fills every axis."""
+    dim = len(cells) if dim is None else dim
+    if len(cells) == 1 and dim > 1:
+        cells = cells * dim
+    if len(cells) != dim:
+        raise ValueError(f"invalid value for cells: {len(cells)} axes given, dim = {dim}")
+    return Grid(cells, lengths[0] if lengths and len(lengths) == 1 else lengths)
 
 
 @dataclass(frozen=True)
@@ -86,14 +61,59 @@ class RunConfig:
     initial: InitialData
     params: Params
     control: StepControl
-    monitor_cadence: float
-    snapshot_cadence: float | None
-    p_list: tuple[float, ...]
-    output_dir: str
+    monitor_cadence: float | None
+    snapshot_cadence: float | None = None
+    p_list: tuple[float, ...] = P_LIST
+    output_dir: str = "out"
+
+    def __post_init__(self):
+        for key in ("monitor_cadence", "snapshot_cadence"):
+            value = getattr(self, key)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"invalid value for {key}: {value}")
+
+
+# key: (parser, record, field).  An omitted key keeps the record field's default;
+# monitor_cadence, the one RunConfig field without one, defaults to t_end / 20.
+_SCHEMA: dict = {
+    "dim": (int, _grid, "dim"),
+    "cells": (_tuple_of(int), _grid, "cells"),
+    "lengths": (_tuple_of(float), _grid, "lengths"),
+    "alpha": (float, Params, "alpha"),
+    "chi": (float, Params, "chi"),
+    "ell": (float, Params, "ell"),
+    "epsilon": (float, Params, "epsilon"),
+    "cfl_safety": (float, Params, "cfl_safety"),
+    "avg_mode": (str, Params, "avg_mode"),
+    "u0_kind": (str, InitialData, "kind"),
+    "u0_base": (float, InitialData, "u_base"),
+    "u0_amplitude": (float, InitialData, "u_amplitude"),
+    "u0_width": (float, InitialData, "u_width"),
+    "u0_mode": (int, InitialData, "u_mode"),
+    "v0_base": (float, InitialData, "v_base"),
+    "v0_amplitude": (float, InitialData, "v_amplitude"),
+    "v0_mode": (int, InitialData, "v_mode"),
+    "v0_floor": (float, InitialData, "v_floor"),
+    "snapshot_in": (str, InitialData, "snapshot_path"),
+    "t_end": (float, StepControl, "t_end"),
+    "dt_max": (float, StepControl, "dt_max"),
+    "max_rejects": (int, StepControl, "max_rejects"),
+    "monitor_cadence": (float, RunConfig, "monitor_cadence"),
+    "snapshot_cadence": (float, RunConfig, "snapshot_cadence"),
+    "p_list": (_tuple_of(float), RunConfig, "p_list"),
+    "output_dir": (str, RunConfig, "output_dir"),
+}
+
+
+@functools.cache
+def _required(record) -> frozenset[str]:
+    """The fields a record's constructor has no default for."""
+    return frozenset(n for n, p in inspect.signature(record).parameters.items()
+                     if p.default is p.empty)
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a key = value config into a RunConfig."""
+    """Parse a key = value config into a RunConfig; the records' constructors validate it."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -107,58 +127,22 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"unknown key {key}")
         raw[key] = value.strip()
 
-    vals: dict = {}
-    for key, (parser, default) in _SCHEMA.items():
+    kw: dict = {record: {} for _, record, _ in _SCHEMA.values()}
+    for key, (parser, record, name) in _SCHEMA.items():
         if key in raw:
             try:
-                vals[key] = parser(raw[key])
-                if parser is not str and np.isnan(vals[key]).any():
+                value = parser(raw[key])
+                if parser is not str and np.isnan(value).any():
                     raise ValueError
             except (TypeError, ValueError):
                 raise ValueError(f"invalid value for {key}: {raw[key]!r}") from None
-        elif default is _REQUIRED:
+            kw[record][name] = value
+        elif record is not RunConfig and name in _required(record):
             raise ValueError(f"missing key {key}")
-        else:
-            vals[key] = default
-
-    cells = vals["cells"]
-    dim = vals["dim"] if vals["dim"] is not None else len(cells)
-    if len(cells) == 1 and dim > 1:
-        cells = cells * dim
-    if len(cells) != dim:
-        raise ValueError(f"invalid value for cells: {len(cells)} axes given, dim = {dim}")
-    lengths = vals["lengths"]
-    if lengths is None:
-        lengths = (1.0,) * dim
-    elif len(lengths) == 1 and dim > 1:
-        lengths = lengths * dim
-    if len(lengths) != dim:
-        raise ValueError(f"invalid value for lengths: {len(lengths)} axes given, dim = {dim}")
-
-    grid = Grid(cells, lengths)
-    params = Params(alpha=vals["alpha"], epsilon=vals["epsilon"], chi=vals["chi"],
-                    ell=vals["ell"], cfl_safety=vals["cfl_safety"],
-                    avg_mode=vals["avg_mode"])
-    if vals["u0_kind"] not in INITIAL_KINDS:
-        raise ValueError(f"invalid value for u0_kind: {vals['u0_kind']!r}")
-    if vals["u0_kind"] == "from_snapshot" and not vals["snapshot_in"]:
-        raise ValueError("missing key snapshot_in")
-    initial = InitialData(kind=vals["u0_kind"], u_base=vals["u0_base"],
-                          u_amplitude=vals["u0_amplitude"], u_width=vals["u0_width"],
-                          u_mode=vals["u0_mode"], v_base=vals["v0_base"],
-                          v_amplitude=vals["v0_amplitude"], v_mode=vals["v0_mode"],
-                          v_floor=vals["v0_floor"], snapshot_path=vals["snapshot_in"])
-    control = StepControl(t_end=vals["t_end"], dt_max=vals["dt_max"],
-                          max_rejects=vals["max_rejects"])
-    for key in ("monitor_cadence", "snapshot_cadence"):
-        if vals[key] is not None and not 0.0 < vals[key] < math.inf:
-            raise ValueError(f"invalid value for {key}: {vals[key]}")
-    cadence = vals["monitor_cadence"]
-    if cadence is None:
-        cadence = vals["t_end"] / 20.0
-    return RunConfig(grid=grid, initial=initial, params=params, control=control,
-                     monitor_cadence=cadence, snapshot_cadence=vals["snapshot_cadence"],
-                     p_list=vals["p_list"], output_dir=vals["output_dir"])
+    grid, params, initial, control = (record(**kw[record]) for record in
+                                      (_grid, Params, InitialData, StepControl))
+    kw[RunConfig].setdefault("monitor_cadence", control.t_end / 20.0)
+    return RunConfig(grid, initial, params, control, **kw[RunConfig])
 
 
 def parse_config_file(path) -> RunConfig:
@@ -351,20 +335,22 @@ def _sweep_one(arg) -> tuple[float, str, str, list | None]:
 
 
 def run_sweep(config: RunConfig, alphas, output_dir=None, workers: int = 1) -> list:
-    """Independent runs per response exponent; one aggregated CSV row each."""
+    """Independent runs per response exponent, each distinct one once in
+    ``alpha_{alpha!r}``; one aggregated CSV row per requested alpha."""
     out = Path(output_dir if output_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(config, float(a), str(out / f"alpha_{a:g}")) for a in alphas]
+    alphas = [float(a) for a in alphas]
+    jobs = [(config, a, str(out / f"alpha_{a!r}")) for a in dict.fromkeys(alphas)]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, jobs))
+            done = list(pool.map(_sweep_one, jobs))
     else:
-        results = [_sweep_one(j) for j in jobs]
+        done = [_sweep_one(j) for j in jobs]
+    by_alpha = {r[0]: r for r in done}
+    results = [by_alpha[a] for a in alphas]
     header = ["alpha", "regime", "status"] + MonitorRow.csv_header(config.p_list)
-    rows = []
-    for alpha, regime, status, final in results:
-        pad = final if final is not None else [""] * (len(header) - 3)
-        rows.append([_fmt(alpha), regime, status] + list(pad))
+    rows = [[_fmt(alpha), regime, status] + (final or [""] * (len(header) - 3))
+            for alpha, regime, status, final in results]
     _write_csv(out / "sweep.csv", header, rows)
     return results
 
@@ -503,6 +489,12 @@ def cmd_verify_exponents(samples: int, seed: int, iterations: int, out=None) -> 
 # argument parsing
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dtaxis",
                                  description="degenerate taxis numerical laboratory")
@@ -525,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-inequalities", help="randomized inequality batches")
     p.add_argument("--cells", type=int, default=64)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--qs", default="2,3,4")
     p.add_argument("--out", default=None)
@@ -539,9 +531,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=12)
 
     p = sub.add_parser("verify-exponents", help="randomized recursion checks")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=200)
+    p.add_argument("--iterations", type=_positive_int, default=200)
     p.add_argument("--out", default=None)
     return ap
 

@@ -17,7 +17,7 @@ All recursions are deterministic float arithmetic and bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -153,14 +153,7 @@ class RegimeReport:
         return not self.violations
 
     def as_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "samples": self.samples,
-            "iterations": self.iterations,
-            "violations": list(self.violations),
-            "boundary_cases": self.boundary_cases,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 @dataclass(frozen=True)
@@ -246,8 +239,7 @@ def _check_strong(alpha: float, q0: float, K: int, bad: list) -> int:
     return boundary
 
 
-def verify_regime_lemmas(samples: int = 1000, seed: int = 0,
-                         iterations: int = 200) -> VerifyReport:
+def verify_regime_lemmas(samples: int, seed: int, iterations: int) -> VerifyReport:
     """Draw random admissible (alpha, seed) pairs per regime and assert every
     stated structural property of the three recursions; returns the
     counterexample report (expected empty)."""

@@ -31,8 +31,7 @@ FaceData = list[np.ndarray]
 class Grid:
     """Structured uniform grid in 1, 2 or 3 dimensions."""
 
-    __slots__ = ("dim", "cells", "lengths", "h", "shape", "size", "cell_volume",
-                 "lo", "hi", "inner")
+    __slots__ = ("dim", "cells", "lengths", "h", "shape", "cell_volume", "lo", "hi", "inner")
 
     def __init__(self, cells, lengths=None):
         if isinstance(cells, (int, np.integer)):
@@ -54,7 +53,6 @@ class Grid:
             raise ValueError(f"domain lengths must be positive and finite, got {self.lengths}")
         self.h = tuple(L / n for L, n in zip(self.lengths, self.cells))
         self.shape = self.cells
-        self.size = math.prod(self.cells)
         self.cell_volume = math.prod(self.h)
 
         def along(a: int, sl: slice) -> tuple[slice, ...]:
@@ -102,10 +100,12 @@ class Grid:
     # -- discrete calculus ---------------------------------------------------
 
     def integrate(self, f: np.ndarray) -> float:
-        """Midpoint-rule integral over the box; exact on per-axis linears."""
-        if not np.isfinite(f).all():
+        """Midpoint-rule integral over the box; exact on per-axis linears.  A
+        non-finite cell, or a finite field whose sum overflows, fails the sum's check."""
+        s = float(np.sum(f))
+        if not math.isfinite(s):
             raise ValueError("non-finite field")
-        return float(np.sum(f)) * self.cell_volume
+        return s * self.cell_volume
 
     def face_gradient(self, f: np.ndarray) -> FaceData:
         """Two-point difference across each interior face; wall faces stay 0."""

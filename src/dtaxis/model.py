@@ -118,6 +118,8 @@ class InitialData:
     def __post_init__(self):
         if self.kind not in INITIAL_KINDS:
             raise ValueError(f"initial data kind must be one of {INITIAL_KINDS}, got {self.kind!r}")
+        if self.kind == "from_snapshot" and not self.snapshot_path:
+            raise ValueError("from_snapshot initial data needs a snapshot_path")
 
 
 def initial_profiles(grid: Grid, data: InitialData) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +147,7 @@ def initial_profiles(grid: Grid, data: InitialData) -> tuple[np.ndarray, np.ndar
 
 
 def build_initial_from_fields(grid: Grid, u0: np.ndarray, v0: np.ndarray,
-                              params: Params, v_floor: float = 1e-3) -> State:
+                              params: Params, v_floor: float = InitialData.v_floor) -> State:
     """Validate (u0, v0), apply the epsilon shift, zero the accumulators."""
     if not v_floor > 0.0:
         raise ValueError("initial v must be strictly positive")

@@ -164,7 +164,7 @@ def step(state: State, params: Params, dt: float, rhs=None) -> State:
 
 def run(state: State, params: Params, control: StepControl, observers=(),
         monitor_cadence: float | None = None,
-        p_list: tuple[float, ...] = (1.0, 2.0, 3.0)) -> Trajectory:
+        p_list: tuple[float, ...] = diagnostics.P_LIST) -> Trajectory:
     """Advance to t_end, rejecting and halving dt when positivity would fail.
 
     Observers are called as observer(prev, new, dt) after every accepted step

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from dtaxis import cli
 from dtaxis.cli import (RunConfig, build_state, cmd_eps_study, cmd_run,
                         load_snapshot, parse_config, regime_label, run_eps_study,
                         run_sweep, save_snapshot)
+from dtaxis.diagnostics import P_LIST
 from dtaxis.model import State
 from dtaxis.stepper import run
 
@@ -25,6 +28,57 @@ def test_parse_minimal_config():
     assert cfg.control.t_end == 0.1
     assert cfg.monitor_cadence == pytest.approx(0.005)
     assert cfg.p_list == (1.0, 2.0, 3.0)
+
+
+def test_minimal_config_takes_the_library_defaults():
+    cfg = parse_config(MINIMAL)
+    assert cfg.params == Params(alpha=1.25, epsilon=0.01)
+    assert cfg.initial == InitialData()
+    assert cfg.control == StepControl(t_end=0.1)
+    assert cfg.p_list == P_LIST
+    assert cfg == RunConfig(Grid(256), InitialData(), Params(alpha=1.25, epsilon=0.01),
+                            StepControl(t_end=0.1), monitor_cadence=0.1 / 20.0)
+
+
+# one non-default value per config key
+_SAMPLE = {
+    "dim": "2", "cells": "16,8", "lengths": "2.0", "alpha": "0.5", "chi": "2.5",
+    "ell": "1.0", "epsilon": "0.1", "cfl_safety": "0.5", "avg_mode": "arithmetic",
+    "u0_kind": "cosine_mix", "u0_base": "0.5", "u0_amplitude": "2.0", "u0_width": "0.3",
+    "u0_mode": "3", "v0_base": "2.0", "v0_amplitude": "0.2", "v0_mode": "2",
+    "v0_floor": "1e-6", "snapshot_in": "snap.dtxs", "t_end": "0.5", "dt_max": "1e-3",
+    "max_rejects": "5", "monitor_cadence": "0.01", "snapshot_cadence": "0.02",
+    "p_list": "1,2.5", "output_dir": "results",
+}
+
+
+@pytest.mark.parametrize("key", list(cli._SCHEMA))
+def test_each_key_lands_on_its_record_field(key):
+    parser, record, name = cli._SCHEMA[key]
+
+    def owner(cfg):
+        return {cli._grid: cfg.grid, Params: cfg.params, InitialData: cfg.initial,
+                StepControl: cfg.control, RunConfig: cfg}[record]
+
+    value = parser(_SAMPLE[key])
+    assert getattr(owner(parse_config(MINIMAL)), name) != value
+    assert getattr(owner(parse_config(MINIMAL + f"{key} = {_SAMPLE[key]}\n")), name) == value
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cfg = parse_config(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    assert cfg.params == Params(alpha=1.25, epsilon=0.01, ell=1.0)
+    assert cfg.initial.kind == "cosine_mix"
+    assert (cfg.monitor_cadence, cfg.snapshot_cadence) == (0.05, 0.1)
+
+
+def test_run_config_rejects_bad_cadence(tmp_path):
+    cfg = _small_config(tmp_path)
+    with pytest.raises(ValueError, match="invalid value for snapshot_cadence"):
+        replace(cfg, snapshot_cadence=0.0)
+    with pytest.raises(ValueError, match="invalid value for monitor_cadence"):
+        replace(cfg, monitor_cadence=math.inf)
 
 
 def test_parse_comments_and_spacing():
@@ -304,7 +358,22 @@ def test_sweep_empty_and_duplicates(tmp_path):
     lines = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 1  # header only
     results = run_sweep(cfg, [0.5, 0.5])
-    assert len(results) == 2  # no dedup
+    assert len(results) == 2  # one row per requested alpha, both from one run
+
+
+def test_sweep_near_equal_alphas_get_their_own_directories(tmp_path):
+    cfg = _small_config(tmp_path, t_end=0.02, monitor_cadence=0.01,
+                        initial=InitialData(kind="gaussian_bump"))
+    alphas = [1.25, 1.2500001, 1.25]
+    results = run_sweep(cfg, alphas)
+    assert [r[0] for r in results] == alphas
+    assert results[2] == results[0]
+    out = tmp_path / "out"
+    assert sorted(d.name for d in out.glob("alpha_*")) == ["alpha_1.25", "alpha_1.2500001"]
+    for r in results:
+        last = (out / f"alpha_{r[0]!r}" / "monitors.csv").read_text().strip().splitlines()[-1]
+        assert last.split(",") == r[3]
+    assert len((out / "sweep.csv").read_text().strip().splitlines()) == 1 + len(alphas)
 
 
 def test_sweep_isolates_failures(tmp_path, monkeypatch):
@@ -377,6 +446,19 @@ def test_main_run_and_tables(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     recs = [json.loads(x) for x in lines]
     assert all(r["ok"] for r in recs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-exponents", "--iterations", "0"],
+    ["verify-exponents", "--samples", "-3"],
+    ["verify-exponents", "--samples", "0"],
+    ["verify-inequalities", "--samples", "0"],
+])
+def test_verify_counts_must_be_positive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: expected a positive integer" in capsys.readouterr().err
 
 
 def test_main_verify_inequalities(tmp_path):

@@ -43,6 +43,22 @@ def test_integrate_rejects_non_finite():
         g.integrate(f)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_integrate_rejects_nan_and_negative_inf(bad):
+    g = Grid((4, 4))
+    f = np.ones(g.shape)
+    f[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite field"):
+        g.integrate(f)
+
+
+def test_integrate_rejects_an_overflowing_sum():
+    g = Grid(8)
+    # every cell is finite; numpy's overflow warning is silenced so the check shows
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite field"):
+        g.integrate(np.full(g.shape, 1e308))
+
+
 def test_integrate_linearity():
     rng = np.random.default_rng(42)
     g = Grid((12, 9), (1.0, 2.0))

@@ -211,6 +211,11 @@ def test_rhs_overflow_reports_cell():
         assemble_rhs(State(grid=g, t=0.0, u=u, v=v), p)
 
 
+def test_from_snapshot_initial_data_needs_a_path():
+    with pytest.raises(ValueError, match="needs a snapshot_path"):
+        InitialData(kind="from_snapshot")
+
+
 def test_initial_profiles_from_snapshot_refused():
     g = Grid(8)
     with pytest.raises(ValueError, match="run builder"):
