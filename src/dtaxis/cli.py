@@ -13,6 +13,10 @@ Subcommands:
 * ``exponents``           prints a bootstrap exponent table as CSV
 * ``verify-exponents``    randomized verification of the exponent recursions
 
+Sweep and eps-study validate every member before the first one runs; a member
+that fails is reported and marked failed while the others run.  Exit codes: 2
+when input is rejected before any run, 1 when a run or a member fails.
+
 Config files are line-oriented ``key = value`` with ``#`` comments; unknown
 keys are rejected, and a key whose record field has no default is required.
 """
@@ -29,6 +33,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +41,7 @@ from . import diagnostics, exponents
 from .diagnostics import P_LIST, MonitorRow
 from .grid import Grid
 from .model import InitialData, Params, State, build_initial, build_initial_from_fields
-from .stepper import Cadence, StepControl, run
+from .stepper import Cadence, StepControl, Trajectory, run
 
 SNAPSHOT_MAGIC = b"DTXS1"
 
@@ -281,91 +286,104 @@ RESIDCOLS = ["identity", "t0", "t1", "lhs", "rhs", "residual", "normalizer",
              "rel_residual", "first_energy_slack"]
 
 
-def cmd_run(config: RunConfig, output_dir=None) -> int:
-    """Execute one configured run and persist its outputs; 0 on success."""
-    out = Path(output_dir if output_dir is not None else config.output_dir)
+def _output_dir(config: RunConfig, output_dir=None) -> Path:
+    out = Path(config.output_dir if output_dir is None else output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_run(config: RunConfig, output_dir=None) -> Trajectory:
+    """Execute one configured run and persist its outputs; raises if the run fails."""
+    out = _output_dir(config, output_dir)
+    state = build_state(config)
+    resid = _ResidualObserver(config.params, config.monitor_cadence, config.control.t_end)
+    observers = [resid]
+    if config.snapshot_cadence is not None:
+        observers.append(_SnapshotObserver(out, config.params, config.snapshot_cadence,
+                                           config.control.t_end))
+        save_snapshot(state, config.params, out / "snap_0000.dtxs")
+    traj = run(state, config.params, config.control, observers=observers,
+               monitor_cadence=config.monitor_cadence, p_list=config.p_list)
+    _write_csv(out / "monitors.csv", MonitorRow.csv_header(config.p_list),
+               [row.csv_values() for row in traj.rows])
+    _write_csv(out / "residuals.csv", RESIDCOLS, resid.rows)
+    return traj
+
+
+# what a run that started can fail with; input errors are rejected before that
+_RUN_FAILURES = (RuntimeError, FloatingPointError, ValueError)
+
+
+def cmd_run(config: RunConfig, output_dir=None) -> int:
+    """Execute one configured run and persist its outputs; 0 on success, 1 on failure."""
     try:
-        state = build_state(config)
-        resid = _ResidualObserver(config.params, config.monitor_cadence,
-                                  config.control.t_end)
-        observers = [resid]
-        if config.snapshot_cadence is not None:
-            observers.append(_SnapshotObserver(out, config.params,
-                                               config.snapshot_cadence,
-                                               config.control.t_end))
-            save_snapshot(state, config.params, out / "snap_0000.dtxs")
-        traj = run(state, config.params, config.control, observers=observers,
-                   monitor_cadence=config.monitor_cadence, p_list=config.p_list)
-        _write_csv(out / "monitors.csv", MonitorRow.csv_header(config.p_list),
-                   [row.csv_values() for row in traj.rows])
-        _write_csv(out / "residuals.csv", RESIDCOLS, resid.rows)
+        _write_run(config, output_dir)
         return 0
-    except (RuntimeError, FloatingPointError, ValueError) as exc:
+    except _RUN_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 # ---------------------------------------------------------------------------
-# sweep command
+# member runs: sweep and epsilon study
+
+
+def _members(config: RunConfig, field: str, values) -> dict[float, RunConfig]:
+    """One config per distinct value of a Params field, all validated before any runs."""
+    return {v: replace(config, params=replace(config.params, **{field: v}))
+            for v in dict.fromkeys(values)}
+
+
+def _member(fn, field: str, config: RunConfig, *args):
+    """fn(config, *args), or None after reporting a run failure under the member's value."""
+    try:
+        return fn(config, *args)
+    except _RUN_FAILURES as exc:
+        print(f"error: {field}={getattr(config.params, field)}: {exc}", file=sys.stderr)
+        return None
 
 
 def regime_label(alpha: float) -> str:
     """Chemotactic-strength regime of a response exponent (endpoints closed left)."""
-    if alpha <= 1.0:
-        return "weak"
-    if alpha <= 1.5:
-        return "moderate"
-    return "strong"
+    return "weak" if alpha <= 1.0 else "moderate" if alpha <= 1.5 else "strong"
 
 
-def _sweep_one(arg) -> tuple[float, str, str, list | None]:
-    config, alpha, subdir = arg
-    cfg = replace(config, params=replace(config.params, alpha=alpha))
-    try:
-        status = cmd_run(cfg, output_dir=subdir)
-    except Exception as exc:  # isolation: a failing run must not kill the sweep
-        print(f"error: {exc}", file=sys.stderr)
-        status = 1
-    final_row = None
-    if status == 0:
-        mon = Path(subdir) / "monitors.csv"
-        final_row = mon.read_text(encoding="utf-8").strip().splitlines()[-1].split(",")
-    return alpha, regime_label(alpha), "ok" if status == 0 else "failed", final_row
+def _final_row(config: RunConfig, output_dir) -> list[str]:
+    return [_fmt(x) for x in _write_run(config, output_dir).rows[-1].csv_values()]
 
 
 def run_sweep(config: RunConfig, alphas, output_dir=None, workers: int = 1) -> list:
     """Independent runs per response exponent, each distinct one once in
     ``alpha_{alpha!r}``; one aggregated CSV row per requested alpha."""
-    out = Path(output_dir if output_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     alphas = [float(a) for a in alphas]
-    jobs = [(config, a, str(out / f"alpha_{a!r}")) for a in dict.fromkeys(alphas)]
-    if workers > 1 and len(jobs) > 1:
+    members = _members(config, "alpha", alphas)
+    out = _output_dir(config, output_dir)
+    jobs = (functools.partial(_member, _final_row, "alpha"), members.values(),
+            [out / f"alpha_{a!r}" for a in members])
+    if workers > 1 and len(members) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_sweep_one, jobs))
+            finals = dict(zip(members, pool.map(*jobs)))
     else:
-        done = [_sweep_one(j) for j in jobs]
-    by_alpha = {r[0]: r for r in done}
-    results = [by_alpha[a] for a in alphas]
-    header = ["alpha", "regime", "status"] + MonitorRow.csv_header(config.p_list)
-    rows = [[_fmt(alpha), regime, status] + (final or [""] * (len(header) - 3))
-            for alpha, regime, status, final in results]
-    _write_csv(out / "sweep.csv", header, rows)
+        finals = dict(zip(members, map(*jobs)))
+    results = [(a, regime_label(a), "ok" if finals[a] else "failed", finals[a]) for a in alphas]
+    cols = MonitorRow.csv_header(config.p_list)
+    _write_csv(out / "sweep.csv", ["alpha", "regime", "status"] + cols,
+               [[a, regime, status, *(final or [""] * len(cols))]
+                for a, regime, status, final in results])
     return results
 
 
-# ---------------------------------------------------------------------------
-# epsilon study
-
-
-@dataclass(frozen=True)
-class EpsRow:
+class EpsRow(NamedTuple):
     eps_coarse: float
     eps_fine: float
     l2_diff_u: float
     l2_diff_v: float
     status: str
+
+
+def _final_state(config: RunConfig) -> State:
+    return run(build_state(config), config.params, config.control, monitor_cadence=None,
+               p_list=config.p_list).final
 
 
 def run_eps_study(config: RunConfig, eps_list) -> list[EpsRow]:
@@ -376,45 +394,25 @@ def run_eps_study(config: RunConfig, eps_list) -> list[EpsRow]:
     monotonicity of the differences is not a contract.
     """
     eps_list = [float(e) for e in eps_list]
-    if any(not 0.0 < e < 1.0 for e in eps_list):
-        raise ValueError("every epsilon must lie in (0, 1)")
+    members = _members(config, "epsilon", eps_list)
     if any(b > a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be decreasing")
-    finals: list[State | None] = []
-    for eps in eps_list:
-        cfg = replace(config, params=replace(config.params, epsilon=eps))
-        try:
-            state = build_state(cfg)
-            traj = run(state, cfg.params, cfg.control, monitor_cadence=None,
-                       p_list=cfg.p_list)
-            finals.append(traj.final)
-        except (RuntimeError, FloatingPointError, ValueError) as exc:
-            print(f"error: epsilon={eps}: {exc}", file=sys.stderr)
-            finals.append(None)
+    finals = {eps: _member(_final_state, "epsilon", cfg) for eps, cfg in members.items()}
     rows = []
     g = config.grid
-    for (ea, fa), (eb, fb) in zip(zip(eps_list, finals), zip(eps_list[1:], finals[1:])):
+    for ea, eb in zip(eps_list, eps_list[1:]):
+        fa, fb = finals[ea], finals[eb]
         if fa is None or fb is None:
             rows.append(EpsRow(ea, eb, math.nan, math.nan, "failed"))
             continue
-        rows.append(EpsRow(ea, eb,
-                           g.lp_norm(fb.u - fa.u, 2.0),
+        rows.append(EpsRow(ea, eb, g.lp_norm(fb.u - fa.u, 2.0),
                            g.lp_norm(fb.v - fa.v, 2.0), "ok"))
     return rows
 
 
 def cmd_eps_study(config: RunConfig, eps_list, output_dir=None) -> int:
-    out = Path(output_dir if output_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        rows = run_eps_study(config, eps_list)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write_csv(out / "eps_study.csv",
-               ["eps_coarse", "eps_fine", "l2_diff_u", "l2_diff_v", "status"],
-               [[r.eps_coarse, r.eps_fine, r.l2_diff_u, r.l2_diff_v, r.status]
-                for r in rows])
+    rows = run_eps_study(config, eps_list)
+    _write_csv(_output_dir(config, output_dir) / "eps_study.csv", list(EpsRow._fields), rows)
     return 0 if all(r.status == "ok" for r in rows) else 1
 
 
@@ -440,12 +438,25 @@ def cmd_verify_inequalities(cells: int, samples: int, seed: int, qs, out=None) -
                   "max_ratio": coarse.max_ratio,
                   "max_ratio_refined": fine.max_ratio,
                   "rel_change_on_refinement": rel_change})
-    text = "\n".join(json.dumps(line) for line in lines) + "\n"
+    _write_jsonl(lines, out)
+    return 1 if bad else 0
+
+
+def _write_jsonl(records, out=None) -> None:
+    """One JSON object per line, to the file out or else to stdout."""
+    text = "".join(json.dumps(r) + "\n" for r in records)
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
-    return 1 if bad else 0
+
+
+# regime: (bootstrap recursion, CSV header); the weak regime's feedback table has its own shape
+_SEQUENCES = {
+    "moderate": (exponents.moderate_seq, "k,m,p,r"),
+    "moderate-hat": (exponents.moderate_seq_hat, "k,m_hat,p_hat,r_hat"),
+    "strong": (exponents.strong_seq, "k,q,p,r"),
+}
 
 
 def cmd_exponents(regime: str, alpha: float, seed_value: float, count: int) -> int:
@@ -458,18 +469,9 @@ def cmd_exponents(regime: str, alpha: float, seed_value: float, count: int) -> i
             w(f"{k},{_fmt(r)},{_fmt(exponents.weak_feedback_p(r, alpha))}\n")
             r += 0.25
         return 0
-    if regime == "moderate":
-        seq = exponents.moderate_seq(seed_value, alpha, count)
-        w("k,m,p,r\n")
-    elif regime == "moderate-hat":
-        seq = exponents.moderate_seq_hat(seed_value, alpha, count)
-        w("k,m_hat,p_hat,r_hat\n")
-    elif regime == "strong":
-        seq = exponents.strong_seq(seed_value, alpha, count)
-        w("k,q,p,r\n")
-    else:
-        print(f"error: unknown regime {regime!r}", file=sys.stderr)
-        return 2
+    recursion, header = _SEQUENCES[regime]
+    seq = recursion(seed_value, alpha, count)
+    w(header + "\n")
     for tr in seq:
         w(f"{tr.k},{_fmt(tr.first)},{_fmt(tr.p)},{_fmt(tr.r)}\n")
     return 0
@@ -477,11 +479,7 @@ def cmd_exponents(regime: str, alpha: float, seed_value: float, count: int) -> i
 
 def cmd_verify_exponents(samples: int, seed: int, iterations: int, out=None) -> int:
     report = exponents.verify_regime_lemmas(samples, seed, iterations)
-    text = "\n".join(json.dumps(r.as_dict()) for r in report.reports()) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+    _write_jsonl((r.as_dict() for r in report.reports()), out)
     return 0 if report.ok else 1
 
 
@@ -508,11 +506,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--alphas", required=True, help="comma list, each in [0, 2)")
     p.add_argument("--output-dir", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("eps-study", help="convergence study in the shift epsilon")
     p.add_argument("--config", required=True)
-    p.add_argument("--eps", required=True, help="strictly decreasing comma list in (0,1)")
+    p.add_argument("--eps", required=True, help="decreasing comma list, each in (0, 1)")
     p.add_argument("--output-dir", default=None)
 
     p = sub.add_parser("verify-inequalities", help="randomized inequality batches")
@@ -524,11 +522,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exponents", help="print one bootstrap exponent table")
     p.add_argument("--regime", required=True,
-                   choices=["weak", "moderate", "moderate-hat", "strong"])
+                   choices=["weak", *_SEQUENCES])
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--seed-value", type=float, required=True,
                    help="m0 / mhat0 / q0 / starting r")
-    p.add_argument("--count", type=int, default=12)
+    p.add_argument("--count", type=_positive_int, default=12)
 
     p = sub.add_parser("verify-exponents", help="randomized recursion checks")
     p.add_argument("--samples", type=_positive_int, default=1000)
@@ -544,15 +542,13 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(parse_config_file(args.config), output_dir=args.output_dir)
         if args.command == "sweep":
-            config = parse_config_file(args.config)
             alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-            results = run_sweep(config, alphas, output_dir=args.output_dir,
-                                workers=args.workers)
+            results = run_sweep(parse_config_file(args.config), alphas,
+                                output_dir=args.output_dir, workers=args.workers)
             return 0 if all(r[2] == "ok" for r in results) else 1
         if args.command == "eps-study":
-            config = parse_config_file(args.config)
             eps = [float(e) for e in args.eps.split(",") if e.strip()]
-            return cmd_eps_study(config, eps, output_dir=args.output_dir)
+            return cmd_eps_study(parse_config_file(args.config), eps, output_dir=args.output_dir)
         if args.command == "verify-inequalities":
             qs = tuple(float(q) for q in args.qs.split(","))
             return cmd_verify_inequalities(args.cells, args.samples, args.seed,
@@ -562,7 +558,7 @@ def main(argv=None) -> int:
         if args.command == "verify-exponents":
             return cmd_verify_exponents(args.samples, args.seed, args.iterations,
                                         out=args.out)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # input rejected before any run
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -120,6 +120,8 @@ class InitialData:
             raise ValueError(f"initial data kind must be one of {INITIAL_KINDS}, got {self.kind!r}")
         if self.kind == "from_snapshot" and not self.snapshot_path:
             raise ValueError("from_snapshot initial data needs a snapshot_path")
+        if not 0.0 < self.u_width < math.inf:
+            raise ValueError(f"u_width must be positive and finite, got {self.u_width}")
 
 
 def initial_profiles(grid: Grid, data: InitialData) -> tuple[np.ndarray, np.ndarray]:

@@ -107,6 +107,12 @@ def test_parse_invalid_value():
         parse_config(MINIMAL.replace("cells = 256", "cells = many"))
 
 
+@pytest.mark.parametrize("value", ["0", "-0.1", "inf"])
+def test_parse_rejects_bad_u0_width(value):
+    with pytest.raises(ValueError, match="u_width must be positive and finite"):
+        parse_config(MINIMAL + f"u0_width = {value}\n")
+
+
 def test_parse_2d_config():
     cfg = parse_config("alpha = 1.0\nepsilon = 0.01\ncells = 16\ndim = 2\nt_end = 0.1\n")
     assert cfg.grid.cells == (16, 16)
@@ -378,14 +384,14 @@ def test_sweep_near_equal_alphas_get_their_own_directories(tmp_path):
 
 def test_sweep_isolates_failures(tmp_path, monkeypatch):
     cfg = _small_config(tmp_path, t_end=0.02)
-    real = cli.cmd_run
+    real = cli._write_run
 
     def flaky(config, output_dir=None):
         if config.params.alpha == 1.25:
             raise RuntimeError("boom")
         return real(config, output_dir=output_dir)
 
-    monkeypatch.setattr(cli, "cmd_run", flaky)
+    monkeypatch.setattr(cli, "_write_run", flaky)
     results = run_sweep(cfg, [0.5, 1.25, 1.75])
     statuses = {r[0]: r[2] for r in results}
     assert statuses[1.25] == "failed"
@@ -453,6 +459,11 @@ def test_main_run_and_tables(tmp_path, capsys):
     ["verify-exponents", "--samples", "-3"],
     ["verify-exponents", "--samples", "0"],
     ["verify-inequalities", "--samples", "0"],
+    ["exponents", "--count", "-2", "--regime", "strong", "--alpha", "1.75",
+     "--seed-value", "-0.5"],
+    ["exponents", "--count", "0", "--regime", "weak", "--alpha", "0.5", "--seed-value", "2"],
+    ["sweep", "--workers", "-4", "--config", "run.cfg", "--alphas", "0.5"],
+    ["sweep", "--workers", "0", "--config", "run.cfg", "--alphas", "0.5"],
 ])
 def test_verify_counts_must_be_positive(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -476,3 +487,72 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     cfg_path.write_text("alpha = 9\nepsilon = 0.01\ncells = 16\nt_end = 0.1\n")
     assert cli.main(["run", "--config", str(cfg_path)]) == 2
     assert "alpha" in capsys.readouterr().err
+
+
+def _write_cfg(tmp_path, extra=""):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(MINIMAL.replace("cells = 256", "cells = 32")
+                        .replace("t_end = 0.1", "t_end = 0.02")
+                        + f"output_dir = {tmp_path / 'out'}\n" + extra)
+    return str(cfg_path)
+
+
+def test_main_sweep_rejects_a_bad_alpha_before_any_member_runs(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "_write_run", lambda config, output_dir=None: ran.append(config))
+    assert cli.main(["sweep", "--config", _write_cfg(tmp_path), "--alphas", "0.5,2.5,1.5"]) == 2
+    assert ran == []
+    assert "alpha must satisfy 0 <= alpha < 2, got 2.5" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/alpha_*"))
+    assert not list(tmp_path.glob("**/sweep.csv"))
+
+
+def test_main_sweep_reports_a_failing_member_and_runs_the_rest(tmp_path, capsys):
+    # alpha = 0 cannot insulate the vacuum cell (see test_cmd_run_positivity_failure_exit_code)
+    g = Grid(32)
+    u0 = np.ones(g.shape)
+    u0[16] = 0.0
+    v0 = 1.0 + 0.5 * np.cos(2 * np.pi * g.centers(0))
+    snap_path = tmp_path / "seed.dtxs"
+    save_snapshot(State(grid=g, t=0.0, u=u0, v=v0), Params(alpha=0.0, epsilon=1e-12), snap_path)
+    cfg_path = tmp_path / "vac.cfg"
+    cfg_path.write_text(f"alpha = 0\nepsilon = 1e-12\nchi = 5\ncells = 32\ncfl_safety = 1\n"
+                        f"max_rejects = 3\nt_end = 0.01\nu0_kind = from_snapshot\n"
+                        f"snapshot_in = {snap_path}\noutput_dir = {tmp_path / 'out'}\n")
+    assert cli.main(["sweep", "--config", str(cfg_path), "--alphas", "0,1.25"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha=0.0: positivity unrecoverable")
+    _, rows = _read_csv(tmp_path / "out" / "sweep.csv")
+    assert [r[:3] for r in rows] == [["0.0", "weak", "failed"], ["1.25", "moderate", "ok"]]
+    assert set(rows[0][3:]) == {""}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "eps-study"])
+def test_main_missing_config_file(tmp_path, capsys, command):
+    argv = [command, "--config", str(tmp_path / "nope.cfg")]
+    argv += {"run": [], "sweep": ["--alphas", "0.5"], "eps-study": ["--eps", "0.1,0.01"]}[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nope.cfg" in err and "Traceback" not in err
+
+
+def test_main_missing_snapshot_in(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, f"u0_kind = from_snapshot\nsnapshot_in = {tmp_path / 'nope.dtxs'}\n")
+    assert cli.main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nope.dtxs" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps, message", [("1e-3,1e-2", "epsilon list must be decreasing"),
+                                          ("1.0,0.5", "epsilon must lie in (0, 1)")])
+def test_main_eps_study_rejects_bad_lists_before_any_run(tmp_path, capsys, eps, message):
+    assert cli.main(["eps-study", "--config", _write_cfg(tmp_path), "--eps", eps]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_bad_u0_width_exit_code(tmp_path, capsys):
+    assert cli.main(["run", "--config", _write_cfg(tmp_path, "u0_width = 0\n")]) == 2
+    assert "u_width must be positive and finite, got 0.0" in capsys.readouterr().err

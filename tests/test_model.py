@@ -39,6 +39,12 @@ def test_constructors_reject_non_finite_numbers():
         build_initial_from_fields(g, np.ones(g.shape), np.ones(g.shape), p, v_floor=nan)
 
 
+@pytest.mark.parametrize("width", [0.0, -0.15, float("nan"), float("inf")])
+def test_initial_data_rejects_bad_u_width(width):
+    with pytest.raises(ValueError, match="u_width must be positive and finite"):
+        InitialData(kind="gaussian_bump", u_width=width)
+
+
 def test_build_initial_constant_shift():
     g = Grid(32)
     p = Params(alpha=1.0, epsilon=0.01)
