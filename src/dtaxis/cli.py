@@ -13,9 +13,11 @@ Subcommands:
 * ``exponents``           prints a bootstrap exponent table as CSV
 * ``verify-exponents``    randomized verification of the exponent recursions
 
-Sweep and eps-study validate every member before the first one runs; a member
-that fails is reported and marked failed while the others run.  Exit codes: 2
-when input is rejected before any run, 1 when a run or a member fails.
+Every command builds the starting state of each run (and of each sweep or
+eps-study member) before it writes any output or starts any run, so input is
+rejected at the boundary; a member that fails is reported and marked failed
+while the others run.  Exit codes: 2 when input is rejected before any run, 1
+when a run or a member fails.
 
 Config files are line-oriented ``key = value`` with ``#`` comments; unknown
 keys are rejected, and a key whose record field has no default is required.
@@ -292,10 +294,9 @@ def _output_dir(config: RunConfig, output_dir=None) -> Path:
     return out
 
 
-def _write_run(config: RunConfig, output_dir=None) -> Trajectory:
-    """Execute one configured run and persist its outputs; raises if the run fails."""
+def _write_run(config: RunConfig, state: State, output_dir) -> Trajectory:
+    """Run a config from its starting state and persist its outputs; raises if the run fails."""
     out = _output_dir(config, output_dir)
-    state = build_state(config)
     resid = _ResidualObserver(config.params, config.monitor_cadence, config.control.t_end)
     observers = [resid]
     if config.snapshot_cadence is not None:
@@ -310,37 +311,30 @@ def _write_run(config: RunConfig, output_dir=None) -> Trajectory:
     return traj
 
 
-# what a run that started can fail with; input errors are rejected before that
-_RUN_FAILURES = (RuntimeError, FloatingPointError, ValueError)
+def _started(fn, label: str, *args):
+    """fn(*args) for a run whose input was accepted, or None after reporting its failure."""
+    try:
+        return fn(*args)
+    except (RuntimeError, FloatingPointError, ValueError) as exc:
+        print(f"error: {label}{exc}", file=sys.stderr)
+        return None
 
 
 def cmd_run(config: RunConfig, output_dir=None) -> int:
     """Execute one configured run and persist its outputs; 0 on success, 1 on failure."""
-    try:
-        _write_run(config, output_dir)
-        return 0
-    except _RUN_FAILURES as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    state = build_state(config)
+    return 1 if _started(_write_run, "", config, state, output_dir) is None else 0
 
 
 # ---------------------------------------------------------------------------
 # member runs: sweep and epsilon study
 
 
-def _members(config: RunConfig, field: str, values) -> dict[float, RunConfig]:
-    """One config per distinct value of a Params field, all validated before any runs."""
-    return {v: replace(config, params=replace(config.params, **{field: v}))
-            for v in dict.fromkeys(values)}
-
-
-def _member(fn, field: str, config: RunConfig, *args):
-    """fn(config, *args), or None after reporting a run failure under the member's value."""
-    try:
-        return fn(config, *args)
-    except _RUN_FAILURES as exc:
-        print(f"error: {field}={getattr(config.params, field)}: {exc}", file=sys.stderr)
-        return None
+def _members(config: RunConfig, field: str, values) -> dict[float, tuple[RunConfig, State]]:
+    """(config, starting state) per distinct value of a Params field, all built before any runs."""
+    configs = {v: replace(config, params=replace(config.params, **{field: v}))
+               for v in dict.fromkeys(values)}
+    return {v: (cfg, build_state(cfg)) for v, cfg in configs.items()}
 
 
 def regime_label(alpha: float) -> str:
@@ -348,8 +342,8 @@ def regime_label(alpha: float) -> str:
     return "weak" if alpha <= 1.0 else "moderate" if alpha <= 1.5 else "strong"
 
 
-def _final_row(config: RunConfig, output_dir) -> list[str]:
-    return [_fmt(x) for x in _write_run(config, output_dir).rows[-1].csv_values()]
+def _final_row(config: RunConfig, state: State, output_dir) -> list[str]:
+    return [_fmt(x) for x in _write_run(config, state, output_dir).rows[-1].csv_values()]
 
 
 def run_sweep(config: RunConfig, alphas, output_dir=None, workers: int = 1) -> list:
@@ -358,7 +352,8 @@ def run_sweep(config: RunConfig, alphas, output_dir=None, workers: int = 1) -> l
     alphas = [float(a) for a in alphas]
     members = _members(config, "alpha", alphas)
     out = _output_dir(config, output_dir)
-    jobs = (functools.partial(_member, _final_row, "alpha"), members.values(),
+    jobs = (functools.partial(_started, _final_row), [f"alpha={a}: " for a in members],
+            [cfg for cfg, _ in members.values()], [state for _, state in members.values()],
             [out / f"alpha_{a!r}" for a in members])
     if workers > 1 and len(members) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -381,8 +376,8 @@ class EpsRow(NamedTuple):
     status: str
 
 
-def _final_state(config: RunConfig) -> State:
-    return run(build_state(config), config.params, config.control, monitor_cadence=None,
+def _final_state(config: RunConfig, state: State) -> State:
+    return run(state, config.params, config.control, monitor_cadence=None,
                p_list=config.p_list).final
 
 
@@ -394,10 +389,10 @@ def run_eps_study(config: RunConfig, eps_list) -> list[EpsRow]:
     monotonicity of the differences is not a contract.
     """
     eps_list = [float(e) for e in eps_list]
-    members = _members(config, "epsilon", eps_list)
     if any(b > a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be decreasing")
-    finals = {eps: _member(_final_state, "epsilon", cfg) for eps, cfg in members.items()}
+    finals = {eps: _started(_final_state, f"epsilon={eps}: ", *member)
+              for eps, member in _members(config, "epsilon", eps_list).items()}
     rows = []
     g = config.grid
     for ea, eb in zip(eps_list, eps_list[1:]):
@@ -550,7 +545,7 @@ def main(argv=None) -> int:
             eps = [float(e) for e in args.eps.split(",") if e.strip()]
             return cmd_eps_study(parse_config_file(args.config), eps, output_dir=args.output_dir)
         if args.command == "verify-inequalities":
-            qs = tuple(float(q) for q in args.qs.split(","))
+            qs = tuple(float(q) for q in args.qs.split(",") if q.strip())
             return cmd_verify_inequalities(args.cells, args.samples, args.seed,
                                            qs, out=args.out)
         if args.command == "exponents":

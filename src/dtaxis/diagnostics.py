@@ -366,8 +366,8 @@ class LogHessianReport:
 
 
 def check_log_hessian(grid: Grid, phi: np.ndarray, q: float) -> LogHessianReport:
-    if q < 2.0:
-        raise ValueError(f"q must be at least 2, got {q}")
+    if not 2.0 <= q < math.inf:
+        raise ValueError(f"q must be at least 2 and finite, got {q}")
     if bool((phi <= 0.0).any()):
         raise ValueError("nonpositive field")
     n = grid.dim

@@ -39,8 +39,8 @@ def weak_feedback_p(r: float, alpha: float, slack: float = 1e-6) -> float:
     below, arbitrarily close"; it must stay below 1/12 so the result is
     guaranteed to exceed r + 1/4.
     """
-    if r < 2.0:
-        raise ValueError(f"r must be at least 2, got {r}")
+    if not 2.0 <= r < math.inf:
+        raise ValueError(f"r must be at least 2 and finite, got {r}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if not 0.0 < slack < 1.0 / 12.0:
@@ -70,8 +70,8 @@ def moderate_seq(m0: float, alpha: float, K: int) -> list[ExponentTriple]:
     Subexpressions are grouped as (4p - 6)/3 and (2p)/3 so the small worked
     cases come out bit-exact.
     """
-    if m0 < 2.0:
-        raise ValueError(f"m0 must be at least 2, got {m0}")
+    if not 2.0 <= m0 < math.inf:
+        raise ValueError(f"m0 must be at least 2 and finite, got {m0}")
     _require_moderate(alpha)
     out = []
     m = float(m0)
@@ -88,8 +88,8 @@ def moderate_seq_hat(mhat0: float, alpha: float, K: int) -> list[ExponentTriple]
 
     p_k = m_k + 3 - 2 alpha, r_k = p_k - 1, m_(k+1) = 2 p_k / 3 + r_k + 2.
     """
-    if mhat0 <= 6.0:
-        raise ValueError(f"hat seed must exceed 6, got {mhat0}")
+    if not 6.0 < mhat0 < math.inf:
+        raise ValueError(f"hat seed must exceed 6 and be finite, got {mhat0}")
     _require_moderate(alpha)
     out = []
     m = float(mhat0)
@@ -112,8 +112,8 @@ def strong_seq(q0: float, alpha: float, K: int) -> list[ExponentTriple]:
     constant shift): algebraically identical to the q-recurrence but immune to
     the cancellation q_k ~ -1 suffers when p_0 is tiny.
     """
-    if q0 <= -1.0:
-        raise ValueError(f"q0 must exceed -1, got {q0}")
+    if not -1.0 < q0 < math.inf:
+        raise ValueError(f"q0 must exceed -1 and be finite, got {q0}")
     _require_strong(alpha)
     out = []
     shift = 5.0 - 2.0 * alpha

@@ -386,10 +386,10 @@ def test_sweep_isolates_failures(tmp_path, monkeypatch):
     cfg = _small_config(tmp_path, t_end=0.02)
     real = cli._write_run
 
-    def flaky(config, output_dir=None):
+    def flaky(config, state, output_dir):
         if config.params.alpha == 1.25:
             raise RuntimeError("boom")
-        return real(config, output_dir=output_dir)
+        return real(config, state, output_dir)
 
     monkeypatch.setattr(cli, "_write_run", flaky)
     results = run_sweep(cfg, [0.5, 1.25, 1.75])
@@ -475,11 +475,28 @@ def test_verify_counts_must_be_positive(capsys, argv):
 def test_main_verify_inequalities(tmp_path):
     out = tmp_path / "ineq.jsonl"
     assert cli.main(["verify-inequalities", "--cells", "32", "--samples", "5",
-                     "--qs", "2", "--out", str(out)]) == 0
+                     "--qs", "2,,", "--out", str(out)]) == 0  # empty entries are skipped
     recs = [json.loads(x) for x in out.read_text().splitlines()]
+    assert [r["q"] for r in recs if r["check"] == "log_hessian"] == [2.0, 2.0]
     checks = {r["check"] for r in recs}
     assert checks == {"log_hessian", "sobolev_product"}
     assert all(r.get("violations", 0) == 0 for r in recs if "violations" in r)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-inequalities", "--cells", "16", "--samples", "2", "--qs", "nan"], "got nan"),
+    (["verify-inequalities", "--cells", "16", "--samples", "2", "--qs", "2,inf"], "got inf"),
+    (["exponents", "--regime", "moderate", "--alpha", "1.25", "--seed-value", "nan"], "got nan"),
+    (["exponents", "--regime", "moderate-hat", "--alpha", "1.25", "--seed-value", "inf"],
+     "got inf"),
+    (["exponents", "--regime", "strong", "--alpha", "1.75", "--seed-value", "inf"], "got inf"),
+    (["exponents", "--regime", "weak", "--alpha", "0.5", "--seed-value", "nan"], "got nan"),
+])
+def test_main_rejects_non_finite_flag_values(capsys, argv, message):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.rstrip().endswith(message)
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):
@@ -499,7 +516,7 @@ def _write_cfg(tmp_path, extra=""):
 
 def test_main_sweep_rejects_a_bad_alpha_before_any_member_runs(tmp_path, capsys, monkeypatch):
     ran = []
-    monkeypatch.setattr(cli, "_write_run", lambda config, output_dir=None: ran.append(config))
+    monkeypatch.setattr(cli, "_write_run", lambda config, state, output_dir: ran.append(config))
     assert cli.main(["sweep", "--config", _write_cfg(tmp_path), "--alphas", "0.5,2.5,1.5"]) == 2
     assert ran == []
     assert "alpha must satisfy 0 <= alpha < 2, got 2.5" in capsys.readouterr().err
@@ -537,12 +554,58 @@ def test_main_missing_config_file(tmp_path, capsys, command):
     assert "nope.cfg" in err and "Traceback" not in err
 
 
+_COMMANDS = {"run": [], "sweep --workers 1": ["--alphas", "0.5,1.25"],
+             "sweep --workers 2": ["--alphas", "0.5,1.25"], "eps-study": ["--eps", "0.1,0.01"]}
+
+
+def _argv(command, cfg):
+    return command.split() + ["--config", cfg] + _COMMANDS[command]
+
+
 def test_main_missing_snapshot_in(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, f"u0_kind = from_snapshot\nsnapshot_in = {tmp_path / 'nope.dtxs'}\n")
-    assert cli.main(["run", "--config", cfg]) == 2
+    for command in _COMMANDS:
+        assert cli.main(_argv(command, cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nope.dtxs" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+def _inadmissible_initial_data(tmp_path, kind) -> str:
+    """Config lines whose initial data is inadmissible in the given way."""
+    if kind == "negative u0":
+        return "u0_kind = cosine_mix\nu0_base = 0.2\nu0_amplitude = 0.5\n"
+    path = tmp_path / "in.dtxs"
+    g = Grid(16 if kind == "grid-mismatched snapshot" else 32)
+    u = np.ones(g.shape)
+    if kind == "nan snapshot":
+        u[5] = np.nan
+    save_snapshot(State(grid=g, t=0.0, u=u, v=np.ones(g.shape)), Params(alpha=1.0, epsilon=0.01),
+                  path)
+    if kind == "garbage snapshot":
+        path.write_bytes(b"garbage")
+    return f"u0_kind = from_snapshot\nsnapshot_in = {path}\n"
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("negative u0", "u0 must be nonnegative"),
+    ("garbage snapshot", "not a snapshot"),
+    ("grid-mismatched snapshot", "grid mismatch"),
+    ("nan snapshot", "u0 is not finite at cell (5,)"),
+])
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_main_rejects_inadmissible_initial_data_before_any_output(tmp_path, capsys, monkeypatch,
+                                                                  command, kind, message):
+    ran = []
+    monkeypatch.setattr(cli, "run", lambda *a, **k: ran.append(a))
+    extra = _inadmissible_initial_data(tmp_path, kind)
+    assert cli.main(_argv(command, _write_cfg(tmp_path, extra))) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "nope.dtxs" in err and "Traceback" not in err
+    assert message in err
+    assert ran == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("eps, message", [("1e-3,1e-2", "epsilon list must be decreasing"),

@@ -32,6 +32,9 @@ def test_weak_feedback_validation():
         weak_feedback_p(2.0, 1.5)
     with pytest.raises(ValueError):
         weak_feedback_p(2.0, 1.0, slack=0.1)
+    for r in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"r must be at least 2 and finite, got {r}"):
+            weak_feedback_p(r, 0.5)
 
 
 def test_p0_sup_values():
@@ -73,6 +76,9 @@ def test_moderate_validation():
         moderate_seq(2.0, 1.0, 5)
     with pytest.raises(ValueError):
         moderate_seq(2.0, 1.6, 5)
+    for m0 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"m0 must be at least 2 and finite, got {m0}"):
+            moderate_seq(m0, 1.25, 5)
 
 
 def test_moderate_hat_worked_values():
@@ -92,6 +98,9 @@ def test_moderate_hat_structural_parts():
     assert seq[-1].first > 6.1 + 79 * (6.0 - 2.0 * alpha) - 1e-6
     with pytest.raises(ValueError):
         moderate_seq_hat(6.0, 1.2, 5)
+    for mhat0 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"hat seed must exceed 6 and be finite, got {mhat0}"):
+            moderate_seq_hat(mhat0, 1.2, 5)
 
 
 def test_strong_worked_values():
@@ -123,6 +132,9 @@ def test_strong_boundary_seed_r0_zero():
         strong_seq(-1.0, 1.75, 5)
     with pytest.raises(ValueError):
         strong_seq(0.0, 1.5, 5)
+    for q0 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"q0 must exceed -1 and be finite, got {q0}"):
+            strong_seq(q0, 1.75, 5)
 
 
 def test_strong_growth_bound():

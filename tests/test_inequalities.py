@@ -80,6 +80,9 @@ def test_log_hessian_validation():
     g = Grid(16)
     with pytest.raises(ValueError, match="q must be at least 2"):
         check_log_hessian(g, np.ones(g.shape), 1.5)
+    for q in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"q must be at least 2 and finite, got {q}"):
+            check_log_hessian(g, np.ones(g.shape), q)
     with pytest.raises(ValueError, match="nonpositive field"):
         check_log_hessian(g, np.zeros(g.shape), 2.0)
 
