@@ -74,8 +74,8 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        for key in ("monitor_cadence", "snapshot_cadence"):
-            value = getattr(self, key)
+        checks = [(key, getattr(self, key)) for key in ("monitor_cadence", "snapshot_cadence")]
+        for key, value in checks + [("p_list", p) for p in self.p_list]:
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"invalid value for {key}: {value}")
 
@@ -356,7 +356,7 @@ def run_sweep(config: RunConfig, alphas, output_dir=None, workers: int = 1) -> l
             [cfg for cfg, _ in members.values()], [state for _, state in members.values()],
             [out / f"alpha_{a!r}" for a in members])
     if workers > 1 and len(members) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(members))) as pool:
             finals = dict(zip(members, pool.map(*jobs)))
     else:
         finals = dict(zip(members, map(*jobs)))
@@ -455,20 +455,23 @@ _SEQUENCES = {
 
 
 def cmd_exponents(regime: str, alpha: float, seed_value: float, count: int) -> int:
-    w = sys.stdout.write
+    """Print one exponent table, built and checked finite in full before any of it is written."""
+    lines = []
     if regime == "weak":
-        w(f"# p0_sup = {exponents.p0_sup(alpha)!r}\n")
-        w("k,r,p\n")
-        r = seed_value
+        lines.append(f"# p0_sup = {exponents.p0_sup(alpha)!r}")
+        header, rows, r = "k,r,p", [], seed_value
         for k in range(count):
-            w(f"{k},{_fmt(r)},{_fmt(exponents.weak_feedback_p(r, alpha))}\n")
+            rows.append((k, r, exponents.weak_feedback_p(r, alpha)))
             r += 0.25
-        return 0
-    recursion, header = _SEQUENCES[regime]
-    seq = recursion(seed_value, alpha, count)
-    w(header + "\n")
-    for tr in seq:
-        w(f"{tr.k},{_fmt(tr.first)},{_fmt(tr.p)},{_fmt(tr.r)}\n")
+    else:
+        recursion, header = _SEQUENCES[regime]
+        rows = [(tr.k, tr.first, tr.p, tr.r) for tr in recursion(seed_value, alpha, count)]
+    for k, *values in rows:
+        for name, x in zip(header.split(",")[1:], values):
+            if not math.isfinite(x):
+                raise ValueError(f"exponent {name} at k={k} must be finite, got {x}")
+    lines += [header, *(",".join([str(k), *map(_fmt, values)]) for k, *values in rows)]
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 

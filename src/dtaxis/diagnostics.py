@@ -12,13 +12,8 @@ of checks live in this module:
   ``check_struc2_balance`` probe standalone integral inequalities on given
   positive fields or trajectory windows.
 
-Quadrature conventions: gradient-squared integrands here are evaluated on
-faces with arithmetically averaged coefficients (consistent with the flux
-form, exact under summation by parts); higher gradient powers are cell
-quadratures of averaged squared face gradients.  The stepper's accumulators
-are all cell quadratures: an averaged-weight face sum regroups exactly.  The
-Hessian is built from the grid's face gradients, whose wall entries are zero,
-so it needs no ghost cells of its own.
+Every gradient integral is the grid's one cell quadrature (see ``grid``), and
+each function forms each gradient product once per state.
 """
 
 from __future__ import annotations
@@ -118,7 +113,7 @@ def monitor_row(state: State, params: Params,
     if inf_v <= 0.0:
         raise ValueError(f"v positivity lost at t={state.t:.6g}")
     gv = g.face_gradient(v)
-    cgv2 = g.cell_grad_sq(gv)
+    cgv2 = g.cell_dot(gv, gv)
     a = params.alpha
     cfe = g.integrate(_power(u, 3.0 - a) / ((2.0 - a) * (3.0 - a)) - u * v)
     mass_u, mass_v = g.integrate(u), g.integrate(v)
@@ -175,13 +170,12 @@ def residual_v_energy(prev: State, nxt: State, params: Params) -> ResidualReport
     gv0 = g.face_gradient(prev.v)
     gv1 = g.face_gradient(nxt.v)
     gu0 = g.face_gradient(prev.u)
-    e0 = 0.5 * g.face_dot(None, gv0, gv0)
-    e1 = 0.5 * g.face_dot(None, gv1, gv1)
-    rate = (e1 - e0) / dt
+    cgv0 = g.cell_dot(gv0, gv0)
+    rate = 0.5 * (g.integrate(g.cell_dot(gv1, gv1)) - g.integrate(cgv0)) / dt
     lap = g.div_faces(gv0)
     t_lap = g.integrate(lap * lap)
-    t_uvv = g.face_dot(prev.u, gv0, gv0)
-    t_mix = g.face_dot(prev.v, gu0, gv0)
+    t_uvv = g.integrate(prev.u * cgv0)
+    t_mix = g.integrate(prev.v * g.cell_dot(gu0, gv0))
     rhs = -(t_lap + t_uvv + t_mix)
     return ResidualReport("v_energy", prev.t, nxt.t, rate, rhs, rate - rhs,
                           _normalizer(rate, t_lap, t_uvv, t_mix))
@@ -196,7 +190,7 @@ def residual_vq_identity(prev: State, nxt: State, q: float,
     dt = nxt.t - prev.t
     rate = (g.integrate(nxt.v ** q) - g.integrate(prev.v ** q)) / (q * dt)
     gv0 = g.face_gradient(prev.v)
-    t_grad = (q - 1.0) * g.face_dot(_power(prev.v, q - 2.0), gv0, gv0)
+    t_grad = (q - 1.0) * g.integrate(_power(prev.v, q - 2.0) * g.cell_dot(gv0, gv0))
     t_cons = g.integrate(prev.u * prev.v ** q)
     rhs = -(t_grad + t_cons)
     return ResidualReport(f"v_pow_{q:g}", prev.t, nxt.t, rate, rhs, rate - rhs,
@@ -227,18 +221,20 @@ def residual_upvq_identity(prev: State, nxt: State, p: float, q: float,
     g, u, v = prev.grid, prev.u, prev.v
     a = params.alpha
     dt = nxt.t - prev.t
-    rate = (g.integrate(_power(nxt.u, p) * _power(nxt.v, q))
-            - g.integrate(_power(u, p) * _power(v, q))) / dt
+    up, up_m1, vq, vq_p1 = _power(u, p), _power(u, p - 1.0), _power(v, q), _power(v, q + 1.0)
+    upvq = up * vq
+    rate = (g.integrate(_power(nxt.u, p) * _power(nxt.v, q)) - g.integrate(upvq)) / dt
     gu = g.face_gradient(u)
     gv = g.face_gradient(v)
-    t1 = p * (1.0 - p) * g.face_dot(_power(u, p - 1.0) * _power(v, q + 1.0), gu, gu)
-    t2 = p * q * g.face_dot(_power(u, p - 1.0 + a) * _power(v, q), gv, gv)
-    t3 = p * params.ell * g.integrate(_power(u, p) * _power(v, q + 1.0))
-    t4 = p * (p - 1.0) * g.face_dot(_power(u, p - 2.0 + a) * _power(v, q + 1.0), gu, gv)
-    t5 = -p * q * g.face_dot(_power(u, p) * _power(v, q), gu, gv)
-    t6 = -p * q * g.face_dot(_power(u, p - 1.0) * _power(v, q - 1.0), gu, gv)
-    t7 = -q * (q - 1.0) * g.face_dot(_power(u, p) * _power(v, q - 2.0), gv, gv)
-    t8 = -q * g.integrate(_power(u, p + 1.0) * _power(v, q))
+    cuu, cvv, cuv = g.cell_dot(gu, gu), g.cell_dot(gv, gv), g.cell_dot(gu, gv)
+    t1 = p * (1.0 - p) * g.integrate(up_m1 * vq_p1 * cuu)
+    t2 = p * q * g.integrate(_power(u, p - 1.0 + a) * vq * cvv)
+    t3 = p * params.ell * g.integrate(up * vq_p1)
+    t4 = p * (p - 1.0) * g.integrate(_power(u, p - 2.0 + a) * vq_p1 * cuv)
+    t5 = -p * q * g.integrate(upvq * cuv)
+    t6 = -p * q * g.integrate(up_m1 * _power(v, q - 1.0) * cuv)
+    t7 = -q * (q - 1.0) * g.integrate(up * _power(v, q - 2.0) * cvv)
+    t8 = -q * g.integrate(_power(u, p + 1.0) * vq)
     rhs = t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8
     return ResidualReport(f"u{p:g}_v{q:g}", prev.t, nxt.t, rate, rhs, rate - rhs,
                           _normalizer(rate, t1, t2, t3, t4, t5, t6, t7, t8))
@@ -277,8 +273,8 @@ def check_first_energy(prev: State, nxt: State, params: Params) -> FirstEnergyRe
     gv = g.face_gradient(v)
     gw = g.face_gradient(_power(u, 2.0 - a) / (2.0 - a))
     gdiff = [gw[ax] - gv[ax] for ax in range(g.dim)]
-    dissipation = g.face_dot(_power(u, a) * v, gdiff, gdiff)
-    t_mix = g.face_dot(None, gu, gv)
+    dissipation = g.integrate(_power(u, a) * v * g.cell_dot(gdiff, gdiff))
+    t_mix = g.integrate(g.cell_dot(gu, gv))
     t_quad = g.integrate(u * u * v)
     t_grow = params.ell * g.integrate(u3av / (2.0 - a) - uv * v)
     lhs, rhs = rate + dissipation, t_grow + t_mix + t_quad
@@ -324,8 +320,8 @@ def check_sobolev_product(grid: Grid, phi: np.ndarray, psi: np.ndarray,
     lhs = grid.integrate((_power(phi, p + 1.0) * psi) ** mu) ** (1.0 / mu)
     gphi = grid.face_gradient(phi)
     gpsi = grid.face_gradient(psi)
-    t_phi = grid.face_dot(_power(phi, p - 1.0) * psi, gphi, gphi)
-    t_psi = grid.face_dot(_power(phi, p + 1.0) / psi, gpsi, gpsi)
+    t_phi = grid.integrate(_power(phi, p - 1.0) * psi * grid.cell_dot(gphi, gphi))
+    t_psi = grid.integrate(_power(phi, p + 1.0) / psi * grid.cell_dot(gpsi, gpsi))
     t_zero = grid.integrate(_power(phi, p + 1.0) * psi)
     rhs = t_phi + t_psi + t_zero
     return SobolevReport(p=p, mu=mu, lhs=lhs, grad_phi_term=t_phi,
@@ -373,7 +369,8 @@ def check_log_hessian(grid: Grid, phi: np.ndarray, q: float) -> LogHessianReport
     n = grid.dim
     vol = grid.cell_volume
     inner = (slice(1, -1),) * n
-    g2 = grid.cell_grad_sq(grid.face_gradient(phi))[inner]
+    gphi = grid.face_gradient(phi)
+    g2 = grid.cell_dot(gphi, gphi)[inner]
     ph = phi[inner]
     hess_log = hessian_sq(grid, np.log(phi))[inner]
     hess_phi = hessian_sq(grid, phi)[inner]
@@ -500,23 +497,14 @@ def check_struc2_balance(pairs, params: Params,
         g, u, v = prev.grid, prev.u, prev.v
         dt = nxt.t - prev.t
         gu = g.face_gradient(u)
-        gv = g.face_gradient(v)
-        cgv2 = g.cell_grad_sq(gv)
-
-        def a_fun(s):
-            return g.integrate(_xlogx(s.u) - s.u)
-
-        def b_fun(s):
-            gvs = g.face_gradient(s.v)
-            c2 = g.cell_grad_sq(gvs)
-            return g.integrate(c2 * c2 / s.v ** 3)
-
-        da = (a_fun(nxt) - a_fun(prev)) / dt
-        db = (b_fun(nxt) - b_fun(prev)) / dt
-        p_term = g.face_dot(v, gu, gu)
-        q_term = 2.0 * g.integrate(cgv2 / v * hessian_sq(g, np.log(v))) \
-            + g.integrate(u * cgv2 * cgv2 / v ** 3)
-        r_term = g.face_dot(_power(u, 2.0 * params.alpha - 2.0) * v, gv, gv) \
+        gv, gv1 = g.face_gradient(v), g.face_gradient(nxt.v)
+        cgv2, cgv2_1 = g.cell_dot(gv, gv), g.cell_dot(gv1, gv1)
+        quartic = cgv2 * cgv2 / v ** 3
+        da = (g.integrate(_xlogx(nxt.u) - nxt.u) - g.integrate(_xlogx(u) - u)) / dt
+        db = (g.integrate(cgv2_1 * cgv2_1 / nxt.v ** 3) - g.integrate(quartic)) / dt
+        p_term = g.integrate(v * g.cell_dot(gu, gu))
+        q_term = 2.0 * g.integrate(cgv2 / v * hessian_sq(g, np.log(v))) + g.integrate(u * quartic)
+        r_term = g.integrate(_power(u, 2.0 * params.alpha - 2.0) * v * cgv2) \
             + g.integrate(v * _xlogx(u))
         rows.append((da, db, p_term, q_term, r_term))
 

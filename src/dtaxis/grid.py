@@ -7,13 +7,16 @@ orthogonal to that axis (``n_a + 1`` entries along the axis); boundary faces
 always carry the value 0, which is how the homogeneous Neumann (no-flux)
 condition is encoded.
 
-Two discrete identities make the rest of the package work and are relied on
-everywhere:
+Every integral over gradients in the package is one cell quadrature:
+``integrate(w * cell_dot(ga, gb))``.  ``cell_dot`` gives each cell the mean of
+``ga * gb`` over its two faces per axis, so this is the face sum of
+``ga * gb`` weighted by ``(w_lo + w_hi) / 2``, regrouped by cells.  Two
+discrete identities make the rest of the package work:
 
 * telescoping: ``integrate(div_faces(F)) == 0`` to rounding for any face data
   with zero boundary entries, and
-* summation by parts: ``face_dot(1, face_gradient(f), face_gradient(g))``
-  equals ``-integrate(f * laplacian_neumann(g))`` exactly, because every
+* summation by parts: ``integrate(cell_dot(face_gradient(f), face_gradient(g)))``
+  equals ``-integrate(f * laplacian_neumann(g))`` to rounding, because every
   interior face carries the quadrature weight ``cell_volume``.
 """
 
@@ -140,29 +143,10 @@ class Grid:
             raise ValueError("negative integral, no real lp_norm")
         return s ** (1.0 / p)
 
-    # -- quadrature helpers shared by the scheme and the monitors ------------
-
-    def face_dot(self, w: np.ndarray | None, ga: FaceData, gb: FaceData) -> float:
-        """Face quadrature sum_axes sum_faces mean(w) * ga * gb * cell_volume.
-
-        ``w`` is a cell field averaged arithmetically onto interior faces
-        (``w=None`` means weight one).  Boundary faces carry zero gradients so
-        they never contribute.  With weight one this realizes the discrete
-        integration by parts against ``laplacian_neumann`` exactly.
-        """
-        tot = 0.0
-        for a in range(self.dim):
-            it = self.inner[a]
-            prod = ga[a][it] * gb[a][it]
-            if w is not None:
-                prod = prod * (0.5 * (w[self.lo[a]] + w[self.hi[a]]))
-            tot += float(np.sum(prod))
-        return tot * self.cell_volume
-
-    def cell_grad_sq(self, grads: FaceData) -> np.ndarray:
-        """|grad f|^2 at cell centers by averaging squared face gradients."""
+    def cell_dot(self, ga: FaceData, gb: FaceData) -> np.ndarray:
+        """grad a . grad b at cell centers: per axis, ga * gb averaged over the cell's two faces."""
         out = np.zeros(self.shape)
         for a in range(self.dim):
-            g2 = grads[a] ** 2
-            out += 0.5 * (g2[self.lo[a]] + g2[self.hi[a]])
+            prod = ga[a] * gb[a]
+            out += 0.5 * (prod[self.lo[a]] + prod[self.hi[a]])
         return out

@@ -124,10 +124,9 @@ def max_principle_dt(state: State) -> float:
 
 def _advance_accumulators(state: State, params: Params, dt: float,
                           gu, gv, uv, lap_v) -> Accumulators:
-    """Left-endpoint update of every catalogued running integral, each a cell quadrature:
-    sum_faces (w_lo + w_hi) / 2 * g_f^2 regroups exactly into sum_cells w * cell_grad_sq(g)."""
+    """Left-endpoint update of every running integral, each a cell quadrature (see ``grid``)."""
     g, u, v = state.grid, state.u, state.v
-    cgu2, cgv2 = g.cell_grad_sq(gu), g.cell_grad_sq(gv)
+    cgu2, cgv2 = g.cell_dot(gu, gu), g.cell_dot(gv, gv)
     # with q = |grad v|^2 / v: u |grad v|^4 / v^3 = (u / v) q^2, |grad v|^6 / v^5 = q^2 q / v^2
     u_over_v, q = u / v, cgv2 / v
     q2 = q * q

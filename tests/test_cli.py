@@ -491,10 +491,18 @@ def test_main_verify_inequalities(tmp_path):
      "got inf"),
     (["exponents", "--regime", "strong", "--alpha", "1.75", "--seed-value", "inf"], "got inf"),
     (["exponents", "--regime", "weak", "--alpha", "0.5", "--seed-value", "nan"], "got nan"),
+    # finite seeds whose tables overflow
+    (["exponents", "--regime", "weak", "--alpha", "0.5", "--seed-value", "1e308", "--count", "2"],
+     "exponent p at k=0 must be finite, got inf"),
+    (["exponents", "--regime", "strong", "--alpha", "1.75", "--seed-value", "1e308"],
+     "exponent q at k=1 must be finite, got inf"),
+    (["exponents", "--regime", "moderate-hat", "--alpha", "1.25", "--seed-value", "1e308"],
+     "exponent m_hat at k=1 must be finite, got inf"),
 ])
 def test_main_rejects_non_finite_flag_values(capsys, argv, message):
     assert cli.main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # no partial table
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err.rstrip().endswith(message)
 
@@ -560,6 +568,37 @@ _COMMANDS = {"run": [], "sweep --workers 1": ["--alphas", "0.5,1.25"],
 
 def _argv(command, cfg):
     return command.split() + ["--config", cfg] + _COMMANDS[command]
+
+
+@pytest.mark.parametrize("order", ["0", "-1", "inf"])
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_main_rejects_a_bad_p_list_before_any_output(tmp_path, capsys, command, order):
+    assert cli.main(_argv(command, _write_cfg(tmp_path, f"p_list = 1,{order}\n"))) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: invalid value for p_list: {float(order)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_pool_is_capped_at_the_member_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class Pool:  # runs the members in this process, recording the requested pool size
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    argv = ["sweep", "--config", _write_cfg(tmp_path), "--alphas", "0.5,1.25,0.5", "--workers", "64"]
+    assert cli.main(argv) == 0
+    assert sizes == [2]
 
 
 def test_main_missing_snapshot_in(tmp_path, capsys):
