@@ -19,10 +19,8 @@ from .diagnostics import (MonitorRow, ResidualReport, check_first_energy,
 from .exponents import (ExponentTriple, moderate_seq, moderate_seq_hat, p0_sup,
                         strong_seq, verify_regime_lemmas, weak_feedback_p)
 from .grid import FaceData, Grid
-from .model import (Accumulators, InitialData, Params, State, assemble_rhs,
-                    build_initial, face_diffusivity)
-from .stepper import (StepControl, StepRejected, Trajectory, max_principle_dt,
-                      run, stable_dt, step)
+from .model import Accumulators, InitialData, Params, State, assemble_rhs, build_initial
+from .stepper import StepControl, StepRejected, Trajectory, run, step
 
 __version__ = "0.1.0"
 
@@ -31,9 +29,7 @@ __all__ = [
     "MonitorRow", "Params", "ResidualReport", "State", "StepControl",
     "StepRejected", "Trajectory", "assemble_rhs", "build_initial",
     "check_first_energy", "check_log_hessian", "check_sobolev_product",
-    "check_struc2_balance", "face_diffusivity", "max_principle_dt",
-    "moderate_seq", "moderate_seq_hat", "monitor_row", "p0_sup",
-    "residual_upvq_identity", "residual_v_energy", "residual_vq_identity",
-    "run", "stable_dt", "step", "strong_seq", "verify_regime_lemmas",
-    "weak_feedback_p",
+    "check_struc2_balance", "moderate_seq", "moderate_seq_hat", "monitor_row",
+    "p0_sup", "residual_upvq_identity", "residual_v_energy", "residual_vq_identity",
+    "run", "step", "strong_seq", "verify_regime_lemmas", "weak_feedback_p",
 ]

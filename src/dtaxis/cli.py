@@ -389,6 +389,8 @@ def run_eps_study(config: RunConfig, eps_list) -> list[EpsRow]:
     monotonicity of the differences is not a contract.
     """
     eps_list = [float(e) for e in eps_list]
+    if len(eps_list) < 2:
+        raise ValueError("eps-study needs at least two epsilons")
     if any(b > a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be decreasing")
     finals = {eps: _started(_final_state, f"epsilon={eps}: ", *member)
@@ -491,6 +493,14 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _float_list(text: str) -> list[float]:
+    """Comma list of numbers; empty entries are skipped, but one entry is required."""
+    values = [float(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}")
+    return values
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dtaxis",
                                  description="degenerate taxis numerical laboratory")
@@ -502,20 +512,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="independent runs over response exponents")
     p.add_argument("--config", required=True)
-    p.add_argument("--alphas", required=True, help="comma list, each in [0, 2)")
+    p.add_argument("--alphas", type=_float_list, required=True, help="comma list, each in [0, 2)")
     p.add_argument("--output-dir", default=None)
     p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("eps-study", help="convergence study in the shift epsilon")
     p.add_argument("--config", required=True)
-    p.add_argument("--eps", required=True, help="decreasing comma list, each in (0, 1)")
+    p.add_argument("--eps", type=_float_list, required=True, help="decreasing comma list in (0, 1)")
     p.add_argument("--output-dir", default=None)
 
     p = sub.add_parser("verify-inequalities", help="randomized inequality batches")
     p.add_argument("--cells", type=int, default=64)
     p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--qs", default="2,3,4")
+    p.add_argument("--qs", type=_float_list, default="2,3,4")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("exponents", help="print one bootstrap exponent table")
@@ -540,17 +550,15 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(parse_config_file(args.config), output_dir=args.output_dir)
         if args.command == "sweep":
-            alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-            results = run_sweep(parse_config_file(args.config), alphas,
+            results = run_sweep(parse_config_file(args.config), args.alphas,
                                 output_dir=args.output_dir, workers=args.workers)
             return 0 if all(r[2] == "ok" for r in results) else 1
         if args.command == "eps-study":
-            eps = [float(e) for e in args.eps.split(",") if e.strip()]
-            return cmd_eps_study(parse_config_file(args.config), eps, output_dir=args.output_dir)
+            return cmd_eps_study(parse_config_file(args.config), args.eps,
+                                 output_dir=args.output_dir)
         if args.command == "verify-inequalities":
-            qs = tuple(float(q) for q in args.qs.split(",") if q.strip())
             return cmd_verify_inequalities(args.cells, args.samples, args.seed,
-                                           qs, out=args.out)
+                                           args.qs, out=args.out)
         if args.command == "exponents":
             return cmd_exponents(args.regime, args.alpha, args.seed_value, args.count)
         if args.command == "verify-exponents":

@@ -366,6 +366,8 @@ def check_log_hessian(grid: Grid, phi: np.ndarray, q: float) -> LogHessianReport
         raise ValueError(f"q must be at least 2 and finite, got {q}")
     if bool((phi <= 0.0).any()):
         raise ValueError("nonpositive field")
+    if min(grid.cells) < 3:
+        raise ValueError(f"log-Hessian check needs at least 3 cells per axis, got {grid.cells}")
     n = grid.dim
     vol = grid.cell_volume
     inner = (slice(1, -1),) * n

@@ -97,9 +97,6 @@ class Grid:
         s[axis] += 1
         return tuple(s)
 
-    def zero_faces(self) -> FaceData:
-        return [np.zeros(self.face_shape(a)) for a in range(self.dim)]
-
     # -- discrete calculus ---------------------------------------------------
 
     def integrate(self, f: np.ndarray) -> float:

@@ -198,11 +198,6 @@ def face_average(grid: Grid, w: np.ndarray, mode: str) -> FaceData:
     return out
 
 
-def face_diffusivity(grid: Grid, u: np.ndarray, v: np.ndarray, mode: str) -> FaceData:
-    """Face coefficient of the degenerate diffusion, the averaged product u*v."""
-    return face_average(grid, u * v, mode)
-
-
 def _power(u: np.ndarray, a: float) -> np.ndarray:
     if a == 1.0:
         return u

@@ -1,20 +1,15 @@
 """Explicit positivity-protected time stepping with exact mass bookkeeping.
 
-Forward Euler on the flux-form right-hand side, with three layers of
-protection:
-
-* a diffusive CFL bound built from the degenerate diffusivity,
-* a reaction bound keeping the explicit v-update positive and the u-growth
-  tame, and
-* rejection-and-halving whenever an attempted update still produces a
-  negative value (never clipping: clipping would break the exact discrete
-  mass law).
-
-The run loop additionally caps dt by the discrete maximum-principle bound of
-the nutrient update, dt * (2*dim/h^2 + max u) <= 1, so sup v is provably
-nonincreasing step by step.  The diffusive CFL alone does not imply this when
-the degenerate diffusivity is small, because v diffuses with unit coefficient
-regardless of u.  One right-hand side per state sets dt, serves every
+Forward Euler on the flux-form right-hand side.  ``_dt_limits`` holds the
+whole step-size rule: the least of a diffusive CFL bound built from the
+degenerate diffusivity, a reaction bound keeping the explicit v-update
+positive and the u-growth tame, and the discrete maximum-principle cap
+dt * (2*dim/h^2 + max u) <= 1 of the nutrient update, which makes sup v
+provably nonincreasing step by step (the CFL alone does not when the
+degenerate diffusivity is small, because v diffuses with unit coefficient
+regardless of u).  An update that still produces a negative value is rejected
+and retried with dt halved, never clipped: clipping would break the exact
+discrete mass law.  One right-hand side per state sets dt, serves every
 attempt and feeds the ten running accumulators, all of them cell quadratures.
 """
 
@@ -90,36 +85,20 @@ class Trajectory:
     n_rejected: int = 0
 
 
-def _dt_limits(state: State, params: Params | None = None, uv=None, ua=None) -> tuple[float, float]:
-    """(stable_dt without dt_max, max_principle_dt); stable is inf without params."""
+def _dt_limits(state: State, params: Params, uv, ua) -> float:
+    """Step limit from the rhs's u v and u^alpha, with hmin2 = min_axes(h^2): the least of
+    the CFL bound cfl_safety * hmin2 / (2 * dim * D*), D* = max(u v + chi u^alpha v),
+    the reaction bound 1 / (max u + ell * max v) and the cap 1 / (2 * dim / hmin2 + max u)."""
     g, u_max = state.grid, float(state.u.max())
     hmin2 = min(h * h for h in g.h)
-    max_principle = 1.0 / (2.0 * g.dim / hmin2 + u_max)
-    if params is None:
-        return math.inf, max_principle
     dstar = float(np.max(uv + params.chi * ua * state.v))
     if not math.isfinite(dstar):
         raise RuntimeError("state blew up")
     dt = params.cfl_safety * hmin2 / (2.0 * g.dim * dstar) if dstar > 0.0 else math.inf
     reaction = u_max + params.ell * float(state.v.max())
-    return (min(dt, 1.0 / reaction) if reaction > 0.0 else dt), max_principle
-
-
-def stable_dt(state: State, params: Params, dt_max: float = math.inf) -> float:
-    """Stability-limited step size for the current state.
-
-    dt = cfl_safety * min_axes(h^2) / (2 * dim * D*) with
-    D* = max over cells of (u v + chi u^alpha v), further capped by the
-    reaction bound 1 / (max u + ell * max v) and by dt_max.
-    """
-    uv, ua = state.u * state.v, _power(state.u, params.alpha)
-    return min(_dt_limits(state, params, uv, ua)[0], dt_max)
-
-
-def max_principle_dt(state: State) -> float:
-    """Largest dt for which the explicit v-update cannot raise sup v:
-    dt * (2 * dim / min_axes(h^2) + max u) = 1."""
-    return _dt_limits(state)[1]
+    if reaction > 0.0:
+        dt = min(dt, 1.0 / reaction)
+    return min(dt, 1.0 / (2.0 * g.dim / hmin2 + u_max))
 
 
 def _advance_accumulators(state: State, params: Params, dt: float,
@@ -177,14 +156,9 @@ def run(state: State, params: Params, control: StepControl, observers=(),
     rows = [diagnostics.monitor_row(state, params, p_list)]
     n_steps = n_rejected = 0
     while state.t < t_end - tiny:
-        try:
-            rhs = _rhs_core(state, params)
-        except FloatingPointError:
-            stable_dt(state, params)  # a non-finite D* is "state blew up", as ever
-            raise
-        stable, max_principle = _dt_limits(state, params, *rhs[4:6])  # uv, u^alpha
-        dt = max(min(stable, control.dt_max, max_principle, t_end - state.t,
-                     ticks.next_tick() - state.t), tiny)
+        rhs = _rhs_core(state, params)
+        dt = max(min(_dt_limits(state, params, *rhs[4:6]),  # uv, u^alpha
+                     control.dt_max, t_end - state.t, ticks.next_tick() - state.t), tiny)
         for _ in range(control.max_rejects + 1):
             try:
                 new = step(state, params, dt, rhs)

@@ -464,12 +464,18 @@ def test_main_run_and_tables(tmp_path, capsys):
     ["exponents", "--count", "0", "--regime", "weak", "--alpha", "0.5", "--seed-value", "2"],
     ["sweep", "--workers", "-4", "--config", "run.cfg", "--alphas", "0.5"],
     ["sweep", "--workers", "0", "--config", "run.cfg", "--alphas", "0.5"],
+    # comma lists with no entry
+    ["sweep", "--alphas", ",", "--config", "run.cfg"],
+    ["eps-study", "--eps", ",", "--config", "run.cfg"],
+    ["verify-inequalities", "--qs", ","],
 ])
 def test_verify_counts_must_be_positive(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert f"argument {argv[1]}: expected a positive integer" in capsys.readouterr().err
+    want = "a comma list of numbers" if argv[1] in ("--alphas", "--eps", "--qs") else \
+        "a positive integer"
+    assert f"argument {argv[1]}: expected {want}" in capsys.readouterr().err
 
 
 def test_main_verify_inequalities(tmp_path):
@@ -498,6 +504,9 @@ def test_main_verify_inequalities(tmp_path):
      "exponent q at k=1 must be finite, got inf"),
     (["exponents", "--regime", "moderate-hat", "--alpha", "1.25", "--seed-value", "1e308"],
      "exponent m_hat at k=1 must be finite, got inf"),
+    # no interior cells for the log-Hessian quadratures
+    (["verify-inequalities", "--cells", "2", "--samples", "2"],
+     "at least 3 cells per axis, got (2,)"),
 ])
 def test_main_rejects_non_finite_flag_values(capsys, argv, message):
     assert cli.main(argv) == 2
@@ -648,7 +657,8 @@ def test_main_rejects_inadmissible_initial_data_before_any_output(tmp_path, caps
 
 
 @pytest.mark.parametrize("eps, message", [("1e-3,1e-2", "epsilon list must be decreasing"),
-                                          ("1.0,0.5", "epsilon must lie in (0, 1)")])
+                                          ("1.0,0.5", "epsilon must lie in (0, 1)"),
+                                          ("0.1", "eps-study needs at least two epsilons")])
 def test_main_eps_study_rejects_bad_lists_before_any_run(tmp_path, capsys, eps, message):
     assert cli.main(["eps-study", "--config", _write_cfg(tmp_path), "--eps", eps]) == 2
     assert message in capsys.readouterr().err

@@ -87,6 +87,15 @@ def test_log_hessian_validation():
         check_log_hessian(g, np.zeros(g.shape), 2.0)
 
 
+@pytest.mark.parametrize("cells", [2, (16, 2), (2, 16)])
+def test_log_hessian_needs_interior_cells(cells):
+    # the quadratures skip wall cells, so an axis of 2 cells leaves nothing to compare
+    g = Grid(cells)
+    with pytest.raises(ValueError, match=r"at least 3 cells per axis, got \("):
+        check_log_hessian(g, np.ones(g.shape), 2.0)
+    assert check_log_hessian(Grid(3), np.ones(3), 2.0).passes()
+
+
 @pytest.mark.parametrize("cells,q", [(64, 2.0), (64, 3.0), ((32, 32), 2.0)])
 def test_log_hessian_batch_no_violations(cells, q):
     rep = log_hessian_batch(Grid(cells), q, samples=30, seed=17)

@@ -2,55 +2,76 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtaxis import Grid, InitialData, Params, StepControl, StepRejected, build_initial
 from dtaxis import stepper
-from dtaxis.model import Accumulators, State
-from dtaxis.stepper import Cadence, max_principle_dt, run, stable_dt, step
+from dtaxis.model import AVG_MODES, Accumulators, State
+from dtaxis.stepper import Cadence, run, step
 
 
 def _const_state(g, u=1.0, v=1.0):
     return State(grid=g, t=0.0, u=np.full(g.shape, u), v=np.full(g.shape, v))
 
 
+def _formula_dt(s, p):
+    """The README step-size rule without dt_max and ticks:
+    min(cfl_safety min h^2 / (2 dim D*), 1 / (max u + ell max v), 1 / (2 dim / min h^2 + max u))
+    with D* = max(u v + chi u^alpha v)."""
+    g, u, v = s.grid, s.u, s.v
+    hmin2 = min(h * h for h in g.h)
+    dstar = np.max(u * v + p.chi * u ** p.alpha * v)
+    cfl = p.cfl_safety * hmin2 / (2 * g.dim * dstar) if dstar > 0 else math.inf
+    return min(cfl, 1 / (u.max() + p.ell * v.max()), 1 / (2 * g.dim / hmin2 + u.max()))
+
+
+def _limits(s, p):
+    """The step limit run takes for s, from the rhs's u v and u^alpha."""
+    return stepper._dt_limits(s, p, *stepper._rhs_core(s, p)[4:6])
+
+
 def test_stable_dt_worked_example():
     # D* = u v + chi u^alpha v = 2, so dt = 0.9 * h^2 / (2 * 1 * 2) = 2.25e-5
     g = Grid(100)  # h = 0.01
     p = Params(alpha=1.0, epsilon=0.01, chi=1.0, ell=0.0, cfl_safety=0.9)
-    assert stable_dt(_const_state(g), p) == pytest.approx(2.25e-5, rel=1e-12)
+    s = _const_state(g)
+    assert _limits(s, p) == _formula_dt(s, p) == pytest.approx(2.25e-5, rel=1e-12)
 
 
 def test_stable_dt_degenerate_formula():
-    # u = 0 + eps shift = 0.01, chi = 0: D* = 0.01
+    # u = 0.01, chi = 0: D* = 0.01 makes the CFL bound 0.9 * 0.1^2 / (2 * 0.01) = 0.45,
+    # so the max-principle cap 1 / (2 / h^2 + max u) binds
     g = Grid(10)  # h = 0.1
     p = Params(alpha=1.0, epsilon=0.01, chi=0.0, ell=0.0, cfl_safety=0.9)
     s = _const_state(g, u=0.01, v=1.0)
-    expected = 0.9 * 0.1 ** 2 / (2.0 * 0.01)
-    assert stable_dt(s, p) == pytest.approx(expected, rel=1e-12)
-    assert stable_dt(s, p, dt_max=1e-3) == 1e-3
+    assert _limits(s, p) == _formula_dt(s, p) == 1.0 / (2.0 / 0.1 ** 2 + 0.01)
 
 
 def test_stable_dt_reaction_bound():
-    g = Grid(4)  # h huge, diffusion not binding
-    p = Params(alpha=1.0, epsilon=0.01, chi=1.0, ell=2.0, cfl_safety=1.0)
-    s = _const_state(g, u=3.0, v=1.0)
-    assert stable_dt(s, p) <= 1.0 / (3.0 + 2.0 * 1.0) + 1e-15
+    # ell max v = 40 exceeds 2 dim / h^2 = 32, so the reaction bound binds
+    g = Grid(4)
+    p = Params(alpha=1.0, epsilon=0.01, chi=1.0, ell=40.0, cfl_safety=1.0)
+    s = _const_state(g, u=0.1, v=1.0)
+    assert _limits(s, p) == _formula_dt(s, p) == 1.0 / (0.1 + 40.0 * 1.0)
 
 
 def test_stable_dt_quarters_under_refinement():
     p = Params(alpha=1.0, epsilon=0.01, chi=1.0, ell=0.0, cfl_safety=0.9)
-    dt1 = stable_dt(_const_state(Grid(64)), p)
-    dt2 = stable_dt(_const_state(Grid(128)), p)
-    assert dt1 / dt2 == pytest.approx(4.0, rel=1e-12)
+    s1, s2 = _const_state(Grid(64)), _const_state(Grid(128))
+    assert _limits(s1, p) == _formula_dt(s1, p)
+    assert _limits(s2, p) == _formula_dt(s2, p)
+    assert _limits(s1, p) / _limits(s2, p) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_stable_dt_blowup():
+    # a non-finite D*, here from an inf cell, is refused by the step limit itself
     g = Grid(8)
     p = Params(alpha=1.0, epsilon=0.01)
     s = _const_state(g)
     s.u[2] = np.inf
     with pytest.raises(RuntimeError, match="state blew up"):
-        stable_dt(s, p)
+        stepper._dt_limits(s, p, s.u * s.v, s.u)
 
 
 def test_step_mass_identities():
@@ -61,7 +82,7 @@ def test_step_mass_identities():
     for ell in (0.0, 1.0):
         p = Params(alpha=1.25, epsilon=0.01, ell=ell)
         s = State(grid=g, t=0.0, u=u.copy(), v=v.copy())
-        dt = 0.5 * stable_dt(s, p)
+        dt = 0.5 * _limits(s, p)
         s2 = step(s, p, dt)
         uv = g.integrate(u * v)
         assert g.integrate(s2.u) == pytest.approx(g.integrate(u) + dt * ell * uv, rel=1e-14)
@@ -85,8 +106,7 @@ def test_step_v_max_principle_bound():
         p = Params(alpha=1.0, epsilon=0.01, ell=0.5)
         s = State(grid=g, t=0.0, u=rng.uniform(0.0, 2.0, g.shape),
                   v=rng.uniform(0.2, 1.0, g.shape))
-        dt = 0.99 * max_principle_dt(s)
-        assert dt * (2 * g.dim / min(h * h for h in g.h) + s.u.max()) <= 1.0
+        dt = 0.99 / (2 * g.dim / min(h * h for h in g.h) + s.u.max())
         s2 = step(s, p, dt)
         assert s2.v.max() <= s.v.max() + 1e-14
 
@@ -207,13 +227,14 @@ def test_run_positivity_unrecoverable():
 
 
 @pytest.mark.parametrize("value, avg_mode, error, match", [
-    (np.inf, "geometric", RuntimeError, "state blew up"),
+    pytest.param(np.inf, "geometric", FloatingPointError, r"rhs overflow at cell \(1,\)",
+                 id="inf-geometric-FloatingPointError-rhs-overflow"),
     (1e160, "arithmetic", FloatingPointError, r"rhs overflow at cell \(1,\)"),
 ])
 def test_run_blowup_errors(value, avg_mode, error, match):
     # an observer poisons the accepted state, so the blow-up meets the step
-    # loop and not the monitor row; a non-finite D* and a finite state whose
-    # rhs overflows raise different errors
+    # loop and not the monitor row; an inf cell and a finite state whose rhs
+    # overflows both fail in the rhs, which names the first non-finite cell
     g = Grid(8)
     p = Params(alpha=1.0, epsilon=0.01, avg_mode=avg_mode)
 
@@ -256,12 +277,12 @@ def test_run_one_rhs_per_step_one_step_call_per_attempt(monkeypatch):
 
 
 def _dt_trace(s, p, control, cadence):
-    """(dt taken, min of the public limits of the previous state) per step."""
+    """(dt taken, the README rule's dt for the previous state) per step."""
     ticks = Cadence(cadence, control.t_end)
     pairs = []
 
     def observer(prev, new, dt):
-        limit = min(stable_dt(prev, p, control.dt_max), max_principle_dt(prev),
+        limit = min(_formula_dt(prev, p), control.dt_max,
                     control.t_end - prev.t, ticks.next_tick() - prev.t)
         pairs.append((dt, limit))
         ticks.due(new.t)
@@ -306,7 +327,7 @@ def test_accumulator_increments_match_their_definitions(cells, lengths):
     v = rng.uniform(0.3, 1.5, g.shape)
     p = Params(alpha=1.25, epsilon=0.01, chi=1.0, ell=1.0)
     s = State(grid=g, t=0.0, u=u, v=v)
-    dt = 0.5 * min(stable_dt(s, p), max_principle_dt(s))
+    dt = 0.5 * _limits(s, p)
     acc = step(s, p, dt).acc
     gu, gv = g.face_gradient(u), g.face_gradient(v)
     lap_v = g.laplacian_neumann(v)
@@ -384,3 +405,36 @@ def test_run_3d_mass_bookkeeping():
     assert g.integrate(traj.final.u) == pytest.approx(m0 + traj.final.acc.uv, rel=1e-12)
     assert g.integrate(traj.final.v) == pytest.approx(v0 - traj.final.acc.uv, rel=1e-12)
     assert traj.final.v.min() > 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(alpha=st.floats(0.0, 2.0, exclude_max=True), chi=st.floats(0.0, 5.0),
+       ell=st.floats(0.0, 3.0), cfl_safety=st.floats(0.05, 1.0),
+       avg_mode=st.sampled_from(AVG_MODES),
+       cells=st.lists(st.integers(2, 10), min_size=1, max_size=3),
+       u_min=st.floats(1e-6, 1.0), v_min=st.floats(1e-3, 1.0),
+       spread=st.floats(0.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_accepted_steps_keep_the_scheme_guarantees(alpha, chi, ell, cfl_safety, avg_mode,
+                                                   cells, u_min, v_min, spread, seed):
+    # the path run takes: one rhs, its step limit, then step with halving on rejection
+    g = Grid(cells)
+    p = Params(alpha=alpha, epsilon=0.01, chi=chi, ell=ell, cfl_safety=cfl_safety,
+               avg_mode=avg_mode)
+    rng = np.random.default_rng(seed)
+    s = State(grid=g, t=0.0, u=u_min + spread * rng.random(g.shape),
+              v=v_min + spread * rng.random(g.shape))
+    rhs = stepper._rhs_core(s, p)
+    dt = stepper._dt_limits(s, p, *rhs[4:6])
+    for _ in range(41):
+        try:
+            new = step(s, p, dt, rhs)
+            break
+        except StepRejected:
+            dt *= 0.5
+    else:
+        pytest.fail("no accepted step after 40 halvings")
+    uv = g.integrate(s.u * s.v)
+    assert g.integrate(new.u) == pytest.approx(g.integrate(s.u) + dt * ell * uv, rel=1e-12)
+    assert g.integrate(new.v) == pytest.approx(g.integrate(s.v) - dt * uv, rel=1e-12)
+    assert new.v.max() <= s.v.max() * (1.0 + 1e-14)
+    assert new.u.min() >= 0.0 and new.v.min() > 0.0
