@@ -74,10 +74,14 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        checks = [(key, getattr(self, key)) for key in ("monitor_cadence", "snapshot_cadence")]
-        for key, value in checks + [("p_list", p) for p in self.p_list]:
-            if value is not None and not 0.0 < value < math.inf:
-                raise ValueError(f"invalid value for {key}: {value}")
+        for key in ("monitor_cadence", "snapshot_cadence"):
+            try:
+                Cadence(getattr(self, key), self.control.t_end)
+            except ValueError as exc:
+                raise ValueError(f"invalid value for {key}: {exc}") from None
+        for p in self.p_list:
+            if not 0.0 < p < math.inf:
+                raise ValueError(f"invalid value for p_list: {p}")
 
 
 # key: (parser, record, field).  An omitted key keeps the record field's default;

@@ -88,17 +88,16 @@ class MonitorRow:
     acc: Accumulators
 
     @staticmethod
-    def _scalars() -> list[str]:
-        return [f.name for f in fields(MonitorRow) if f.name not in ("lp_norms", "acc")]
-
-    @classmethod
-    def csv_header(cls, p_list: tuple[float, ...]) -> list[str]:
-        return (cls._scalars() + [f"lp_{p:g}_u" for p in p_list]
+    def csv_header(p_list: tuple[float, ...]) -> list[str]:
+        return (list(_ROW_SCALARS) + [f"lp_{p:g}_u" for p in p_list]
                 + [f"acc_{n}" for n in Accumulators.names()])
 
     def csv_values(self) -> list[float]:
-        return ([getattr(self, n) for n in self._scalars()] + list(self.lp_norms)
+        return ([getattr(self, n) for n in _ROW_SCALARS] + list(self.lp_norms)
                 + list(self.acc.values()))
+
+
+_ROW_SCALARS = tuple(f.name for f in fields(MonitorRow) if f.name not in ("lp_norms", "acc"))
 
 
 def monitor_row(state: State, params: Params,

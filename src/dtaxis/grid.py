@@ -34,7 +34,8 @@ FaceData = list[np.ndarray]
 class Grid:
     """Structured uniform grid in 1, 2 or 3 dimensions."""
 
-    __slots__ = ("dim", "cells", "lengths", "h", "shape", "cell_volume", "lo", "hi", "inner")
+    __slots__ = ("dim", "cells", "lengths", "h", "shape", "cell_volume", "face_shapes",
+                 "lo", "hi", "inner")
 
     def __init__(self, cells, lengths=None):
         if isinstance(cells, (int, np.integer)):
@@ -57,6 +58,9 @@ class Grid:
         self.h = tuple(L / n for L, n in zip(self.lengths, self.cells))
         self.shape = self.cells
         self.cell_volume = math.prod(self.h)
+        # face data along axis a has one more entry than cells along a
+        self.face_shapes = tuple(tuple(n + (b == a) for b, n in enumerate(self.cells))
+                                 for a in range(self.dim))
 
         def along(a: int, sl: slice) -> tuple[slice, ...]:
             return tuple(sl if b == a else slice(None) for b in range(self.dim))
@@ -92,11 +96,6 @@ class Grid:
         return np.meshgrid(*(self.centers(a) for a in range(self.dim)),
                            indexing="ij", sparse=True)
 
-    def face_shape(self, axis: int) -> tuple[int, ...]:
-        s = list(self.cells)
-        s[axis] += 1
-        return tuple(s)
-
     # -- discrete calculus ---------------------------------------------------
 
     def integrate(self, f: np.ndarray) -> float:
@@ -107,20 +106,28 @@ class Grid:
             raise ValueError("non-finite field")
         return s * self.cell_volume
 
+    def faces(self) -> FaceData:
+        """Zero face data, the one allocator of face arrays."""
+        return list(map(np.zeros, self.face_shapes))
+
     def face_gradient(self, f: np.ndarray) -> FaceData:
         """Two-point difference across each interior face; wall faces stay 0."""
-        out = []
+        out = self.faces()
         for a in range(self.dim):
-            g = np.zeros(self.face_shape(a))
-            g[self.inner[a]] = (f[self.hi[a]] - f[self.lo[a]]) / self.h[a]
-            out.append(g)
+            np.subtract(f[self.hi[a]], f[self.lo[a]], out=out[a][self.inner[a]])
+            out[a] /= self.h[a]  # whole and contiguous: the zero walls stay zero
         return out
 
-    def div_faces(self, flux: FaceData) -> np.ndarray:
-        """Discrete divergence of face fluxes; integrates to zero by telescoping."""
-        out = (flux[0][self.hi[0]] - flux[0][self.lo[0]]) / self.h[0]
+    def div_faces(self, flux: FaceData, out: np.ndarray | None = None,
+                  cell: np.ndarray | None = None) -> np.ndarray:
+        """Discrete divergence of face fluxes; integrates to zero by telescoping.
+        ``out`` receives it in place, and ``cell`` is scratch from 2D on."""
+        out = np.subtract(flux[0][self.hi[0]], flux[0][self.lo[0]], out=out)
+        out /= self.h[0]
         for a in range(1, self.dim):
-            out += (flux[a][self.hi[a]] - flux[a][self.lo[a]]) / self.h[a]
+            d = np.subtract(flux[a][self.hi[a]], flux[a][self.lo[a]], out=cell)
+            d /= self.h[a]
+            out += d
         return out
 
     def laplacian_neumann(self, f: np.ndarray) -> np.ndarray:
@@ -140,10 +147,17 @@ class Grid:
             raise ValueError("negative integral, no real lp_norm")
         return s ** (1.0 / p)
 
-    def cell_dot(self, ga: FaceData, gb: FaceData) -> np.ndarray:
-        """grad a . grad b at cell centers: per axis, ga * gb averaged over the cell's two faces."""
-        out = np.zeros(self.shape)
+    def cell_dot(self, ga: FaceData, gb: FaceData, out: np.ndarray | None = None,
+                 faces: FaceData | None = None, cell: np.ndarray | None = None) -> np.ndarray:
+        """grad a . grad b at cell centers: per axis, ga * gb averaged over the cell's two
+        faces.  ``out`` receives it in place; ``faces`` and ``cell`` are scratch."""
+        if out is None:
+            out = np.zeros(self.shape)
+        else:
+            out.fill(0.0)
         for a in range(self.dim):
-            prod = ga[a] * gb[a]
-            out += 0.5 * (prod[self.lo[a]] + prod[self.hi[a]])
+            prod = np.multiply(ga[a], gb[a], faces[a] if faces else None)
+            mean = np.add(prod[self.lo[a]], prod[self.hi[a]], cell)
+            mean *= 0.5
+            out += mean
         return out

@@ -73,10 +73,13 @@ class Accumulators:
 
     @staticmethod
     def names() -> tuple[str, ...]:
-        return tuple(f.name for f in fields(Accumulators))
+        return _ACC_NAMES
 
     def values(self) -> tuple[float, ...]:
-        return tuple(getattr(self, n) for n in self.names())
+        return tuple(getattr(self, n) for n in _ACC_NAMES)
+
+
+_ACC_NAMES = tuple(f.name for f in fields(Accumulators))
 
 
 @dataclass
@@ -176,57 +179,79 @@ def build_initial(grid: Grid, data: InitialData, params: Params) -> State:
     return build_initial_from_fields(grid, u0, v0, params, v_floor=data.v_floor)
 
 
-def face_average(grid: Grid, w: np.ndarray, mode: str) -> FaceData:
-    """Average a cell field onto interior faces; wall faces stay zero.
+def face_average(grid: Grid, w: np.ndarray, mode: str, out: FaceData | None = None) -> FaceData:
+    """Average a cell field onto interior faces; wall faces stay zero.  ``out``, face data
+    with zero walls, receives it in place.
 
     Geometric averaging keeps a face coefficient at exactly zero whenever one
     adjacent cell carries zero.  So vacuum (u = 0) cells exchange no diffusive
     flux, and for alpha > 0 no tactic flux; at alpha = 0 the taxis flux
     chi v grad v does not depend on u, and a vacuum cell is not insulated from it.
     """
-    out = []
-    for a in range(grid.dim):
-        f = np.zeros(grid.face_shape(a))
+    if mode not in AVG_MODES:
+        raise ValueError(f"avg_mode must be one of {AVG_MODES}, got {mode!r}")
+    out = grid.faces() if out is None else out
+    for a, f in enumerate(out):  # each f is scaled whole; its zero walls stay zero
         lo, hi = w[grid.lo[a]], w[grid.hi[a]]
         if mode == "arithmetic":
-            f[grid.inner[a]] = 0.5 * (lo + hi)
-        elif mode == "geometric":
-            f[grid.inner[a]] = np.sqrt(lo * hi)
+            np.add(lo, hi, out=f[grid.inner[a]])
+            f *= 0.5
         else:
-            raise ValueError(f"avg_mode must be one of {AVG_MODES}, got {mode!r}")
-        out.append(f)
+            np.multiply(lo, hi, out=f[grid.inner[a]])
+            np.sqrt(f, out=f)
     return out
 
 
-def _power(u: np.ndarray, a: float) -> np.ndarray:
+def _power(u: np.ndarray, a: float, out: np.ndarray | None = None) -> np.ndarray:
+    """u ** a, written into ``out`` if given, except at a = 0 (new ones) and a = 1 (u itself)."""
     if a == 1.0:
         return u
     if a == 0.0:
         return np.ones_like(u)
-    return u ** a
+    if out is None:
+        return u ** a
+    np.copyto(out, u)
+    out **= a  # the same scalar-power path as u ** a (a square root at a = 0.5)
+    return out
 
 
 def _rhs_core(state: State, params: Params):
-    """Right-hand side plus its shared intermediates: du, dv, gu, gv, uv, u^alpha, lap_v."""
+    """Right-hand side plus its shared intermediates: du, dv, gu, gv, uv, u^alpha, lap_v,
+    then the scratch (face data, three cell arrays) that ``stepper`` reuses.
+
+    Every buffer is allocated here, once per state, and written in place; nothing
+    returned is overwritten later, so one rhs can serve any number of step attempts.
+    """
     g, u, v = state.grid, state.u, state.v
+    flux = g.faces()
+    c0, c1, c2 = np.empty(g.shape), np.empty(g.shape), np.empty(g.shape)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         uv = u * v
         ua = _power(u, params.alpha)
         gu = g.face_gradient(u)
         gv = g.face_gradient(v)
-        dcoef = face_average(g, uv, params.avg_mode)
-        du = g.div_faces([dcoef[a] * gu[a] for a in range(g.dim)])
-        lap_v = g.div_faces(gv)
+        face_average(g, uv, params.avg_mode, out=flux)
+        for a in range(g.dim):
+            flux[a] *= gu[a]
+        du = g.div_faces(flux, cell=c2)
+        lap_v = g.div_faces(gv, cell=c2)
         if params.chi != 0.0:
-            acoef = face_average(g, ua * v, params.avg_mode)
-            du = du - params.chi * g.div_faces([acoef[a] * gv[a] for a in range(g.dim)])
+            face_average(g, np.multiply(ua, v, out=c0), params.avg_mode, out=flux)
+            for a in range(g.dim):
+                flux[a] *= gv[a]
+            taxis = g.div_faces(flux, out=c1, cell=c2)
+            taxis *= params.chi
+            du -= taxis
         if params.ell != 0.0:
-            du = du + params.ell * uv
+            du += np.multiply(uv, params.ell, out=c0)
         dv = lap_v - uv
-    if not np.isfinite(du).all() or not np.isfinite(dv).all():
+        # a non-finite entry of du or dv makes du . dv non-finite; an overflowing
+        # product of finite entries takes the slow path
+        finite = math.isfinite(np.vdot(du, dv))
+    if not finite and not (np.isfinite(du).all() and np.isfinite(dv).all()):
         bad = np.argwhere(~(np.isfinite(du) & np.isfinite(dv)))[0]
         raise FloatingPointError(f"rhs overflow at cell {tuple(int(i) for i in bad)}")
-    return du, dv, gu, gv, uv, ua, lap_v
+    return du, dv, gu, gv, uv, ua, lap_v, (flux, (c0, c1, c2))
 
 
 def assemble_rhs(state: State, params: Params) -> tuple[np.ndarray, np.ndarray]:

@@ -52,14 +52,17 @@ class Cadence:
     """Clock ticking at k * every for k = 1, 2, ...; every=None never ticks.
 
     A tick counts as reached once t is within 1e-12 * t_end of it, so a step
-    whose dt was clipped to land on a tick reaches it despite rounding.
+    whose dt was clipped to land on a tick reaches it despite rounding.  A period
+    below that tolerance is refused: the run's step floor would overshoot every tick.
     """
 
     def __init__(self, every: float | None, t_end: float):
+        self.tol = 1e-12 * t_end
         if every is not None and not 0.0 < every < math.inf:
             raise ValueError(f"cadence must be positive and finite, got {every}")
+        if every is not None and every < self.tol:
+            raise ValueError(f"cadence must be at least 1e-12 * t_end = {self.tol:g}, got {every}")
         self.every = every
-        self.tol = 1e-12 * t_end
         self.k = 1
 
     def next_tick(self) -> float:
@@ -70,6 +73,9 @@ class Cadence:
         if t < self.next_tick() - self.tol:
             return None
         first = self.k
+        # jump to at most the first unreached tick (at most 1e12 ticks away, so the
+        # estimate rounds by less than one), then walk to it exactly
+        self.k = max(self.k, int((t + self.tol) / self.every) - 1)
         while t >= self.next_tick() - self.tol:
             self.k += 1
         return first
@@ -102,23 +108,29 @@ def _dt_limits(state: State, params: Params, uv, ua) -> float:
 
 
 def _advance_accumulators(state: State, params: Params, dt: float,
-                          gu, gv, uv, lap_v) -> Accumulators:
-    """Left-endpoint update of every running integral, each a cell quadrature (see ``grid``)."""
+                          gu, gv, uv, lap_v, scratch) -> Accumulators:
+    """Left-endpoint update of every running integral, each a cell quadrature (see ``grid``),
+    with every product written into the rhs's ``scratch`` once its last reader is done."""
     g, u, v = state.grid, state.u, state.v
-    cgu2, cgv2 = g.cell_dot(gu, gu), g.cell_dot(gv, gv)
-    # with q = |grad v|^2 / v: u |grad v|^4 / v^3 = (u / v) q^2, |grad v|^6 / v^5 = q^2 q / v^2
-    u_over_v, q = u / v, cgv2 / v
-    q2 = q * q
+    flux, (c0, c1, c2) = scratch
+    cgu2 = g.cell_dot(gu, gu, out=c0, faces=flux, cell=c2)
+    cgv2 = g.cell_dot(gv, gv, out=c1, faces=flux, cell=c2)
     sums = dict(uv=uv.sum(),
                 v_gradu_sq=np.vdot(v, cgu2),
                 u_gradv_sq=np.vdot(u, cgv2),
-                lap_v_sq=np.vdot(lap_v, lap_v),
-                u1ma_v_gradu_sq=np.vdot(_power(u, 1.0 - params.alpha) * v, cgu2),
-                v_over_u_gradu_sq=np.vdot(v / u, cgu2),
-                u_over_v_gradv_sq=np.vdot(u_over_v, cgv2),
-                u_gradv4_over_v3=np.vdot(u_over_v, q2),
-                gradv6_over_v5=np.vdot(q2, q / (v * v)),
-                u73_v=np.vdot(u ** (7.0 / 3.0), v))
+                lap_v_sq=np.vdot(lap_v, lap_v))
+    sums["u1ma_v_gradu_sq"] = np.vdot(
+        np.multiply(_power(u, 1.0 - params.alpha, out=c2), v, out=c2), cgu2)
+    sums["v_over_u_gradu_sq"] = np.vdot(np.divide(v, u, out=c2), cgu2)
+    # with q = |grad v|^2 / v: u |grad v|^4 / v^3 = (u / v) q^2, |grad v|^6 / v^5 = q^2 q / v^2
+    u_over_v = np.divide(u, v, out=c2)
+    sums["u_over_v_gradv_sq"] = np.vdot(u_over_v, cgv2)
+    q = np.divide(cgv2, v, out=c1)
+    q2 = np.multiply(q, q, out=c0)
+    sums["u_gradv4_over_v3"] = np.vdot(u_over_v, q2)
+    v2 = np.multiply(v, v, out=c2)
+    sums["gradv6_over_v5"] = np.vdot(q2, np.divide(q, v2, out=c2))
+    sums["u73_v"] = np.vdot(_power(u, 7.0 / 3.0, out=c2), v)
     return Accumulators(**{n: getattr(state.acc, n) + dt * float(x) * g.cell_volume
                            for n, x in sums.items()})
 
@@ -126,17 +138,21 @@ def _advance_accumulators(state: State, params: Params, dt: float,
 def step(state: State, params: Params, dt: float, rhs=None) -> State:
     """One accepted forward-Euler step, or StepRejected; never mutates input.
 
-    rhs is the state's ``_rhs_core`` result, computed here if None.  The discrete
+    rhs is the state's ``_rhs_core`` result, computed here if None; its returned
+    arrays are only read, so a step may be taken again from the same rhs.  The discrete
     mass law holds to rounding: integrate(u') = integrate(u) + dt * ell * integrate(u v)
     and integrate(v') = integrate(v) - dt * integrate(u v).
     """
-    du, dv, gu, gv, uv, _, lap_v = rhs or _rhs_core(state, params)
-    u2 = state.u + dt * du
-    v2 = state.v + dt * dv
-    for field, bad in (("u", u2 < 0.0), ("v", v2 <= 0.0)):
-        if bool(bad.any()):
-            raise StepRejected(state.t, dt, field, tuple(map(int, np.argwhere(bad)[0])))
-    acc = _advance_accumulators(state, params, dt, gu, gv, uv, lap_v)
+    du, dv, gu, gv, uv, _, lap_v, scratch = rhs or _rhs_core(state, params)
+    u2 = du * dt
+    u2 += state.u
+    v2 = dv * dt
+    v2 += state.v
+    if u2.min() < 0.0 or v2.min() <= 0.0:
+        for field, bad in (("u", u2 < 0.0), ("v", v2 <= 0.0)):
+            if bool(bad.any()):
+                raise StepRejected(state.t, dt, field, tuple(map(int, np.argwhere(bad)[0])))
+    acc = _advance_accumulators(state, params, dt, gu, gv, uv, lap_v, scratch)
     return State(grid=state.grid, t=state.t + dt, u=u2, v=v2, acc=acc)
 
 

@@ -79,6 +79,10 @@ def test_run_config_rejects_bad_cadence(tmp_path):
         replace(cfg, snapshot_cadence=0.0)
     with pytest.raises(ValueError, match="invalid value for monitor_cadence"):
         replace(cfg, monitor_cadence=math.inf)
+    # below the clock's tick tolerance 1e-12 * t_end = 5e-14 of this config
+    with pytest.raises(ValueError, match="invalid value for monitor_cadence: cadence must be "
+                                         "at least 1e-12 \\* t_end = 5e-14, got 1e-15"):
+        replace(cfg, monitor_cadence=1e-15)
 
 
 def test_parse_comments_and_spacing():
@@ -255,7 +259,7 @@ def test_cmd_run_four_residual_rows_per_monitor_tick(tmp_path):
         assert {r[2] for r in block} == {row[0]}  # t1 of the step landing on the tick
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.005"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.005", "1e-25", "1e-15"])
 @pytest.mark.parametrize("key", ["monitor_cadence", "snapshot_cadence"])
 def test_main_run_rejects_bad_cadence(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "run.cfg"
@@ -585,6 +589,17 @@ def test_main_rejects_a_bad_p_list_before_any_output(tmp_path, capsys, command, 
     assert cli.main(_argv(command, _write_cfg(tmp_path, f"p_list = 1,{order}\n"))) == 2
     err = capsys.readouterr().err
     assert err == f"error: invalid value for p_list: {float(order)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["monitor_cadence", "snapshot_cadence"])
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_main_rejects_a_cadence_below_the_tick_tolerance_before_any_output(tmp_path, capsys,
+                                                                           command, key):
+    assert cli.main(_argv(command, _write_cfg(tmp_path, f"{key} = 1e-25\n"))) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: invalid value for {key}: cadence must be at least "
+                   f"1e-12 * t_end = 2e-14, got 1e-25\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -97,14 +97,14 @@ def test_face_gradient_cosine_accuracy():
 
 def test_div_faces_zero_flux():
     g = Grid((6, 5))
-    assert np.all(g.div_faces([np.zeros(g.face_shape(a)) for a in range(g.dim)]) == 0.0)
+    assert np.all(g.div_faces(g.faces()) == 0.0)
 
 
 def test_div_faces_telescoping():
     rng = np.random.default_rng(0)
     for cells in (64, (16, 12)):
         g = Grid(cells)
-        flux = [np.zeros(g.face_shape(a)) for a in range(g.dim)]
+        flux = g.faces()
         n_faces = 0
         for a, fa in enumerate(flux):
             it = [slice(None)] * g.dim
@@ -197,3 +197,24 @@ def test_cell_dot_summation_by_parts(cells):
     lhs = g.integrate(g.cell_dot(g.face_gradient(f), g.face_gradient(w)))
     rhs = -g.integrate(f * g.laplacian_neumann(w))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("cells", [9, (6, 5), (5, 4, 3)])
+def test_out_forms_bit_equal_the_allocating_forms(cells):
+    # destinations and scratch start dirty
+    rng = np.random.default_rng(7)
+    g = Grid(cells)
+    f, w = rng.uniform(-1.0, 1.0, g.shape), rng.uniform(-1.0, 1.0, g.shape)
+
+    def same(x, y):
+        return [a.tobytes() for a in x] == [a.tobytes() for a in y]
+
+    gf, gw = g.face_gradient(f), g.face_gradient(w)
+    assert same([g.div_faces(gf, out=np.full(g.shape, np.nan), cell=np.full(g.shape, np.nan))],
+                [g.div_faces(gf)])
+    dirty_faces = [np.full(shape, np.nan) for shape in g.face_shapes]
+    got = g.cell_dot(gf, gw, out=np.full(g.shape, np.nan), faces=dirty_faces,
+                     cell=np.full(g.shape, np.nan))
+    assert same([got], [g.cell_dot(gf, gw)])
+    assert [fa.shape for fa in g.faces()] == list(g.face_shapes)
+    assert not any(fa.any() for fa in g.faces())

@@ -111,7 +111,7 @@ def test_cosine_field_sampler_properties():
         assert phi.max() < math.exp(0.6) + 1e-12
         # continuous field has zero normal derivative; discrete wall faces too
         for a, ga in enumerate(g.face_gradient(phi)):
-            assert ga.shape == g.face_shape(a)
+            assert ga.shape == g.face_shapes[a]
             assert np.all(np.take(ga, [0, -1], axis=a) == 0.0)
 
 

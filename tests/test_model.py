@@ -111,6 +111,20 @@ def test_face_diffusivity_degenerate_and_means():
         face_average(g, u, "median")
 
 
+@pytest.mark.parametrize("mode", ["arithmetic", "geometric"])
+@pytest.mark.parametrize("cells", [9, (6, 5), (5, 4, 3)])
+def test_face_average_out_form_bit_equals_the_allocating_form(cells, mode):
+    rng = np.random.default_rng(3)
+    g = Grid(cells)
+    w = rng.uniform(0.0, 2.0, g.shape)
+    out = g.faces()
+    for a, fa in enumerate(out):
+        fa[g.inner[a]] = np.nan  # a reused destination: only its zero walls are kept
+    got = face_average(g, w, mode, out=out)
+    assert got is out
+    assert [fa.tobytes() for fa in got] == [fa.tobytes() for fa in face_average(g, w, mode)]
+
+
 def test_rhs_constant_state_is_pure_reaction():
     g = Grid((12, 12))
     p = Params(alpha=0.7, epsilon=0.01, ell=0.7)

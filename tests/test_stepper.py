@@ -180,17 +180,24 @@ def test_cadence_due_returns_first_reached_tick():
     assert ticks.next_tick() == pytest.approx(0.4)
     assert ticks.due(0.35) is None
     assert Cadence(None, t_end=1.0).due(1e9) is None
+    ticks = Cadence(1e-12, t_end=1.0)  # the finest period: reached ticks are jumped, not walked
+    assert ticks.due(0.5) == 1
+    assert (ticks.k - 1) * 1e-12 - ticks.tol <= 0.5 < ticks.next_tick() - ticks.tol
 
 
-@pytest.mark.parametrize("every", [0.0, -0.005, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("every", [0.0, -0.005, math.nan, math.inf, -math.inf, 1e-25, 9.99e-13])
 def test_cadence_rejects_bad_periods(every):
-    with pytest.raises(ValueError, match="cadence must be positive and finite"):
+    # a finite period below the tick tolerance 1e-12 * t_end is refused too: the step
+    # floor would overshoot every tick
+    message = ("cadence must be positive and finite" if not 0.0 < every < math.inf
+               else f"cadence must be at least 1e-12 \\* t_end = 1e-12, got {every}")
+    with pytest.raises(ValueError, match=message):
         Cadence(every, t_end=1.0)
     g = Grid(8)
     p = Params(alpha=1.0, epsilon=0.01)
     s = build_initial(g, InitialData(kind="constant"), p)
-    with pytest.raises(ValueError, match="cadence must be positive and finite"):
-        run(s, p, StepControl(t_end=0.01), monitor_cadence=every)
+    with pytest.raises(ValueError, match=message):
+        run(s, p, StepControl(t_end=1.0), monitor_cadence=every)
 
 
 def test_step_control_rejects_non_finite():
@@ -438,3 +445,44 @@ def test_accepted_steps_keep_the_scheme_guarantees(alpha, chi, ell, cfl_safety, 
     assert g.integrate(new.v) == pytest.approx(g.integrate(s.v) - dt * uv, rel=1e-12)
     assert new.v.max() <= s.v.max() * (1.0 + 1e-14)
     assert new.u.min() >= 0.0 and new.v.min() > 0.0
+
+
+def _cosine_state(cells, p):
+    return build_initial(Grid(cells), InitialData(kind="cosine_mix", u_base=1.0, u_amplitude=-0.5,
+                                                  v_amplitude=0.2), p)
+
+
+@pytest.mark.parametrize("cells", [32, (8, 6), (5, 4, 3)])
+def test_step_taken_twice_from_one_rhs_is_bit_equal(cells):
+    # the accumulators reuse the rhs's scratch; nothing the rhs returns is overwritten
+    p = Params(alpha=1.25, epsilon=0.01, chi=2.0, ell=1.0)
+    s = _cosine_state(cells, p)
+    rhs = stepper._rhs_core(s, p)
+    dt = stepper._dt_limits(s, p, *rhs[4:6])
+    a = step(s, p, dt, rhs)
+    first = (a.u.tobytes(), a.v.tobytes(), a.acc)  # before the retake could write into a
+    b = step(s, p, dt, rhs)
+    assert (b.u.tobytes(), b.v.tobytes(), b.acc) == first
+    assert (a.u.tobytes(), a.v.tobytes()) == first[:2]
+
+
+@pytest.mark.parametrize("case", ["1d-notch", "2d-alpha1", "3d-arithmetic"])
+def test_observed_steps_recompute_bit_equal_from_scratch(case):
+    # an observer keeps every (prev, new, dt); no buffer of a later step may alias them
+    if case == "1d-notch":
+        s, p = _notch_state()  # rejects and halves, so attempts share one rhs
+        control = StepControl(t_end=2e-3, max_rejects=60)
+    elif case == "2d-alpha1":
+        p = Params(alpha=1.0, epsilon=0.01, chi=3.0, ell=1.0)  # u^alpha is u itself
+        s, control = _cosine_state((8, 6), p), StepControl(t_end=0.01)
+    else:
+        p = Params(alpha=1.75, epsilon=0.01, chi=3.0, ell=1.0, avg_mode="arithmetic")
+        s, control = _cosine_state((5, 4, 3), p), StepControl(t_end=0.01)
+    seen = []
+    traj = run(s, p, control, observers=[lambda prev, new, dt: seen.append((prev, new, dt))])
+    assert len(seen) == traj.n_steps > 1
+    assert case != "1d-notch" or traj.n_rejected >= 1
+    for prev, new, dt in seen:
+        again = step(prev, p, dt)
+        assert again.u.tobytes() == new.u.tobytes() and again.v.tobytes() == new.v.tobytes()
+        assert again.acc == new.acc and again.t == new.t
