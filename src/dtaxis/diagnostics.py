@@ -13,7 +13,9 @@ of checks live in this module:
   positive fields or trajectory windows.
 
 Every gradient integral is the grid's one cell quadrature (see ``grid``), and
-each function forms each gradient product once per state.
+each function forms each gradient product once per state and reduces its
+integrands in one call: the rows of one buffer, summed by ``Grid.integrals``
+(by a row sum over interior cells in ``check_log_hessian``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, first_cell, lp_power, lp_root
 from .model import Accumulators, Params, State, _power
 
 P_LIST = (1.0, 2.0, 3.0)  # default orders of the u moment monitors lp_{p}_u
@@ -110,27 +112,22 @@ def monitor_row(state: State, params: Params,
     g, u, v = state.grid, state.u, state.v
     inf_v = float(v.min())
     if inf_v <= 0.0:
-        raise ValueError(f"v positivity lost at t={state.t:.6g}")
-    gv = g.face_gradient(v)
-    cgv2 = g.cell_dot(gv, gv)
+        raise ValueError(f"v positivity lost at t={state.t:.6g} at cell {first_cell(v <= 0.0)}")
     a = params.alpha
-    cfe = g.integrate(_power(u, 3.0 - a) / ((2.0 - a) * (3.0 - a)) - u * v)
-    mass_u, mass_v = g.integrate(u), g.integrate(v)
-    row = MonitorRow(
-        t=state.t,
-        mass_u=mass_u,
-        mass_v=mass_v,
-        total_mass=mass_u + params.ell * mass_v,
-        sup_u=float(u.max()),
-        sup_v=float(v.max()),
-        inf_v=inf_v,
-        log_energy=g.integrate(_xlogx(u)),
-        grad2_over_v=g.integrate(cgv2 / v),
-        grad4_energy=g.integrate(cgv2 * cgv2 / v ** 3),
-        combined_flux_energy=cfe,
-        lp_norms=tuple(g.lp_norm(u, p) for p in p_list),
-        acc=state.acc,
-    )
+    rows = np.empty((6 + len(p_list),) + g.shape)  # six integrands, then the moments
+    gv = g.face_gradient(v)
+    cgv2 = g.cell_dot(gv, gv, out=rows[3])
+    np.divide(np.multiply(cgv2, cgv2, out=rows[4]), np.power(v, 3, out=rows[5]), out=rows[4])
+    cgv2 /= v
+    np.divide(_power(u, 3.0 - a, out=rows[5]), (2.0 - a) * (3.0 - a), out=rows[5])
+    rows[5] -= np.multiply(u, v, out=rows[2])  # rows 0 to 2 serve as scratch until here
+    rows[0], rows[1], rows[2] = u, v, _xlogx(u)
+    for p, row in zip(p_list, rows[6:]):
+        lp_power(u, p, out=row)
+    mass_u, mass_v, *sums = g.integrals(rows)  # then log_energy .. combined_flux_energy
+    row = MonitorRow(state.t, mass_u, mass_v, mass_u + params.ell * mass_v, float(u.max()),
+                     float(v.max()), inf_v, *sums[:4], tuple(map(lp_root, sums[4:], p_list)),
+                     state.acc)
     for name, x in zip(MonitorRow.csv_header(p_list), row.csv_values()):
         if not math.isfinite(x):
             raise ValueError(f"non-finite monitor entry {name} at t={state.t:.6g}")
@@ -164,18 +161,17 @@ def residual_v_energy(prev: State, nxt: State, params: Params) -> ResidualReport
     Continuous law: (1/2) d/dt int |grad v|^2 + int |lap v|^2
     + int u |grad v|^2 = - int v grad(u) . grad(v).
     """
-    g = prev.grid
-    dt = nxt.t - prev.t
-    gv0 = g.face_gradient(prev.v)
-    gv1 = g.face_gradient(nxt.v)
-    gu0 = g.face_gradient(prev.u)
-    cgv0 = g.cell_dot(gv0, gv0)
-    rate = 0.5 * (g.integrate(g.cell_dot(gv1, gv1)) - g.integrate(cgv0)) / dt
-    lap = g.div_faces(gv0)
-    t_lap = g.integrate(lap * lap)
-    t_uvv = g.integrate(prev.u * cgv0)
-    t_mix = g.integrate(prev.v * g.cell_dot(gu0, gv0))
-    rhs = -(t_lap + t_uvv + t_mix)
+    g, dt = prev.grid, nxt.t - prev.t
+    buf = np.empty((5,) + g.shape)  # the five integrands
+    gv0, gv1 = g.face_gradient(prev.v), g.face_gradient(nxt.v)
+    g.cell_dot(gv1, gv1, out=buf[0])
+    cgv0 = g.cell_dot(gv0, gv0, out=buf[1])
+    lap = g.div_faces(gv0, out=buf[2], cell=buf[3])
+    np.multiply(lap, lap, out=lap)
+    np.multiply(prev.u, cgv0, out=buf[3])
+    np.multiply(prev.v, g.cell_dot(g.face_gradient(prev.u), gv0, out=buf[4]), out=buf[4])
+    e1, e0, t_lap, t_uvv, t_mix = g.integrals(buf)
+    rate, rhs = 0.5 * (e1 - e0) / dt, -(t_lap + t_uvv + t_mix)
     return ResidualReport("v_energy", prev.t, nxt.t, rate, rhs, rate - rhs,
                           _normalizer(rate, t_lap, t_uvv, t_mix))
 
@@ -185,12 +181,14 @@ def residual_vq_identity(prev: State, nxt: State, q: float,
     """Residual of (1/q) d/dt int v^q = -(q-1) int v^(q-2)|grad v|^2 - int u v^q."""
     if q <= 1.0:
         raise ValueError(f"q must exceed 1, got {q}")
-    g = prev.grid
-    dt = nxt.t - prev.t
-    rate = (g.integrate(nxt.v ** q) - g.integrate(prev.v ** q)) / (q * dt)
+    g, dt = prev.grid, nxt.t - prev.t
+    buf = np.empty((4,) + g.shape)  # the four integrands
+    _power(nxt.v, q, out=buf[0])
+    np.multiply(prev.u, _power(prev.v, q, out=buf[1]), out=buf[3])
     gv0 = g.face_gradient(prev.v)
-    t_grad = (q - 1.0) * g.integrate(_power(prev.v, q - 2.0) * g.cell_dot(gv0, gv0))
-    t_cons = g.integrate(prev.u * prev.v ** q)
+    np.multiply(g.cell_dot(gv0, gv0, out=buf[2]), _power(prev.v, q - 2.0), out=buf[2])
+    e1, e0, grad, t_cons = g.integrals(buf)
+    rate, t_grad = (e1 - e0) / (q * dt), (q - 1.0) * grad
     rhs = -(t_grad + t_cons)
     return ResidualReport(f"v_pow_{q:g}", prev.t, nxt.t, rate, rhs, rate - rhs,
                           _normalizer(rate, t_grad, t_cons))
@@ -218,25 +216,29 @@ def residual_upvq_identity(prev: State, nxt: State, p: float, q: float,
     and p=1, q=0 reproduces the mass law.
     """
     g, u, v = prev.grid, prev.u, prev.v
-    a = params.alpha
-    dt = nxt.t - prev.t
-    up, up_m1, vq, vq_p1 = _power(u, p), _power(u, p - 1.0), _power(v, q), _power(v, q + 1.0)
-    upvq = up * vq
-    rate = (g.integrate(_power(nxt.u, p) * _power(nxt.v, q)) - g.integrate(upvq)) / dt
-    gu = g.face_gradient(u)
-    gv = g.face_gradient(v)
+    a, dt = params.alpha, nxt.t - prev.t
+    r = np.empty((10,) + g.shape)  # the next and current u^p v^q, then T1..T8
+    gu, gv = g.face_gradient(u), g.face_gradient(v)
     cuu, cvv, cuv = g.cell_dot(gu, gu), g.cell_dot(gv, gv), g.cell_dot(gu, gv)
-    t1 = p * (1.0 - p) * g.integrate(up_m1 * vq_p1 * cuu)
-    t2 = p * q * g.integrate(_power(u, p - 1.0 + a) * vq * cvv)
-    t3 = p * params.ell * g.integrate(up * vq_p1)
-    t4 = p * (p - 1.0) * g.integrate(_power(u, p - 2.0 + a) * vq_p1 * cuv)
-    t5 = -p * q * g.integrate(upvq * cuv)
-    t6 = -p * q * g.integrate(up_m1 * _power(v, q - 1.0) * cuv)
-    t7 = -q * (q - 1.0) * g.integrate(up * _power(v, q - 2.0) * cvv)
-    t8 = -q * g.integrate(_power(u, p + 1.0) * vq)
-    rhs = t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8
+    del gu, gv  # their memory serves the powers
+    up, up_m1, vq, vq_p1 = _power(u, p), _power(u, p - 1.0), _power(v, q), _power(v, q + 1.0)
+    np.multiply(_power(nxt.u, p, out=r[0]), _power(nxt.v, q, out=r[2]), out=r[0])
+    upvq = np.multiply(up, vq, out=r[1])
+    np.multiply(np.multiply(up_m1, vq_p1, out=r[2]), cuu, out=r[2])
+    np.multiply(np.multiply(_power(u, p - 1.0 + a, out=r[3]), vq, out=r[3]), cvv, out=r[3])
+    np.multiply(up, vq_p1, out=r[4])
+    np.multiply(np.multiply(_power(u, p - 2.0 + a, out=r[5]), vq_p1, out=r[5]), cuv, out=r[5])
+    np.multiply(upvq, cuv, out=r[6])
+    np.multiply(np.multiply(up_m1, _power(v, q - 1.0, out=r[7]), out=r[7]), cuv, out=r[7])
+    np.multiply(np.multiply(up, _power(v, q - 2.0, out=r[8]), out=r[8]), cvv, out=r[8])
+    np.multiply(_power(u, p + 1.0, out=r[9]), vq, out=r[9])
+    e1, e0, *sums = g.integrals(r)
+    rate = (e1 - e0) / dt
+    coef = (p * (1.0 - p), p * q, p * params.ell, p * (p - 1.0), -p * q, -p * q, -q * (q - 1.0), -q)
+    terms = [c * x for c, x in zip(coef, sums)]
+    rhs = sum(terms[1:], terms[0])  # T1 + T2 + ... + T8, left to right
     return ResidualReport(f"u{p:g}_v{q:g}", prev.t, nxt.t, rate, rhs, rate - rhs,
-                          _normalizer(rate, t1, t2, t3, t4, t5, t6, t7, t8))
+                          _normalizer(rate, *terms))
 
 
 @dataclass(frozen=True)
@@ -261,23 +263,29 @@ class FirstEnergyReport(ResidualReport):
 
 def check_first_energy(prev: State, nxt: State, params: Params) -> FirstEnergyReport:
     g, u, v = prev.grid, prev.u, prev.v
-    a = params.alpha
+    a, dt = params.alpha, nxt.t - prev.t
     c = (2.0 - a) * (3.0 - a)
-    dt = nxt.t - prev.t
-    u3a, uv = _power(u, 3.0 - a), u * v
-    u3av = u3a * v
-    e_next = g.integrate(_power(nxt.u, 3.0 - a) / c - nxt.u * nxt.v)
-    rate = (e_next - g.integrate(u3a / c - uv)) / dt
-    gu = g.face_gradient(u)
+    r = np.empty((7,) + g.shape)  # the next and current energy density, the other 5 integrands
+    uv = u * v
+    u3a = _power(u, 3.0 - a, out=r[1])
+    u3av = np.multiply(u3a, v, out=r[6])
+    u3a /= c
+    r[1] -= uv
+    np.divide(u3av, 2.0 - a, out=r[5])
+    r[5] -= np.multiply(uv, v, out=r[4])
+    np.multiply(np.multiply(u, u, out=r[4]), v, out=r[4])
     gv = g.face_gradient(v)
-    gw = g.face_gradient(_power(u, 2.0 - a) / (2.0 - a))
-    gdiff = [gw[ax] - gv[ax] for ax in range(g.dim)]
-    dissipation = g.integrate(_power(u, a) * v * g.cell_dot(gdiff, gdiff))
-    t_mix = g.integrate(g.cell_dot(gu, gv))
-    t_quad = g.integrate(u * u * v)
-    t_grow = params.ell * g.integrate(u3av / (2.0 - a) - uv * v)
+    g.cell_dot(g.face_gradient(u), gv, out=r[3])
+    gw = g.face_gradient(np.divide(_power(u, 2.0 - a, out=uv), 2.0 - a, out=uv))
+    gdiff = [np.subtract(w, x, out=w) for w, x in zip(gw, gv)]
+    np.multiply(np.multiply(_power(u, a, out=r[2]), v, out=r[2]),
+                g.cell_dot(gdiff, gdiff, out=uv), out=r[2])
+    np.divide(_power(nxt.u, 3.0 - a, out=r[0]), c, out=r[0])
+    r[0] -= np.multiply(nxt.u, nxt.v, out=uv)
+    e_next, e_now, dissipation, t_mix, t_quad, grow, u3av_sum = g.integrals(r)
+    rate, t_grow = (e_next - e_now) / dt, params.ell * grow
     lhs, rhs = rate + dissipation, t_grow + t_mix + t_quad
-    rhs_ineq = (params.ell / (2.0 - a)) * g.integrate(u3av) + t_mix + t_quad
+    rhs_ineq = (params.ell / (2.0 - a)) * u3av_sum + t_mix + t_quad
     return FirstEnergyReport(
         "first_energy", prev.t, nxt.t, lhs, rhs, lhs - rhs,
         _normalizer(rate, dissipation, t_mix, t_quad, t_grow),
@@ -316,13 +324,12 @@ def check_sobolev_product(grid: Grid, phi: np.ndarray, psi: np.ndarray,
         raise ValueError("nonpositive field")
     if not 1.0 <= mu <= 3.0:
         raise ValueError(f"mu must lie in [1, N/(N-2)] = [1, 3] in N = 3 dimensions, got {mu}")
-    lhs = grid.integrate((_power(phi, p + 1.0) * psi) ** mu) ** (1.0 / mu)
-    gphi = grid.face_gradient(phi)
-    gpsi = grid.face_gradient(psi)
-    t_phi = grid.integrate(_power(phi, p - 1.0) * psi * grid.cell_dot(gphi, gphi))
-    t_psi = grid.integrate(_power(phi, p + 1.0) / psi * grid.cell_dot(gpsi, gpsi))
-    t_zero = grid.integrate(_power(phi, p + 1.0) * psi)
-    rhs = t_phi + t_psi + t_zero
+    gphi, gpsi = grid.face_gradient(phi), grid.face_gradient(psi)
+    w = _power(phi, p + 1.0) * psi
+    s_mu, t_phi, t_psi, t_zero = grid.integrals(np.stack([
+        w ** mu, _power(phi, p - 1.0) * psi * grid.cell_dot(gphi, gphi),
+        _power(phi, p + 1.0) / psi * grid.cell_dot(gpsi, gpsi), w]))
+    lhs, rhs = s_mu ** (1.0 / mu), t_phi + t_psi + t_zero
     return SobolevReport(p=p, mu=mu, lhs=lhs, grad_phi_term=t_phi,
                          grad_psi_term=t_psi, zero_order_term=t_zero,
                          ratio=lhs / rhs)
@@ -368,16 +375,15 @@ def check_log_hessian(grid: Grid, phi: np.ndarray, q: float) -> LogHessianReport
     if min(grid.cells) < 3:
         raise ValueError(f"log-Hessian check needs at least 3 cells per axis, got {grid.cells}")
     n = grid.dim
-    vol = grid.cell_volume
     inner = (slice(1, -1),) * n
     gphi = grid.face_gradient(phi)
     g2 = grid.cell_dot(gphi, gphi)[inner]
     ph = phi[inner]
-    hess_log = hessian_sq(grid, np.log(phi))[inner]
-    hess_phi = hessian_sq(grid, phi)[inner]
-    lhs_grad = float(np.sum(_power(ph, -q - 1.0) * g2 ** ((q + 2.0) / 2.0))) * vol
-    lhs_hess = float(np.sum(_power(ph, -q + 1.0) * g2 ** ((q - 2.0) / 2.0) * hess_phi)) * vol
-    base = float(np.sum(_power(ph, -q + 3.0) * g2 ** ((q - 2.0) / 2.0) * hess_log)) * vol
+    hess_log, hess_phi = hessian_sq(grid, np.log(phi))[inner], hessian_sq(grid, phi)[inner]
+    g2q = g2 ** ((q - 2.0) / 2.0)
+    rows = np.stack([_power(ph, -q - 1.0) * g2 ** ((q + 2.0) / 2.0),
+                     _power(ph, -q + 1.0) * g2q * hess_phi, _power(ph, -q + 3.0) * g2q * hess_log])
+    lhs_grad, lhs_hess, base = (rows.reshape(3, -1).sum(axis=1) * grid.cell_volume).tolist()
     return LogHessianReport(
         q=q,
         lhs_grad=lhs_grad,
@@ -500,14 +506,12 @@ def check_struc2_balance(pairs, params: Params,
         gu = g.face_gradient(u)
         gv, gv1 = g.face_gradient(v), g.face_gradient(nxt.v)
         cgv2, cgv2_1 = g.cell_dot(gv, gv), g.cell_dot(gv1, gv1)
-        quartic = cgv2 * cgv2 / v ** 3
-        da = (g.integrate(_xlogx(nxt.u) - nxt.u) - g.integrate(_xlogx(u) - u)) / dt
-        db = (g.integrate(cgv2_1 * cgv2_1 / nxt.v ** 3) - g.integrate(quartic)) / dt
-        p_term = g.integrate(v * g.cell_dot(gu, gu))
-        q_term = 2.0 * g.integrate(cgv2 / v * hessian_sq(g, np.log(v))) + g.integrate(u * quartic)
-        r_term = g.integrate(_power(u, 2.0 * params.alpha - 2.0) * v * cgv2) \
-            + g.integrate(v * _xlogx(u))
-        rows.append((da, db, p_term, q_term, r_term))
+        quartic, xlu = cgv2 * cgv2 / v ** 3, _xlogx(u)
+        a1, a0, b1, b0, p_term, q1, q2, r1, r2 = g.integrals(np.stack([
+            _xlogx(nxt.u) - nxt.u, xlu - u, cgv2_1 * cgv2_1 / nxt.v ** 3, quartic,
+            v * g.cell_dot(gu, gu), cgv2 / v * hessian_sq(g, np.log(v)), u * quartic,
+            _power(u, 2.0 * params.alpha - 2.0) * v * cgv2, v * xlu]))
+        rows.append(((a1 - a0) / dt, (b1 - b0) / dt, p_term, 2.0 * q1 + q2, r1 + r2))
 
     c_req = []
     for c0 in c0_grid:

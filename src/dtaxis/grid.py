@@ -34,8 +34,8 @@ FaceData = list[np.ndarray]
 class Grid:
     """Structured uniform grid in 1, 2 or 3 dimensions."""
 
-    __slots__ = ("dim", "cells", "lengths", "h", "shape", "cell_volume", "face_shapes",
-                 "lo", "hi", "inner")
+    __slots__ = ("dim", "cells", "lengths", "h", "hmin2", "shape", "cell_volume",
+                 "face_shapes", "lo", "hi", "inner")
 
     def __init__(self, cells, lengths=None):
         if isinstance(cells, (int, np.integer)):
@@ -56,6 +56,7 @@ class Grid:
         if any(not 0.0 < L < math.inf for L in self.lengths):
             raise ValueError(f"domain lengths must be positive and finite, got {self.lengths}")
         self.h = tuple(L / n for L, n in zip(self.lengths, self.cells))
+        self.hmin2 = min(h * h for h in self.h)
         self.shape = self.cells
         self.cell_volume = math.prod(self.h)
         # face data along axis a has one more entry than cells along a
@@ -101,10 +102,19 @@ class Grid:
     def integrate(self, f: np.ndarray) -> float:
         """Midpoint-rule integral over the box; exact on per-axis linears.  A
         non-finite cell, or a finite field whose sum overflows, fails the sum's check."""
-        s = float(np.sum(f))
+        s = float(f.sum())
         if not math.isfinite(s):
             raise ValueError("non-finite field")
         return s * self.cell_volume
+
+    def integrals(self, stack: np.ndarray) -> list[float]:
+        """``integrate`` of every row of a C-contiguous (k, *shape) stack in one reduction,
+        each bit for bit; the check names the first row whose sum is not finite."""
+        sums = stack.reshape(len(stack), -1).sum(axis=1).tolist()
+        for i, s in enumerate(sums):
+            if not math.isfinite(s):
+                raise ValueError(f"non-finite field in row {i}")
+        return [s * self.cell_volume for s in sums]
 
     def faces(self) -> FaceData:
         """Zero face data, the one allocator of face arrays."""
@@ -136,28 +146,38 @@ class Grid:
 
     def lp_norm(self, f: np.ndarray, p: float) -> float:
         """(integral of f^p)^(1/p).  f must be nonnegative when p is fractional."""
-        if p <= 0.0:
-            raise ValueError(f"lp_norm order must be positive, got {p}")
-        if p != round(p) and bool((f < 0.0).any()):
-            raise ValueError("fractional power of negative value")
-        s = float(np.sum(f if p == 1.0 else f ** p)) * self.cell_volume
-        if p == 1.0:
-            return s
-        if s < 0.0:
-            raise ValueError("negative integral, no real lp_norm")
-        return s ** (1.0 / p)
+        return lp_root(float(lp_power(f, p).sum()) * self.cell_volume, p)
 
     def cell_dot(self, ga: FaceData, gb: FaceData, out: np.ndarray | None = None,
                  faces: FaceData | None = None, cell: np.ndarray | None = None) -> np.ndarray:
         """grad a . grad b at cell centers: per axis, ga * gb averaged over the cell's two
         faces.  ``out`` receives it in place; ``faces`` and ``cell`` are scratch."""
-        if out is None:
-            out = np.zeros(self.shape)
-        else:
-            out.fill(0.0)
         for a in range(self.dim):
             prod = np.multiply(ga[a], gb[a], faces[a] if faces else None)
-            mean = np.add(prod[self.lo[a]], prod[self.hi[a]], cell)
+            mean = np.add(prod[self.lo[a]], prod[self.hi[a]], cell if a else out)
             mean *= 0.5
-            out += mean
+            out = np.add(out, mean, out=out) if a else mean
         return out
+
+
+def lp_power(f: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The integrand f^p of ``Grid.lp_norm``, written into ``out`` if given."""
+    if p <= 0.0:
+        raise ValueError(f"lp_norm order must be positive, got {p}")
+    if p != round(p) and bool((f < 0.0).any()):
+        raise ValueError(f"fractional power of negative value at cell {first_cell(f < 0.0)}")
+    out = np.positive(f, out=out, dtype=float)
+    out **= p  # the scalar-power path of f ** p
+    return out
+
+
+def lp_root(s: float, p: float) -> float:
+    """The L^p norm from the integral s of f^p."""
+    if p != 1.0 and s < 0.0:
+        raise ValueError("negative integral, no real lp_norm")
+    return s if p == 1.0 else s ** (1.0 / p)
+
+
+def first_cell(mask: np.ndarray) -> tuple[int, ...]:
+    """Index of the first true cell of a mask, in C order."""
+    return tuple(int(i) for i in np.argwhere(mask)[0])

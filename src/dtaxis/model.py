@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .grid import FaceData, Grid
+from .grid import FaceData, Grid, first_cell
 
 AVG_MODES = ("arithmetic", "geometric")
 INITIAL_KINDS = ("constant", "gaussian_bump", "cosine_mix", "from_snapshot")
@@ -161,15 +161,15 @@ def build_initial_from_fields(grid: Grid, u0: np.ndarray, v0: np.ndarray,
     if u0.shape != grid.shape or v0.shape != grid.shape:
         raise ValueError(f"initial fields of shape {u0.shape}/{v0.shape} do not fit grid {grid.shape}")
     for name, f in (("u0", u0), ("v0", v0)):
-        bad = np.argwhere(~np.isfinite(f))
-        if bad.size:
-            raise ValueError(f"{name} is not finite at cell {tuple(int(i) for i in bad[0])}")
+        if not np.isfinite(f).all():
+            raise ValueError(f"{name} is not finite at cell {first_cell(~np.isfinite(f))}")
     if bool((u0 < 0.0).any()):
-        raise ValueError("u0 must be nonnegative")
+        raise ValueError(f"u0 must be nonnegative, first negative at cell {first_cell(u0 < 0.0)}")
     if float(u0.max()) == 0.0:
         raise ValueError("u0 must not vanish identically")
     if float(v0.min()) < v_floor:
-        raise ValueError("initial v must be strictly positive")
+        c = first_cell(v0 < v_floor)
+        raise ValueError(f"initial v must be strictly positive: {v0[c]:g} < v_floor at cell {c}")
     return State(grid=grid, t=0.0, u=u0 + params.epsilon, v=v0.copy())
 
 
@@ -249,8 +249,8 @@ def _rhs_core(state: State, params: Params):
         # product of finite entries takes the slow path
         finite = math.isfinite(np.vdot(du, dv))
     if not finite and not (np.isfinite(du).all() and np.isfinite(dv).all()):
-        bad = np.argwhere(~(np.isfinite(du) & np.isfinite(dv)))[0]
-        raise FloatingPointError(f"rhs overflow at cell {tuple(int(i) for i in bad)}")
+        raise FloatingPointError(
+            f"rhs overflow at cell {first_cell(~(np.isfinite(du) & np.isfinite(dv)))}")
     return du, dv, gu, gv, uv, ua, lap_v, (flux, (c0, c1, c2))
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
+from .grid import first_cell
 from .model import Accumulators, Params, State, _power, _rhs_core
 
 
@@ -95,9 +96,9 @@ def _dt_limits(state: State, params: Params, uv, ua) -> float:
     """Step limit from the rhs's u v and u^alpha, with hmin2 = min_axes(h^2): the least of
     the CFL bound cfl_safety * hmin2 / (2 * dim * D*), D* = max(u v + chi u^alpha v),
     the reaction bound 1 / (max u + ell * max v) and the cap 1 / (2 * dim / hmin2 + max u)."""
-    g, u_max = state.grid, float(state.u.max())
-    hmin2 = min(h * h for h in g.h)
-    dstar = float(np.max(uv + params.chi * ua * state.v))
+    g, u_max, hmin2 = state.grid, float(state.u.max()), state.grid.hmin2
+    d = params.chi * ua  # D* = u v + (chi u^alpha) v, formed in this one buffer
+    dstar = float(np.add(np.multiply(d, state.v, out=d), uv, out=d).max())
     if not math.isfinite(dstar):
         raise RuntimeError("state blew up")
     dt = params.cfl_safety * hmin2 / (2.0 * g.dim * dstar) if dstar > 0.0 else math.inf
@@ -109,30 +110,23 @@ def _dt_limits(state: State, params: Params, uv, ua) -> float:
 
 def _advance_accumulators(state: State, params: Params, dt: float,
                           gu, gv, uv, lap_v, scratch) -> Accumulators:
-    """Left-endpoint update of every running integral, each a cell quadrature (see ``grid``),
-    with every product written into the rhs's ``scratch`` once its last reader is done."""
-    g, u, v = state.grid, state.u, state.v
+    """Left-endpoint update of every running integral in field order, each a cell quadrature
+    (see ``grid``), each product written into the rhs's ``scratch`` once its last reader is done."""
+    g, u, v, vol = state.grid, state.u, state.v, state.grid.cell_volume
     flux, (c0, c1, c2) = scratch
     cgu2 = g.cell_dot(gu, gu, out=c0, faces=flux, cell=c2)
     cgv2 = g.cell_dot(gv, gv, out=c1, faces=flux, cell=c2)
-    sums = dict(uv=uv.sum(),
-                v_gradu_sq=np.vdot(v, cgu2),
-                u_gradv_sq=np.vdot(u, cgv2),
-                lap_v_sq=np.vdot(lap_v, lap_v))
-    sums["u1ma_v_gradu_sq"] = np.vdot(
-        np.multiply(_power(u, 1.0 - params.alpha, out=c2), v, out=c2), cgu2)
-    sums["v_over_u_gradu_sq"] = np.vdot(np.divide(v, u, out=c2), cgu2)
+    sums = [uv.sum(), np.vdot(v, cgu2), np.vdot(u, cgv2), np.vdot(lap_v, lap_v),
+            np.vdot(np.multiply(_power(u, 1.0 - params.alpha, out=c2), v, out=c2), cgu2),
+            np.vdot(np.divide(v, u, out=c2), cgu2)]
     # with q = |grad v|^2 / v: u |grad v|^4 / v^3 = (u / v) q^2, |grad v|^6 / v^5 = q^2 q / v^2
     u_over_v = np.divide(u, v, out=c2)
-    sums["u_over_v_gradv_sq"] = np.vdot(u_over_v, cgv2)
+    sums.append(np.vdot(u_over_v, cgv2))
     q = np.divide(cgv2, v, out=c1)
     q2 = np.multiply(q, q, out=c0)
-    sums["u_gradv4_over_v3"] = np.vdot(u_over_v, q2)
-    v2 = np.multiply(v, v, out=c2)
-    sums["gradv6_over_v5"] = np.vdot(q2, np.divide(q, v2, out=c2))
-    sums["u73_v"] = np.vdot(_power(u, 7.0 / 3.0, out=c2), v)
-    return Accumulators(**{n: getattr(state.acc, n) + dt * float(x) * g.cell_volume
-                           for n, x in sums.items()})
+    sums += [np.vdot(u_over_v, q2), np.vdot(q2, np.divide(q, np.multiply(v, v, out=c2), out=c2)),
+             np.vdot(_power(u, 7.0 / 3.0, out=c2), v)]
+    return Accumulators(*[a + dt * float(x) * vol for a, x in zip(state.acc.values(), sums)])
 
 
 def step(state: State, params: Params, dt: float, rhs=None) -> State:
@@ -151,7 +145,7 @@ def step(state: State, params: Params, dt: float, rhs=None) -> State:
     if u2.min() < 0.0 or v2.min() <= 0.0:
         for field, bad in (("u", u2 < 0.0), ("v", v2 <= 0.0)):
             if bool(bad.any()):
-                raise StepRejected(state.t, dt, field, tuple(map(int, np.argwhere(bad)[0])))
+                raise StepRejected(state.t, dt, field, first_cell(bad))
     acc = _advance_accumulators(state, params, dt, gu, gv, uv, lap_v, scratch)
     return State(grid=state.grid, t=state.t + dt, u=u2, v=v2, acc=acc)
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from dtaxis import Grid, InitialData, Params, StepControl, build_initial
-from dtaxis.diagnostics import (MonitorRow, ResidualReport, check_first_energy,
-                                hessian_sq, monitor_row, residual_upvq_identity,
-                                residual_v_energy, residual_vq_identity)
-from dtaxis.model import State
+from dtaxis.diagnostics import (FirstEnergyReport, MonitorRow, ResidualReport,
+                                _normalizer, check_first_energy, hessian_sq, monitor_row,
+                                residual_upvq_identity, residual_v_energy,
+                                residual_vq_identity)
+from dtaxis.model import State, _power
 from dtaxis.stepper import run, step
 
 # reference for int (0.3 pi sin(pi x))^4 / (1 + 0.3 cos(pi x))^3 on [0, 1],
@@ -73,6 +74,13 @@ def test_monitor_positivity_hard_failure():
     s = _const_state(g)
     s.v[3] = 0.0
     with pytest.raises(ValueError, match="v positivity lost"):
+        monitor_row(s, p)
+    g = Grid((4, 5))
+    s = _const_state(g)
+    s.t = 0.25
+    s.v[2, 3] = -1e-9
+    s.v[3, 0] = 0.0
+    with pytest.raises(ValueError, match=r"v positivity lost at t=0.25 at cell \(2, 3\)"):
         monitor_row(s, p)
 
 
@@ -222,6 +230,88 @@ def test_first_energy_report_is_a_residual_report():
     assert rep.lhs == rep.rate + rep.dissipation
     assert rep.residual == rep.lhs - rep.rhs
     assert rep.slack == rep.rhs_inequality - rep.rate
+
+
+def _first_energy_by_definition(prev, nxt, params):
+    """check_first_energy written one integral at a time."""
+    g, u, v = prev.grid, prev.u, prev.v
+    a = params.alpha
+    c = (2.0 - a) * (3.0 - a)
+    dt = nxt.t - prev.t
+    u3a, uv = _power(u, 3.0 - a), u * v
+    u3av = u3a * v
+    e_next = g.integrate(_power(nxt.u, 3.0 - a) / c - nxt.u * nxt.v)
+    rate = (e_next - g.integrate(u3a / c - uv)) / dt
+    gu = g.face_gradient(u)
+    gv = g.face_gradient(v)
+    gw = g.face_gradient(_power(u, 2.0 - a) / (2.0 - a))
+    gdiff = [gw[ax] - gv[ax] for ax in range(g.dim)]
+    dissipation = g.integrate(_power(u, a) * v * g.cell_dot(gdiff, gdiff))
+    t_mix = g.integrate(g.cell_dot(gu, gv))
+    t_quad = g.integrate(u * u * v)
+    t_grow = params.ell * g.integrate(u3av / (2.0 - a) - uv * v)
+    lhs, rhs = rate + dissipation, t_grow + t_mix + t_quad
+    rhs_ineq = (params.ell / (2.0 - a)) * g.integrate(u3av) + t_mix + t_quad
+    return FirstEnergyReport(
+        "first_energy", prev.t, nxt.t, lhs, rhs, lhs - rhs,
+        _normalizer(rate, dissipation, t_mix, t_quad, t_grow),
+        rate=rate, dissipation=dissipation, rhs_inequality=rhs_ineq,
+        slack=rhs_ineq - rate,
+    )
+
+
+def _upvq_by_definition(prev, nxt, p, q, params):
+    """residual_upvq_identity written one integral at a time."""
+    g, u, v = prev.grid, prev.u, prev.v
+    a = params.alpha
+    dt = nxt.t - prev.t
+    up, up_m1, vq, vq_p1 = _power(u, p), _power(u, p - 1.0), _power(v, q), _power(v, q + 1.0)
+    upvq = up * vq
+    rate = (g.integrate(_power(nxt.u, p) * _power(nxt.v, q)) - g.integrate(upvq)) / dt
+    gu = g.face_gradient(u)
+    gv = g.face_gradient(v)
+    cuu, cvv, cuv = g.cell_dot(gu, gu), g.cell_dot(gv, gv), g.cell_dot(gu, gv)
+    t1 = p * (1.0 - p) * g.integrate(up_m1 * vq_p1 * cuu)
+    t2 = p * q * g.integrate(_power(u, p - 1.0 + a) * vq * cvv)
+    t3 = p * params.ell * g.integrate(up * vq_p1)
+    t4 = p * (p - 1.0) * g.integrate(_power(u, p - 2.0 + a) * vq_p1 * cuv)
+    t5 = -p * q * g.integrate(upvq * cuv)
+    t6 = -p * q * g.integrate(up_m1 * _power(v, q - 1.0) * cuv)
+    t7 = -q * (q - 1.0) * g.integrate(up * _power(v, q - 2.0) * cvv)
+    t8 = -q * g.integrate(_power(u, p + 1.0) * vq)
+    rhs = t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8
+    return ResidualReport(f"u{p:g}_v{q:g}", prev.t, nxt.t, rate, rhs, rate - rhs,
+                          _normalizer(rate, t1, t2, t3, t4, t5, t6, t7, t8))
+
+
+# the data kinds of the regime corpus
+CORPUS_KINDS = [
+    dict(kind="constant", u_base=0.0, u_amplitude=1.0, v_base=1.0),
+    dict(kind="gaussian_bump", u_amplitude=1.0, u_width=0.15, v_base=1.0),
+    dict(kind="cosine_mix", u_base=1.0, u_amplitude=-0.5, u_mode=2, v_base=1.0,
+         v_amplitude=0.2),
+]
+
+
+@pytest.mark.parametrize("cells, alpha, kind, avg_mode, chi", [
+    *((64, alpha, kind, "geometric", 1.0)
+      for alpha in (0.5, 1.25, 1.75) for kind in CORPUS_KINDS),
+    ((12, 10), 1.25, CORPUS_KINDS[2], "arithmetic", 3.0),
+    ((8, 7, 6), 1.25, CORPUS_KINDS[2], "arithmetic", 3.0),
+])
+def test_stacked_diagnostics_equal_their_definitions(cells, alpha, kind, avg_mode, chi):
+    # the one-reduction forms must give every report bit for bit
+    g = Grid(cells)
+    p = Params(alpha=alpha, epsilon=0.01, chi=chi, ell=1.0, avg_mode=avg_mode)
+    pairs = []
+    run(build_initial(g, InitialData(**kind), p), p, StepControl(t_end=3e-4, dt_max=1e-4),
+        observers=[lambda prev, new, dt: pairs.append((prev, new))])
+    assert len(pairs) >= 3
+    for prev, new in pairs:
+        assert check_first_energy(prev, new, p) == _first_energy_by_definition(prev, new, p)
+        for pp, qq in ((0.5, 1.0), (2.0, 3.0), (0.0, 2.0), (1.0, 0.0), (1.5, 0.5)):
+            assert (residual_upvq_identity(prev, new, pp, qq, p)
+                    == _upvq_by_definition(prev, new, pp, qq, p))
 
 
 def _interior_hessian_sq(cells, lengths, f):

@@ -59,6 +59,30 @@ def test_integrate_rejects_an_overflowing_sum():
         g.integrate(np.full(g.shape, 1e308))
 
 
+@pytest.mark.parametrize("cells", [64, 37, (8, 6), (7, 5), (5, 4, 3), (9, 7, 6)])
+def test_integrals_bit_equal_integrate(cells):
+    rng = np.random.default_rng(3)
+    g = Grid(cells, 0.7)
+    stack = rng.lognormal(0.0, 3.0, (5,) + g.shape) * rng.choice([-1.0, 1.0], (5,) + g.shape)
+    assert g.integrals(stack) == [g.integrate(f) for f in stack]
+    assert g.integrals(stack[2:3]) == [g.integrate(stack[2])]
+
+
+@pytest.mark.parametrize("cells", [16, (6, 5), (4, 3, 5)])
+def test_integrals_name_the_first_non_finite_row(cells):
+    g = Grid(cells)
+    stack = np.ones((4,) + g.shape)
+    stack[2].flat[3] = np.inf
+    stack[3].flat[0] = np.nan
+    with pytest.raises(ValueError, match="non-finite field in row 2"):
+        g.integrals(stack)
+    # every cell finite, but row 1 sums past the largest float
+    stack = np.ones((3,) + g.shape)
+    stack[1] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite field in row 1"):
+        g.integrals(stack)
+
+
 def test_integrate_linearity():
     rng = np.random.default_rng(42)
     g = Grid((12, 9), (1.0, 2.0))
@@ -183,6 +207,12 @@ def test_lp_norm_errors():
     f = -np.ones(g.shape)
     with pytest.raises(ValueError, match="fractional power of negative value"):
         g.lp_norm(f, 1.5)
+    g = Grid((3, 4))
+    f = np.ones(g.shape)
+    f[1, 2] = f[2, 0] = -0.5
+    with pytest.raises(ValueError, match=r"fractional power of negative value at cell \(1, 2\)"):
+        g.lp_norm(f, 0.5)
+    assert g.lp_norm(f, 2.0) == g.integrate(f ** 2) ** 0.5
     with pytest.raises(ValueError):
         g.lp_norm(np.ones(g.shape), 0.0)
 

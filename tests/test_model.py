@@ -86,6 +86,19 @@ def test_build_initial_errors():
         build_initial(g, InitialData(kind="constant", v_base=0.0, v_floor=0.5), p)
     with pytest.raises(ValueError, match="must not vanish identically"):
         build_initial(g, InitialData(kind="constant", u_base=0.0, u_amplitude=0.0), p)
+
+
+def test_build_initial_from_fields_names_the_cell():
+    g = Grid((4, 3))
+    p = Params(alpha=1.0, epsilon=0.01)
+    u0, v0 = np.ones(g.shape), np.ones(g.shape)
+    u0[2, 1] = u0[3, 0] = -1e-3
+    with pytest.raises(ValueError, match=r"u0 must be nonnegative, first negative at cell \(2, 1\)"):
+        build_initial_from_fields(g, u0, v0, p)
+    v0[1, 2], v0[3, 0] = 2e-4, 0.0
+    with pytest.raises(ValueError, match=r"initial v must be strictly positive: 0.0002 "
+                                         r"< v_floor at cell \(1, 2\)"):
+        build_initial_from_fields(g, np.ones(g.shape), v0, p)
     with pytest.raises(ValueError):
         InitialData(kind="banana")
 
