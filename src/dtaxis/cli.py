@@ -4,20 +4,21 @@ Subcommands:
 
 * ``run``                 one simulation; writes monitors.csv, residuals.csv
                           and (optionally) field snapshots at a fixed cadence
-* ``sweep``               independent runs over a list of response exponents,
-                          aggregated into one CSV tagged by regime
-* ``eps-study``           identical runs differing only in the regularization
-                          shift; reports successive L2 differences
+* ``sweep``               a run per response exponent in ``alpha_<value>/``;
+                          final rows aggregated into sweep.csv, tagged by regime
+* ``eps-study``           a run per regularization shift in ``epsilon_<value>/``;
+                          successive L2 differences written to eps_study.csv
 * ``verify-inequalities`` randomized batches of the functional-inequality
                           testers, reported as JSON lines
 * ``exponents``           prints a bootstrap exponent table as CSV
 * ``verify-exponents``    randomized verification of the exponent recursions
 
-Every command builds the starting state of each run (and of each sweep or
-eps-study member) before it writes any output or starts any run, so input is
-rejected at the boundary; a member that fails is reported and marked failed
-while the others run.  Exit codes: 2 when input is rejected before any run, 1
-when a run or a member fails.
+Both studies are one engine (``_study``) plus an aggregate, and ``--output-dir``
+replaces the config's output_dir once, in ``main``.  Every command builds the
+starting state of each run and study member before it writes any output or
+starts any run, so input is rejected at the boundary; a member that fails is
+reported and marked failed while the others run.  Exit codes: 2 when input is
+rejected before any run, 1 when a run or a member fails.
 
 Config files are line-oriented ``key = value`` with ``#`` comments; unknown
 keys are rejected, and a key whose record field has no default is required.
@@ -292,15 +293,15 @@ RESIDCOLS = ["identity", "t0", "t1", "lhs", "rhs", "residual", "normalizer",
              "rel_residual", "first_energy_slack"]
 
 
-def _output_dir(config: RunConfig, output_dir=None) -> Path:
-    out = Path(config.output_dir if output_dir is None else output_dir)
+def _output_dir(config: RunConfig) -> Path:
+    out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_run(config: RunConfig, state: State, output_dir) -> Trajectory:
+def _write_run(config: RunConfig, state: State) -> Trajectory:
     """Run a config from its starting state and persist its outputs; raises if the run fails."""
-    out = _output_dir(config, output_dir)
+    out = _output_dir(config)
     resid = _ResidualObserver(config.params, config.monitor_cadence, config.control.t_end)
     observers = [resid]
     if config.snapshot_cadence is not None:
@@ -324,21 +325,29 @@ def _started(fn, label: str, *args):
         return None
 
 
-def cmd_run(config: RunConfig, output_dir=None) -> int:
+def cmd_run(config: RunConfig) -> int:
     """Execute one configured run and persist its outputs; 0 on success, 1 on failure."""
     state = build_state(config)
-    return 1 if _started(_write_run, "", config, state, output_dir) is None else 0
+    return 1 if _started(_write_run, "", config, state) is None else 0
 
 
 # ---------------------------------------------------------------------------
-# member runs: sweep and epsilon study
+# studies: one run per value of a Params field, then an aggregate
 
 
-def _members(config: RunConfig, field: str, values) -> dict[float, tuple[RunConfig, State]]:
-    """(config, starting state) per distinct value of a Params field, all built before any runs."""
-    configs = {v: replace(config, params=replace(config.params, **{field: v}))
-               for v in dict.fromkeys(values)}
-    return {v: (cfg, build_state(cfg)) for v, cfg in configs.items()}
+def _study(config: RunConfig, key: str, values, workers: int = 1) -> dict:
+    """Trajectory, or None if it failed, per distinct value of the Params field key: a run of
+    config with key overridden, writing to ``{key}_{value!r}`` under config.output_dir.
+    Every member's starting state is built before any directory is made or any run starts."""
+    values = list(dict.fromkeys(values))
+    configs = [replace(config, params=replace(config.params, **{key: v}),
+                       output_dir=str(Path(config.output_dir) / f"{key}_{v!r}")) for v in values]
+    jobs = (functools.partial(_started, _write_run), [f"{key}={v}: " for v in values],
+            configs, [build_state(cfg) for cfg in configs])
+    if workers > 1 and len(values) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(values))) as pool:
+            return dict(zip(values, pool.map(*jobs)))
+    return dict(zip(values, map(*jobs)))
 
 
 def regime_label(alpha: float) -> str:
@@ -346,27 +355,15 @@ def regime_label(alpha: float) -> str:
     return "weak" if alpha <= 1.0 else "moderate" if alpha <= 1.5 else "strong"
 
 
-def _final_row(config: RunConfig, state: State, output_dir) -> list[str]:
-    return [_fmt(x) for x in _write_run(config, state, output_dir).rows[-1].csv_values()]
-
-
-def run_sweep(config: RunConfig, alphas, output_dir=None, workers: int = 1) -> list:
+def run_sweep(config: RunConfig, alphas, workers: int = 1) -> list:
     """Independent runs per response exponent, each distinct one once in
     ``alpha_{alpha!r}``; one aggregated CSV row per requested alpha."""
     alphas = [float(a) for a in alphas]
-    members = _members(config, "alpha", alphas)
-    out = _output_dir(config, output_dir)
-    jobs = (functools.partial(_started, _final_row), [f"alpha={a}: " for a in members],
-            [cfg for cfg, _ in members.values()], [state for _, state in members.values()],
-            [out / f"alpha_{a!r}" for a in members])
-    if workers > 1 and len(members) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(members))) as pool:
-            finals = dict(zip(members, pool.map(*jobs)))
-    else:
-        finals = dict(zip(members, map(*jobs)))
+    finals = {a: traj and [_fmt(x) for x in traj.rows[-1].csv_values()]
+              for a, traj in _study(config, "alpha", alphas, workers).items()}
     results = [(a, regime_label(a), "ok" if finals[a] else "failed", finals[a]) for a in alphas]
     cols = MonitorRow.csv_header(config.p_list)
-    _write_csv(out / "sweep.csv", ["alpha", "regime", "status"] + cols,
+    _write_csv(_output_dir(config) / "sweep.csv", ["alpha", "regime", "status"] + cols,
                [[a, regime, status, *(final or [""] * len(cols))]
                 for a, regime, status, final in results])
     return results
@@ -380,25 +377,20 @@ class EpsRow(NamedTuple):
     status: str
 
 
-def _final_state(config: RunConfig, state: State) -> State:
-    return run(state, config.params, config.control, monitor_cadence=None,
-               p_list=config.p_list).final
-
-
 def run_eps_study(config: RunConfig, eps_list) -> list[EpsRow]:
-    """Rerun one config over a decreasing list of regularization shifts.
-
-    Reports the L2 distance between final fields of consecutive runs.  Only
-    finiteness is asserted here: the underlying limit comes with no rate, so
-    monotonicity of the differences is not a contract.
+    """Rerun one config over a decreasing list of regularization shifts, each distinct one
+    once in ``epsilon_{eps!r}`` and with no monitor tick to clip its steps, and write the L2
+    distances between final fields of consecutive runs to eps_study.csv.  Only finiteness
+    is asserted: the underlying limit comes with no rate, so monotonicity of the
+    differences is not a contract.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2:
         raise ValueError("eps-study needs at least two epsilons")
     if any(b > a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be decreasing")
-    finals = {eps: _started(_final_state, f"epsilon={eps}: ", *member)
-              for eps, member in _members(config, "epsilon", eps_list).items()}
+    finals = {eps: traj and traj.final for eps, traj in
+              _study(replace(config, monitor_cadence=None), "epsilon", eps_list).items()}
     rows = []
     g = config.grid
     for ea, eb in zip(eps_list, eps_list[1:]):
@@ -408,13 +400,8 @@ def run_eps_study(config: RunConfig, eps_list) -> list[EpsRow]:
             continue
         rows.append(EpsRow(ea, eb, g.lp_norm(fb.u - fa.u, 2.0),
                            g.lp_norm(fb.v - fa.v, 2.0), "ok"))
+    _write_csv(_output_dir(config) / "eps_study.csv", list(EpsRow._fields), rows)
     return rows
-
-
-def cmd_eps_study(config: RunConfig, eps_list, output_dir=None) -> int:
-    rows = run_eps_study(config, eps_list)
-    _write_csv(_output_dir(config, output_dir) / "eps_study.csv", list(EpsRow._fields), rows)
-    return 0 if all(r.status == "ok" for r in rows) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +538,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(parse_config_file(args.config), output_dir=args.output_dir)
-        if args.command == "sweep":
-            results = run_sweep(parse_config_file(args.config), args.alphas,
-                                output_dir=args.output_dir, workers=args.workers)
-            return 0 if all(r[2] == "ok" for r in results) else 1
-        if args.command == "eps-study":
-            return cmd_eps_study(parse_config_file(args.config), args.eps,
-                                 output_dir=args.output_dir)
+        if args.command in ("run", "sweep", "eps-study"):
+            config = parse_config_file(args.config)
+            if args.output_dir is not None:
+                config = replace(config, output_dir=args.output_dir)
+            if args.command == "run":
+                return cmd_run(config)
+            if args.command == "sweep":
+                results = run_sweep(config, args.alphas, args.workers)
+                return 0 if all(r[2] == "ok" for r in results) else 1
+            return 0 if all(r.status == "ok" for r in run_eps_study(config, args.eps)) else 1
         if args.command == "verify-inequalities":
             return cmd_verify_inequalities(args.cells, args.samples, args.seed,
                                            args.qs, out=args.out)

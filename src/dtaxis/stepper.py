@@ -153,7 +153,9 @@ def step(state: State, params: Params, dt: float, rhs=None) -> State:
 def run(state: State, params: Params, control: StepControl, observers=(),
         monitor_cadence: float | None = None,
         p_list: tuple[float, ...] = diagnostics.P_LIST) -> Trajectory:
-    """Advance to t_end, rejecting and halving dt when positivity would fail.
+    """Advance to t_end, rejecting and halving dt when positivity would fail; a step
+    still rejected after max_rejects halvings, or once its dt no longer advances t,
+    raises RuntimeError("positivity unrecoverable ...").
 
     Observers are called as observer(prev, new, dt) after every accepted step
     with immutable snapshots.  Monitor rows are recorded at t=0, at every
@@ -169,16 +171,17 @@ def run(state: State, params: Params, control: StepControl, observers=(),
         rhs = _rhs_core(state, params)
         dt = max(min(_dt_limits(state, params, *rhs[4:6]),  # uv, u^alpha
                      control.dt_max, t_end - state.t, ticks.next_tick() - state.t), tiny)
-        for _ in range(control.max_rejects + 1):
+        for attempt in range(control.max_rejects + 1):
             try:
                 new = step(state, params, dt, rhs)
                 break
             except StepRejected as exc:
                 n_rejected += 1
                 dt *= 0.5
-                where = f"{exc.field} at cell {exc.cell}"
-        else:
-            raise RuntimeError(f"positivity unrecoverable at t={state.t:.8g}: {where}")
+                # out of retries, or a dt too small to advance t, which would never end the run
+                if attempt == control.max_rejects or state.t + dt == state.t:
+                    raise RuntimeError(f"positivity unrecoverable at t={state.t:.8g}: "
+                                       f"{exc.field} at cell {exc.cell}") from None
         del rhs  # observers and monitor rows run without the rhs arrays alive
         for obs in observers:
             obs(state, new, dt)

@@ -10,10 +10,9 @@ import pytest
 
 from dtaxis import Grid, InitialData, Params, StepControl
 from dtaxis import cli
-from dtaxis.cli import (RunConfig, build_state, cmd_eps_study, cmd_run,
-                        load_snapshot, parse_config, regime_label, run_eps_study,
-                        run_sweep, save_snapshot)
-from dtaxis.diagnostics import P_LIST
+from dtaxis.cli import (EpsRow, RunConfig, build_state, cmd_run, load_snapshot, parse_config,
+                        regime_label, run_eps_study, run_sweep, save_snapshot)
+from dtaxis.diagnostics import P_LIST, monitor_row
 from dtaxis.model import State
 from dtaxis.stepper import run
 
@@ -194,8 +193,8 @@ def test_cmd_run_constant_mass_column(tmp_path):
 def test_cmd_run_deterministic_bytes(tmp_path):
     cfg = _small_config(tmp_path, initial=InitialData(kind="gaussian_bump",
                                                       u_amplitude=1.0))
-    assert cmd_run(cfg, output_dir=tmp_path / "a") == 0
-    assert cmd_run(cfg, output_dir=tmp_path / "b") == 0
+    assert cmd_run(replace(cfg, output_dir=str(tmp_path / "a"))) == 0
+    assert cmd_run(replace(cfg, output_dir=str(tmp_path / "b"))) == 0
     assert (tmp_path / "a" / "monitors.csv").read_bytes() == \
         (tmp_path / "b" / "monitors.csv").read_bytes()
 
@@ -354,8 +353,8 @@ def test_sweep_workers_match_serial(tmp_path):
     cfg = _small_config(tmp_path, t_end=0.02, monitor_cadence=0.01,
                         initial=InitialData(kind="gaussian_bump"))
     alphas = [0.5, 1.25, 1.75]
-    serial = run_sweep(cfg, alphas, output_dir=tmp_path / "serial")
-    pooled = run_sweep(cfg, alphas, output_dir=tmp_path / "pooled", workers=2)
+    serial = run_sweep(replace(cfg, output_dir=str(tmp_path / "serial")), alphas)
+    pooled = run_sweep(replace(cfg, output_dir=str(tmp_path / "pooled")), alphas, workers=2)
     assert [r[2] for r in pooled] == ["ok"] * 3
     assert pooled == serial
     assert ((tmp_path / "pooled" / "sweep.csv").read_bytes()
@@ -390,10 +389,10 @@ def test_sweep_isolates_failures(tmp_path, monkeypatch):
     cfg = _small_config(tmp_path, t_end=0.02)
     real = cli._write_run
 
-    def flaky(config, state, output_dir):
+    def flaky(config, state):
         if config.params.alpha == 1.25:
             raise RuntimeError("boom")
-        return real(config, state, output_dir)
+        return real(config, state)
 
     monkeypatch.setattr(cli, "_write_run", flaky)
     results = run_sweep(cfg, [0.5, 1.25, 1.75])
@@ -429,12 +428,42 @@ def test_eps_study_validation(tmp_path):
         run_eps_study(cfg, [1.0, 0.5])
 
 
-def test_cmd_eps_study_writes_csv(tmp_path):
+def test_run_eps_study_writes_csv(tmp_path):
     cfg = _small_config(tmp_path, t_end=0.02)
-    assert cmd_eps_study(cfg, [1e-1, 1e-2, 1e-3]) == 0
+    assert [r.status for r in run_eps_study(cfg, [1e-1, 1e-2, 1e-3])] == ["ok", "ok"]
     lines = (tmp_path / "out" / "eps_study.csv").read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[0] == "eps_coarse,eps_fine,l2_diff_u,l2_diff_v,status"
+
+
+def test_eps_study_members_are_library_runs_without_ticks(tmp_path):
+    # each member is the library run without monitor ticks, so its steps are not
+    # clipped: eps_study.csv holds the distances of those finals byte for byte, and
+    # each member directory the monitor rows at t = 0 and t_end
+    cfg = _small_config(tmp_path, t_end=0.02, initial=InitialData(kind="gaussian_bump"))
+    eps_list = [1e-1, 1e-2, 1e-2, 1e-3]
+    params = {eps: replace(cfg.params, epsilon=eps) for eps in eps_list}
+    finals = {eps: run(build_state(replace(cfg, params=p)), p, cfg.control,
+                       monitor_cadence=None, p_list=cfg.p_list).final
+              for eps, p in params.items()}
+    g = cfg.grid
+    ref = tmp_path / "reference.csv"
+    cli._write_csv(ref, list(EpsRow._fields),
+                   [[a, b, g.lp_norm(finals[b].u - finals[a].u, 2.0),
+                     g.lp_norm(finals[b].v - finals[a].v, 2.0), "ok"]
+                    for a, b in zip(eps_list, eps_list[1:])])
+    run_eps_study(cfg, eps_list)
+    out = tmp_path / "out"
+    assert (out / "eps_study.csv").read_bytes() == ref.read_bytes()
+    assert sorted(d.name for d in out.glob("epsilon_*")) == \
+        ["epsilon_0.001", "epsilon_0.01", "epsilon_0.1"]
+    for eps, final in finals.items():
+        _, mon = _read_csv(out / f"epsilon_{eps!r}" / "monitors.csv")
+        assert len(mon) == 2
+        assert mon[-1] == [cli._fmt(x) for x in
+                           monitor_row(final, params[eps], cfg.p_list).csv_values()]
+        _, res = _read_csv(out / f"epsilon_{eps!r}" / "residuals.csv")
+        assert res == []  # no tick, so no residual row
 
 
 def test_main_run_and_tables(tmp_path, capsys):
@@ -537,7 +566,7 @@ def _write_cfg(tmp_path, extra=""):
 
 def test_main_sweep_rejects_a_bad_alpha_before_any_member_runs(tmp_path, capsys, monkeypatch):
     ran = []
-    monkeypatch.setattr(cli, "_write_run", lambda config, state, output_dir: ran.append(config))
+    monkeypatch.setattr(cli, "_write_run", lambda config, state: ran.append(config))
     assert cli.main(["sweep", "--config", _write_cfg(tmp_path), "--alphas", "0.5,2.5,1.5"]) == 2
     assert ran == []
     assert "alpha must satisfy 0 <= alpha < 2, got 2.5" in capsys.readouterr().err
@@ -545,8 +574,9 @@ def test_main_sweep_rejects_a_bad_alpha_before_any_member_runs(tmp_path, capsys,
     assert not list(tmp_path.glob("**/sweep.csv"))
 
 
-def test_main_sweep_reports_a_failing_member_and_runs_the_rest(tmp_path, capsys):
-    # alpha = 0 cannot insulate the vacuum cell (see test_cmd_run_positivity_failure_exit_code)
+def _vacuum_cfg(tmp_path, max_rejects=3) -> str:
+    """The config of test_cmd_run_positivity_failure_exit_code: at alpha = 0 nothing
+    insulates its vacuum cell, and for epsilon <= 1e-3 positivity is unrecoverable."""
     g = Grid(32)
     u0 = np.ones(g.shape)
     u0[16] = 0.0
@@ -555,14 +585,56 @@ def test_main_sweep_reports_a_failing_member_and_runs_the_rest(tmp_path, capsys)
     save_snapshot(State(grid=g, t=0.0, u=u0, v=v0), Params(alpha=0.0, epsilon=1e-12), snap_path)
     cfg_path = tmp_path / "vac.cfg"
     cfg_path.write_text(f"alpha = 0\nepsilon = 1e-12\nchi = 5\ncells = 32\ncfl_safety = 1\n"
-                        f"max_rejects = 3\nt_end = 0.01\nu0_kind = from_snapshot\n"
+                        f"max_rejects = {max_rejects}\nt_end = 0.01\nu0_kind = from_snapshot\n"
                         f"snapshot_in = {snap_path}\noutput_dir = {tmp_path / 'out'}\n")
-    assert cli.main(["sweep", "--config", str(cfg_path), "--alphas", "0,1.25"]) == 1
+    return str(cfg_path)
+
+
+def test_main_sweep_reports_a_failing_member_and_runs_the_rest(tmp_path, capsys):
+    assert cli.main(["sweep", "--config", _vacuum_cfg(tmp_path), "--alphas", "0,1.25"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: alpha=0.0: positivity unrecoverable")
     _, rows = _read_csv(tmp_path / "out" / "sweep.csv")
     assert [r[:3] for r in rows] == [["0.0", "weak", "failed"], ["1.25", "moderate", "ok"]]
     assert set(rows[0][3:]) == {""}
+
+
+def test_main_eps_study_reports_a_failing_member_and_runs_the_rest(tmp_path, capsys):
+    argv = ["eps-study", "--config", _vacuum_cfg(tmp_path), "--eps", "0.1,0.01,0.001,0.001"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: epsilon=0.001: positivity unrecoverable")
+    assert err.count("\n") == 1  # the repeated epsilon runs once
+    out = tmp_path / "out"
+    _, rows = _read_csv(out / "eps_study.csv")
+    assert [r[-1] for r in rows] == ["ok", "failed", "failed"]
+    assert rows[1][2:4] == rows[2][2:4] == ["nan", "nan"]
+    for eps in ("0.1", "0.01"):
+        assert (out / f"epsilon_{eps}" / "monitors.csv").exists()
+    assert not (out / "epsilon_0.001" / "monitors.csv").exists()
+
+
+def test_main_run_ends_once_a_halved_dt_no_longer_advances_t(tmp_path, capsys):
+    # with retries to spare, halving would go on to accept steps that leave t unchanged
+    t0 = time.perf_counter()
+    assert cli.main(["run", "--config", _vacuum_cfg(tmp_path, max_rejects=1200)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert re.fullmatch(r"error: positivity unrecoverable at t=\S+e-14: u at cell \(16,\)\n",
+                        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep --workers 2", "eps-study"])
+def test_main_output_dir_flag_overrides_the_config(tmp_path, command):
+    argv = _argv(command, _write_cfg(tmp_path)) + ["--output-dir", str(tmp_path / "flag")]
+    assert cli.main(argv) == 0
+    assert not (tmp_path / "out").exists()
+    flag = tmp_path / "flag"
+    want = {"run": ["monitors.csv", "residuals.csv"],
+            "sweep --workers 2": ["alpha_0.5", "alpha_1.25", "sweep.csv"],
+            "eps-study": ["eps_study.csv", "epsilon_0.01", "epsilon_0.1"]}[command]
+    assert sorted(p.name for p in flag.iterdir()) == want
+    for member in (p for p in flag.iterdir() if p.is_dir()):
+        assert sorted(p.name for p in member.iterdir()) == ["monitors.csv", "residuals.csv"]
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "eps-study"])

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -231,6 +232,21 @@ def test_run_positivity_unrecoverable():
     with pytest.raises(RuntimeError,
                        match=r"positivity unrecoverable at t=0: u at cell \(16,\)$"):
         run(s, p, StepControl(t_end=0.1, max_rejects=3))
+
+
+def test_run_raises_once_a_halved_dt_no_longer_advances_t():
+    # an exact vacuum cell at alpha = 0 with retries to spare: near t = 2e-14 halving takes
+    # dt below the spacing of floats at t, where accepted steps would leave t unchanged
+    g = Grid(32)
+    p = Params(alpha=0.0, epsilon=1e-12, chi=5.0, cfl_safety=1.0)
+    u = np.full(g.shape, 1.0 + p.epsilon)
+    u[16] = p.epsilon
+    v = 1.0 + 0.5 * np.cos(2 * np.pi * g.centers(0))
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError,
+                       match=r"positivity unrecoverable at t=\S+e-14: u at cell \(16,\)$"):
+        run(State(grid=g, t=0.0, u=u, v=v), p, StepControl(t_end=0.01, max_rejects=1200))
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("value, avg_mode, error, match", [
