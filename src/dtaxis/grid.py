@@ -63,12 +63,12 @@ class Grid:
         self.face_shapes = tuple(tuple(n + (b == a) for b, n in enumerate(self.cells))
                                  for a in range(self.dim))
 
-        def along(a: int, sl: slice) -> tuple[slice, ...]:
-            return tuple(sl if b == a else slice(None) for b in range(self.dim))
+        def along(a: int, sl: slice) -> tuple:
+            return (Ellipsis, *(sl if b == a else slice(None) for b in range(self.dim)))
         # Per-axis index tuples.  lo/hi drop the last/first entry along the
         # axis: on a cell field they pick the two cells of every interior
         # face, on face data the two faces of every cell.  On face data inner
-        # picks the interior faces.
+        # picks the interior faces.  Each also indexes a (k, *shape) stack.
         self.lo = [along(a, slice(0, -1)) for a in range(self.dim)]
         self.hi = [along(a, slice(1, None)) for a in range(self.dim)]
         self.inner = [along(a, slice(1, -1)) for a in range(self.dim)]
@@ -116,13 +116,13 @@ class Grid:
                 raise ValueError(f"non-finite field in row {i}")
         return [s * self.cell_volume for s in sums]
 
-    def faces(self) -> FaceData:
-        """Zero face data, the one allocator of face arrays."""
-        return list(map(np.zeros, self.face_shapes))
+    def faces(self, lead: tuple[int, ...] = ()) -> FaceData:
+        """Zero face data, with leading stack axes ``lead``; the one allocator of face arrays."""
+        return [np.zeros(lead + s) for s in self.face_shapes]
 
     def face_gradient(self, f: np.ndarray) -> FaceData:
-        """Two-point difference across each interior face; wall faces stay 0."""
-        out = self.faces()
+        """Two-point difference across each interior face, row by row on a stack; walls stay 0."""
+        out = self.faces(f.shape[:-self.dim])
         for a in range(self.dim):
             np.subtract(f[self.hi[a]], f[self.lo[a]], out=out[a][self.inner[a]])
             out[a] /= self.h[a]  # whole and contiguous: the zero walls stay zero

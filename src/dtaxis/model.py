@@ -57,7 +57,9 @@ class Accumulators:
     Advanced by left-endpoint quadrature, one entry per monitored space-time
     integral: uv is the consumed nutrient, the *_grad_sq entries are weighted
     Dirichlet integrals, lap_v_sq the smoothing of v, and u73_v the cubed-root
-    style high moment u^(7/3) v.
+    style high moment u^(7/3) v.  The stepper may return one pending: its fields
+    unset (their defaults live in ``__init__`` alone) and its ``_ledger`` set, which
+    the first field read flushes.
     """
 
     uv: float = 0.0
@@ -78,8 +80,15 @@ class Accumulators:
     def values(self) -> tuple[float, ...]:
         return tuple(getattr(self, n) for n in _ACC_NAMES)
 
+    def __getattr__(self, name):  # reached for an unset field: a pending instance's
+        if name in _ACC_NAMES and "_ledger" in self.__dict__:
+            self.__dict__["_ledger"].flush()  # sets every field and drops _ledger
+        return object.__getattribute__(self, name)
+
 
 _ACC_NAMES = tuple(f.name for f in fields(Accumulators))
+for _name in _ACC_NAMES:
+    delattr(Accumulators, _name)
 
 
 @dataclass
@@ -203,13 +212,10 @@ def face_average(grid: Grid, w: np.ndarray, mode: str, out: FaceData | None = No
 
 
 def _power(u: np.ndarray, a: float, out: np.ndarray | None = None) -> np.ndarray:
-    """u ** a, written into ``out`` if given, except at a = 0 (new ones) and a = 1 (u itself)."""
-    if a == 1.0:
-        return u
-    if a == 0.0:
-        return np.ones_like(u)
+    """u ** a, written into and returned as ``out`` if given; without ``out``, u itself
+    at a = 1 and new ones at a = 0."""
     if out is None:
-        return u ** a
+        return u if a == 1.0 else np.ones_like(u) if a == 0.0 else u ** a
     np.copyto(out, u)
     out **= a  # the same scalar-power path as u ** a (a square root at a = 0.5)
     return out

@@ -1,16 +1,15 @@
 """Explicit positivity-protected time stepping with exact mass bookkeeping.
 
-Forward Euler on the flux-form right-hand side.  ``_dt_limits`` holds the
-whole step-size rule: the least of a diffusive CFL bound built from the
-degenerate diffusivity, a reaction bound keeping the explicit v-update
-positive and the u-growth tame, and the discrete maximum-principle cap
-dt * (2*dim/h^2 + max u) <= 1 of the nutrient update, which makes sup v
-provably nonincreasing step by step (the CFL alone does not when the
-degenerate diffusivity is small, because v diffuses with unit coefficient
-regardless of u).  An update that still produces a negative value is rejected
-and retried with dt halved, never clipped: clipping would break the exact
-discrete mass law.  One right-hand side per state sets dt, serves every
-attempt and feeds the ten running accumulators, all of them cell quadratures.
+Forward Euler on the flux-form right-hand side, one per state, which sets dt
+(``_dt_limits``: the least of a CFL bound from the degenerate diffusivity, a
+reaction bound, and the maximum-principle cap dt * (2*dim/h^2 + max u) <= 1 that
+keeps sup v nonincreasing even where the CFL bound is loose) and serves every
+attempt.  An update that still produces a negative value is rejected and retried
+with dt halved, never clipped: clipping would break the exact discrete mass law.
+Nothing in the dynamics reads the ten running accumulators (cell quadratures), so
+on n cells ``run`` evaluates them per block of up to K = BLOCK_CELLS // n accepted
+steps, stacked along a leading axis, bit for bit as one evaluation per step, which
+each step does when K < 2 and, once an observer has read the newest, for the rest of the run.
 """
 
 from __future__ import annotations
@@ -23,6 +22,9 @@ import numpy as np
 from . import diagnostics
 from .grid import first_cell
 from .model import Accumulators, Params, State, _power, _rhs_core
+
+
+BLOCK_CELLS = 4096  # chosen by measurement, see CHANGES.md
 
 
 class StepRejected(Exception):
@@ -108,34 +110,76 @@ def _dt_limits(state: State, params: Params, uv, ua) -> float:
     return min(dt, 1.0 / (2.0 * g.dim / hmin2 + u_max))
 
 
-def _advance_accumulators(state: State, params: Params, dt: float,
-                          gu, gv, uv, lap_v, scratch) -> Accumulators:
-    """Left-endpoint update of every running integral in field order, each a cell quadrature
-    (see ``grid``), each product written into the rhs's ``scratch`` once its last reader is done."""
-    g, u, v, vol = state.grid, state.u, state.v, state.grid.cell_volume
+def _advance_accumulators(acc: Accumulators, params: Params, grid, dts: list[float],
+                          u, v, gu, gv, uv, lap_v, scratch) -> list[list[float]]:
+    """Every running integral, in field order, after each of k accepted steps from ``acc``:
+    row i of each (k, *shape) stack (unstacked at k = 1) is what step i saw.  Each integral
+    is a cell quadrature (see ``grid``), its row sums bit for bit those of each row alone,
+    added step by step; each product goes into ``scratch`` once its last reader is done."""
+    k, vol, dot = len(dts), grid.cell_volume, np.vecdot
     flux, (c0, c1, c2) = scratch
-    cgu2 = g.cell_dot(gu, gu, out=c0, faces=flux, cell=c2)
-    cgv2 = g.cell_dot(gv, gv, out=c1, faces=flux, cell=c2)
-    sums = [uv.sum(), np.vdot(v, cgu2), np.vdot(u, cgv2), np.vdot(lap_v, lap_v),
-            np.vdot(np.multiply(_power(u, 1.0 - params.alpha, out=c2), v, out=c2), cgu2),
-            np.vdot(np.divide(v, u, out=c2), cgu2)]
+    cgu2 = grid.cell_dot(gu, gu, out=c0, faces=flux, cell=c2)
+    cgv2 = grid.cell_dot(gv, gv, out=c1, faces=flux, cell=c2)
+    # the rest is cell by cell, so it runs on (k, cells) views, reduced row by row
+    u, v, uv, lap_v, cgu2, cgv2, c2 = (x.reshape(k, -1) for x in (u, v, uv, lap_v, cgu2, cgv2, c2))
+    sums = [uv.sum(axis=1), dot(v, cgu2), dot(u, cgv2), dot(lap_v, lap_v),
+            dot(np.multiply(_power(u, 1.0 - params.alpha, out=c2), v, out=c2), cgu2),
+            dot(np.divide(v, u, out=c2), cgu2)]
     # with q = |grad v|^2 / v: u |grad v|^4 / v^3 = (u / v) q^2, |grad v|^6 / v^5 = q^2 q / v^2
     u_over_v = np.divide(u, v, out=c2)
-    sums.append(np.vdot(u_over_v, cgv2))
-    q = np.divide(cgv2, v, out=c1)
-    q2 = np.multiply(q, q, out=c0)
-    sums += [np.vdot(u_over_v, q2), np.vdot(q2, np.divide(q, np.multiply(v, v, out=c2), out=c2)),
-             np.vdot(_power(u, 7.0 / 3.0, out=c2), v)]
-    return Accumulators(*[a + dt * float(x) * vol for a, x in zip(state.acc.values(), sums)])
+    sums.append(dot(u_over_v, cgv2))
+    q = np.divide(cgv2, v, out=cgv2)
+    q2 = np.multiply(q, q, out=cgu2)
+    sums += [dot(u_over_v, q2), dot(q2, np.divide(q, np.multiply(v, v, out=c2), out=c2)),
+             dot(_power(u, 7.0 / 3.0, out=c2), v)]
+    out = [acc.values()]
+    for dt, row in zip(dts, np.array(sums).T.tolist()):
+        out.append([a + dt * x * vol for a, x in zip(out[-1], row)])
+    return out[1:]
 
 
-def step(state: State, params: Params, dt: float, rhs=None) -> State:
+class _Ledger:
+    """A run's pending accumulator rows, up to a block: each accepted step's dt and copies of
+    the u and v it saw, out of any observer's reach; a flush rebuilds gu, gv, uv and lap_v as
+    the rhs did."""
+
+    def __init__(self, state: State, params: Params):
+        self.grid, self.params, self.dts, self.pending = state.grid, params, [], []
+        k = BLOCK_CELLS // state.u.size
+        self.u, self.v, *self.cells = np.empty((7, k) + state.u.shape)  # uv, lap_v, 3 scratch
+
+    def add(self, state: State, dt: float) -> Accumulators:
+        self.start = self.start if self.dts else state.acc
+        self.u[len(self.dts)], self.v[len(self.dts)] = state.u, state.v
+        self.dts.append(dt)
+        acc = object.__new__(Accumulators)  # pending: no field set yet
+        acc.__dict__["_ledger"] = self
+        self.pending.append(acc)
+        if len(self.dts) == len(self.u):
+            self.flush()
+        return acc
+
+    def flush(self) -> None:  # with a row pending
+        k = len(self.dts)
+        g, u, v = self.grid, self.u[:k], self.v[:k]
+        uv, lap_v, *cells = (c[:k] for c in self.cells)
+        gu, gv = g.face_gradient(u), g.face_gradient(v)
+        rows = _advance_accumulators(self.start, self.params, g, self.dts, u, v, gu, gv,
+                                     np.multiply(u, v, out=uv), g.div_faces(gv, lap_v, cells[2]),
+                                     (gu, cells))  # gu is read before it serves as scratch
+        for acc, row in zip(self.pending, rows):
+            object.__setattr__(acc, "__dict__", dict(zip(Accumulators.names(), row)))
+        self.dts, self.pending = [], []
+
+
+def step(state: State, params: Params, dt: float, rhs=None, ledger=None) -> State:
     """One accepted forward-Euler step, or StepRejected; never mutates input.
 
     rhs is the state's ``_rhs_core`` result, computed here if None; its returned
     arrays are only read, so a step may be taken again from the same rhs.  The discrete
     mass law holds to rounding: integrate(u') = integrate(u) + dt * ell * integrate(u v)
-    and integrate(v') = integrate(v) - dt * integrate(u v).
+    and integrate(v') = integrate(v) - dt * integrate(u v).  The new state's accumulators
+    are evaluated here, or left pending in the run's ``ledger``.
     """
     du, dv, gu, gv, uv, _, lap_v, scratch = rhs or _rhs_core(state, params)
     u2 = du * dt
@@ -146,7 +190,8 @@ def step(state: State, params: Params, dt: float, rhs=None) -> State:
         for field, bad in (("u", u2 < 0.0), ("v", v2 <= 0.0)):
             if bool(bad.any()):
                 raise StepRejected(state.t, dt, field, first_cell(bad))
-    acc = _advance_accumulators(state, params, dt, gu, gv, uv, lap_v, scratch)
+    acc = ledger.add(state, dt) if ledger else Accumulators(*_advance_accumulators(
+        state.acc, params, state.grid, [dt], state.u, state.v, gu, gv, uv, lap_v, scratch)[0])
     return State(grid=state.grid, t=state.t + dt, u=u2, v=v2, acc=acc)
 
 
@@ -167,13 +212,14 @@ def run(state: State, params: Params, control: StepControl, observers=(),
     tiny = ticks.tol
     rows = [diagnostics.monitor_row(state, params, p_list)]
     n_steps = n_rejected = 0
+    ledger = _Ledger(state, params) if 2 * state.u.size <= BLOCK_CELLS else None
     while state.t < t_end - tiny:
         rhs = _rhs_core(state, params)
         dt = max(min(_dt_limits(state, params, *rhs[4:6]),  # uv, u^alpha
                      control.dt_max, t_end - state.t, ticks.next_tick() - state.t), tiny)
         for attempt in range(control.max_rejects + 1):
             try:
-                new = step(state, params, dt, rhs)
+                new = step(state, params, dt, rhs, ledger)
                 break
             except StepRejected as exc:
                 n_rejected += 1
@@ -183,12 +229,17 @@ def run(state: State, params: Params, control: StepControl, observers=(),
                     raise RuntimeError(f"positivity unrecoverable at t={state.t:.8g}: "
                                        f"{exc.field} at cell {exc.cell}") from None
         del rhs  # observers and monitor rows run without the rhs arrays alive
+        pending = ledger is not None and bool(ledger.dts)
         for obs in observers:
             obs(state, new, dt)
+        if pending and not ledger.dts:  # an observer read them: it will read the next, so
+            ledger = None  # each later step evaluates its own rather than copying u and v
         state = new
         n_steps += 1
         if ticks.due(state.t) is not None:
             rows.append(diagnostics.monitor_row(state, params, p_list))
     if rows[-1].t < state.t - tiny or len(rows) == 1:
         rows.append(diagnostics.monitor_row(state, params, p_list))
+    if ledger is not None and ledger.dts:
+        ledger.flush()  # nothing the trajectory holds still refers to the ledger
     return Trajectory(rows=rows, final=state, n_steps=n_steps, n_rejected=n_rejected)

@@ -248,3 +248,20 @@ def test_out_forms_bit_equal_the_allocating_forms(cells):
     assert same([got], [g.cell_dot(gf, gw)])
     assert [fa.shape for fa in g.faces()] == list(g.face_shapes)
     assert not any(fa.any() for fa in g.faces())
+
+
+@pytest.mark.parametrize("cells", [9, (6, 5), (5, 4, 3)])
+def test_operators_act_on_a_stack_row_by_row(cells):
+    # a (k, *shape) stack gives, bit for bit, every row's own result
+    rng = np.random.default_rng(11)
+    g = Grid(cells)
+    stack = rng.uniform(0.5, 1.5, (3,) + g.shape)
+    grads = g.face_gradient(stack)
+    assert [fa.shape for fa in grads] == [(3,) + s for s in g.face_shapes]
+    assert [fa.shape for fa in g.faces((3,))] == [(3,) + s for s in g.face_shapes]
+    div, dot = g.div_faces(grads), g.cell_dot(grads, grads)
+    for i, f in enumerate(stack):
+        gf = g.face_gradient(f)
+        assert [fa[i].tobytes() for fa in grads] == [fa.tobytes() for fa in gf]
+        assert div[i].tobytes() == g.div_faces(gf).tobytes()
+        assert dot[i].tobytes() == g.cell_dot(gf, gf).tobytes()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dtaxis import Grid, InitialData, Params, assemble_rhs, build_initial
-from dtaxis.model import (State, build_initial_from_fields, face_average,
+from dtaxis.model import (State, _power, build_initial_from_fields, face_average,
                           initial_profiles)
 
 
@@ -253,3 +253,18 @@ def test_initial_profiles_from_snapshot_refused():
     g = Grid(8)
     with pytest.raises(ValueError, match="run builder"):
         initial_profiles(g, InitialData(kind="from_snapshot", snapshot_path="x"))
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 2.3])
+def test_power_writes_into_out_at_every_exponent(a):
+    # a caller may write into the result in place, so it must never be u itself
+    u = np.random.default_rng(3).uniform(0.1, 2.0, (5, 4))
+    before = u.copy()
+    out = np.full(u.shape, np.nan)
+    got = _power(u, a, out=out)
+    assert got is out
+    assert u.tobytes() == before.tobytes()
+    assert got.tobytes() == (u ** a).tobytes()
+    got *= 2.0
+    assert u.tobytes() == before.tobytes()
+    assert (_power(u, 1.0) is u) and _power(u, 0.0).tobytes() == np.ones(u.shape).tobytes()

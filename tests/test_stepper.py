@@ -1,4 +1,5 @@
 import math
+import pickle
 import time
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtaxis import Grid, InitialData, Params, StepControl, StepRejected, build_initial
-from dtaxis import stepper
+from dtaxis import diagnostics, stepper
 from dtaxis.model import AVG_MODES, Accumulators, State
 from dtaxis.stepper import Cadence, run, step
 
@@ -502,3 +503,138 @@ def test_observed_steps_recompute_bit_equal_from_scratch(case):
         again = step(prev, p, dt)
         assert again.u.tobytes() == new.u.tobytes() and again.v.tobytes() == new.v.tobytes()
         assert again.acc == new.acc and again.t == new.t
+
+
+def _eager_run(s, p, control, cadence):
+    """run's loop without a ledger: every step evaluates its own accumulators, and dt is
+    the step limit of the step's rhs clipped to dt_max, t_end and the next tick, halved on
+    rejection.  Returns the trajectory's fields plus every dt and accumulator row."""
+    ticks = Cadence(cadence, control.t_end)
+    rows, dts, accs, n_rejected = [diagnostics.monitor_row(s, p)], [], [], 0
+    while s.t < control.t_end - ticks.tol:
+        rhs = stepper._rhs_core(s, p)
+        dt = max(min(stepper._dt_limits(s, p, *rhs[4:6]), control.dt_max,
+                     control.t_end - s.t, ticks.next_tick() - s.t), ticks.tol)
+        while True:
+            try:
+                s = step(s, p, dt, rhs)
+                break
+            except StepRejected:
+                n_rejected += 1
+                dt *= 0.5
+        dts.append(dt)
+        accs.append(s.acc.values())
+        if ticks.due(s.t) is not None:
+            rows.append(diagnostics.monitor_row(s, p))
+    if rows[-1].t < s.t - ticks.tol or len(rows) == 1:
+        rows.append(diagnostics.monitor_row(s, p))
+    return rows, dts, accs, n_rejected, s
+
+
+def _block_case(cells, alpha, avg_mode, chi=2.0):
+    p = Params(alpha=alpha, epsilon=0.01, chi=chi, ell=1.0, avg_mode=avg_mode)
+    s = _cosine_state(cells, p)
+    t_end = 150 * _limits(s, p)  # some 150 steps: several blocks on the small grids
+    return s, p, StepControl(t_end=t_end), t_end / 3.3  # ticks split the blocks unevenly
+
+
+def _assert_run_is_eager_bit_for_bit(s, p, control, cadence, observers=()):
+    seen = []
+    traj = run(State(grid=s.grid, t=s.t, u=s.u.copy(), v=s.v.copy()), p, control,
+               observers=[*observers, lambda prev, new, dt: seen.append((new, dt))],
+               monitor_cadence=cadence)
+    rows, dts, accs, n_rejected, final = _eager_run(s, p, control, cadence)
+    assert (traj.n_steps, traj.n_rejected) == (len(dts), n_rejected)
+    assert [dt for _, dt in seen] == dts
+    assert [new.acc.values() for new, _ in seen] == accs  # read only now, after the run
+    assert [r.csv_values() for r in traj.rows] == [r.csv_values() for r in rows]
+    assert traj.final.u.tobytes() == final.u.tobytes()
+    assert traj.final.v.tobytes() == final.v.tobytes()
+    return traj
+
+
+@pytest.mark.parametrize("avg_mode", AVG_MODES)
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.75])
+@pytest.mark.parametrize("cells", [37, 64, 256, (9, 7), (5, 4, 6), (64, 64)])
+def test_block_accumulators_equal_eager_steps_bit_for_bit(cells, alpha, avg_mode):
+    # (64, 64) has BLOCK_CELLS cells, so each of its steps evaluates its own
+    s, p, control, cadence = _block_case(cells, alpha, avg_mode)
+    traj = _assert_run_is_eager_bit_for_bit(s, p, control, cadence)
+    assert traj.n_steps > stepper.BLOCK_CELLS // s.u.size or s.u.size >= stepper.BLOCK_CELLS
+
+
+@pytest.mark.parametrize("case", ["chi0", "notch"])
+def test_block_accumulators_bit_for_bit_without_taxis_and_with_rejections(case):
+    if case == "chi0":
+        _assert_run_is_eager_bit_for_bit(*_block_case(64, 1.25, "geometric", chi=0.0))
+    else:
+        s, p = _notch_state()
+        traj = _assert_run_is_eager_bit_for_bit(s, p, StepControl(t_end=2e-3, max_rejects=60),
+                                                3.1e-4)
+        assert traj.n_rejected >= 1
+
+
+def test_observer_reads_and_writes_leave_the_accumulators_eager():
+    # reading new.acc resolves it at once; writing into prev.u after its step changes
+    # no accumulator, since the ledger keeps its own copy of what each step saw
+    s, p, control, cadence = _block_case(64, 1.25, "arithmetic")
+    read = []
+
+    def reader(prev, new, dt):
+        read.append(new.acc.values())
+
+    def scribbler(prev, new, dt):
+        prev.u[...] = 7.0
+        prev.v[...] = 7.0
+    _assert_run_is_eager_bit_for_bit(s, p, control, cadence, observers=[reader])
+    assert read == _eager_run(s, p, control, cadence)[2]
+    every_third = [lambda prev, new, dt: len(read) % 3 or new.acc.uv, reader]  # uneven reads
+    _assert_run_is_eager_bit_for_bit(s, p, control, cadence, observers=every_third)
+    _assert_run_is_eager_bit_for_bit(s, p, control, cadence, observers=[scribbler])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.25])
+@pytest.mark.parametrize("cells", [64, (9, 7), (5, 4, 6), (64, 64)])
+def test_accumulators_equal_a_vdot_per_integral_bit_for_bit(cells, alpha):
+    # the reference: each integrand formed on its own and reduced by np.vdot, the
+    # form the stacked np.vecdot rows replaced; a run's blocks are then checked
+    # against per-step evaluation by the tests above
+    p = Params(alpha=alpha, epsilon=0.01, chi=2.0, ell=1.0)
+    s = _cosine_state(cells, p)
+    g, u, v = s.grid, s.u, s.v
+    gu, gv = g.face_gradient(u), g.face_gradient(v)
+    cgu2, cgv2, lap_v = g.cell_dot(gu, gu), g.cell_dot(gv, gv), g.div_faces(gv)
+    q = cgv2 / v
+    sums = [(u * v).sum(), np.vdot(v, cgu2), np.vdot(u, cgv2), np.vdot(lap_v, lap_v),
+            np.vdot(u ** (1.0 - alpha) * v, cgu2), np.vdot(v / u, cgu2), np.vdot(u / v, cgv2),
+            np.vdot(u / v, q * q), np.vdot(q * q, q / (v * v)), np.vdot(u ** (7.0 / 3.0), v)]
+    dt = 0.5 * _limits(s, p)
+    assert step(s, p, dt).acc.values() == tuple(dt * float(x) * g.cell_volume for x in sums)
+
+
+@pytest.mark.parametrize("read_at", [None, 100])
+def test_only_an_observer_read_ends_the_blocks(read_at):
+    # monitor rows and full blocks flush a block and the next one starts; once an observer
+    # has read the newest accumulators, every later step evaluates its own
+    s, p, control, cadence = _block_case(64, 1.25, "geometric")  # K = 64, ticks mid-block
+    held = []
+
+    def observer(prev, new, dt):
+        held.append("_ledger" in vars(new.acc))  # vars() leaves a pending one pending
+        if len(held) == read_at:
+            new.acc.uv
+    traj = _assert_run_is_eager_bit_for_bit(s, p, control, cadence, observers=[observer])
+    assert len(held) == traj.n_steps > 140 and len(traj.rows) >= 4
+    cut = read_at or len(held)
+    assert held[:cut].count(False) <= cut // 64  # only a full block resolves on its step
+    assert not any(held[cut:])
+
+
+def test_trajectory_from_run_pickles_without_a_ledger():
+    s, p, control, cadence = _block_case(64, 0.5, "geometric")
+    traj = run(s, p, control, monitor_cadence=cadence)
+    accs = [traj.final.acc] + [row.acc for row in traj.rows]
+    assert all("_ledger" not in vars(acc) for acc in accs)
+    back = pickle.loads(pickle.dumps(traj))
+    assert [r.csv_values() for r in back.rows] == [r.csv_values() for r in traj.rows]
+    assert back.final.acc == traj.final.acc
