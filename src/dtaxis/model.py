@@ -57,9 +57,8 @@ class Accumulators:
     Advanced by left-endpoint quadrature, one entry per monitored space-time
     integral: uv is the consumed nutrient, the *_grad_sq entries are weighted
     Dirichlet integrals, lap_v_sq the smoothing of v, and u73_v the cubed-root
-    style high moment u^(7/3) v.  The stepper may return one pending: its fields
-    unset (their defaults live in ``__init__`` alone) and its ``_ledger`` set, which
-    the first field read flushes.
+    style high moment u^(7/3) v.  ``stepper.run`` integrates them and sets them on
+    the states it records; a state ``step`` returns has none.
     """
 
     uv: float = 0.0
@@ -80,20 +79,13 @@ class Accumulators:
     def values(self) -> tuple[float, ...]:
         return tuple(getattr(self, n) for n in _ACC_NAMES)
 
-    def __getattr__(self, name):  # reached for an unset field: a pending instance's
-        if name in _ACC_NAMES and "_ledger" in self.__dict__:
-            self.__dict__["_ledger"].flush()  # sets every field and drops _ledger
-        return object.__getattribute__(self, name)
-
 
 _ACC_NAMES = tuple(f.name for f in fields(Accumulators))
-for _name in _ACC_NAMES:
-    delattr(Accumulators, _name)
 
 
 @dataclass
 class State:
-    """One snapshot of the coupled fields plus the running accumulators.
+    """One snapshot of the coupled fields plus the running accumulators, or None.
 
     Invariants (maintained by ``build_initial`` and the stepper, not rechecked
     here): u >= 0 and v > 0 everywhere, t nondecreasing along a trajectory.
@@ -103,7 +95,7 @@ class State:
     t: float
     u: np.ndarray
     v: np.ndarray
-    acc: Accumulators = field(default_factory=Accumulators)
+    acc: Accumulators | None = field(default_factory=Accumulators)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ reaction bound, and the maximum-principle cap dt * (2*dim/h^2 + max u) <= 1 that
 keeps sup v nonincreasing even where the CFL bound is loose) and serves every
 attempt.  An update that still produces a negative value is rejected and retried
 with dt halved, never clipped: clipping would break the exact discrete mass law.
-Nothing in the dynamics reads the ten running accumulators (cell quadratures), so
-on n cells ``run`` evaluates them per block of up to K = BLOCK_CELLS // n accepted
-steps, stacked along a leading axis, bit for bit as one evaluation per step, which
-each step does when K < 2 and, once an observer has read the newest, for the rest of the run.
+``step`` advances u, v and t.  ``run`` integrates the ten running accumulators (cell
+quadratures), which nothing in the dynamics reads, and sets them on the states it
+records: each monitor tick's and the final one.  On n cells it evaluates them per block
+of up to K = BLOCK_CELLS // n accepted steps, stacked along a leading axis, bit for bit
+as one evaluation per step, which it does instead when K < 2.
 """
 
 from __future__ import annotations
@@ -111,11 +112,11 @@ def _dt_limits(state: State, params: Params, uv, ua) -> float:
 
 
 def _advance_accumulators(acc: Accumulators, params: Params, grid, dts: list[float],
-                          u, v, gu, gv, uv, lap_v, scratch) -> list[list[float]]:
-    """Every running integral, in field order, after each of k accepted steps from ``acc``:
+                          u, v, gu, gv, uv, lap_v, scratch) -> Accumulators:
+    """The running integrals after k accepted steps from ``acc``, added step by step:
     row i of each (k, *shape) stack (unstacked at k = 1) is what step i saw.  Each integral
-    is a cell quadrature (see ``grid``), its row sums bit for bit those of each row alone,
-    added step by step; each product goes into ``scratch`` once its last reader is done."""
+    is a cell quadrature (see ``grid``), its row sums bit for bit those of each row alone;
+    each product goes into ``scratch`` once its last reader is done."""
     k, vol, dot = len(dts), grid.cell_volume, np.vecdot
     flux, (c0, c1, c2) = scratch
     cgu2 = grid.cell_dot(gu, gu, out=c0, faces=flux, cell=c2)
@@ -132,56 +133,55 @@ def _advance_accumulators(acc: Accumulators, params: Params, grid, dts: list[flo
     q2 = np.multiply(q, q, out=cgu2)
     sums += [dot(u_over_v, q2), dot(q2, np.divide(q, np.multiply(v, v, out=c2), out=c2)),
              dot(_power(u, 7.0 / 3.0, out=c2), v)]
-    out = [acc.values()]
+    out = acc.values()
     for dt, row in zip(dts, np.array(sums).T.tolist()):
-        out.append([a + dt * x * vol for a, x in zip(out[-1], row)])
-    return out[1:]
+        out = [a + dt * x * vol for a, x in zip(out, row)]
+    return Accumulators(*out)
 
 
 class _Ledger:
-    """A run's pending accumulator rows, up to a block: each accepted step's dt and copies of
-    the u and v it saw, out of any observer's reach; a flush rebuilds gu, gv, uv and lap_v as
-    the rhs did."""
+    """A run's accumulators but for its block of accepted steps: each one's dt and copies of
+    the u and v it saw, out of any observer's reach.  With K = BLOCK_CELLS // n < 2 there is
+    no block, and each step is evaluated at once on its own rhs arrays."""
 
     def __init__(self, state: State, params: Params):
-        self.grid, self.params, self.dts, self.pending = state.grid, params, [], []
-        k = BLOCK_CELLS // state.u.size
-        self.u, self.v, *self.cells = np.empty((7, k) + state.u.shape)  # uv, lap_v, 3 scratch
+        self.acc, self.grid, self.params, self.dts = state.acc, state.grid, params, []
+        k = BLOCK_CELLS // state.u.size  # rows: u, v, uv, lap_v, 3 scratch
+        self.block = np.empty((7, k) + state.u.shape) if k >= 2 else None
 
-    def add(self, state: State, dt: float) -> Accumulators:
-        self.start = self.start if self.dts else state.acc
-        self.u[len(self.dts)], self.v[len(self.dts)] = state.u, state.v
+    def add(self, state: State, dt: float, rhs) -> None:
+        if self.block is None:  # rhs: du, dv, gu, gv, uv, u^alpha, lap_v, scratch
+            self.acc = _advance_accumulators(self.acc, self.params, self.grid, [dt], state.u,
+                                             state.v, *rhs[2:5], *rhs[6:])
+            return
+        self.block[0, len(self.dts)], self.block[1, len(self.dts)] = state.u, state.v
         self.dts.append(dt)
-        acc = object.__new__(Accumulators)  # pending: no field set yet
-        acc.__dict__["_ledger"] = self
-        self.pending.append(acc)
-        if len(self.dts) == len(self.u):
-            self.flush()
-        return acc
+        if len(self.dts) == self.block.shape[1]:
+            self.evaluate()
 
-    def flush(self) -> None:  # with a row pending
-        k = len(self.dts)
-        g, u, v = self.grid, self.u[:k], self.v[:k]
-        uv, lap_v, *cells = (c[:k] for c in self.cells)
-        gu, gv = g.face_gradient(u), g.face_gradient(v)
-        rows = _advance_accumulators(self.start, self.params, g, self.dts, u, v, gu, gv,
-                                     np.multiply(u, v, out=uv), g.div_faces(gv, lap_v, cells[2]),
-                                     (gu, cells))  # gu is read before it serves as scratch
-        for acc, row in zip(self.pending, rows):
-            object.__setattr__(acc, "__dict__", dict(zip(Accumulators.names(), row)))
-        self.dts, self.pending = [], []
+    def evaluate(self) -> Accumulators:
+        """The accumulators after every step added; a block rebuilds gu, gv, uv and lap_v as
+        the rhs did, and gu is read before it serves as scratch."""
+        if self.dts:
+            g = self.grid
+            u, v, uv, lap_v, *cells = self.block[:, :len(self.dts)]
+            gu, gv = g.face_gradient(u), g.face_gradient(v)
+            self.acc = _advance_accumulators(
+                self.acc, self.params, g, self.dts, u, v, gu, gv, np.multiply(u, v, out=uv),
+                g.div_faces(gv, lap_v, cells[2]), (gu, cells))
+            self.dts = []
+        return self.acc
 
 
-def step(state: State, params: Params, dt: float, rhs=None, ledger=None) -> State:
-    """One accepted forward-Euler step, or StepRejected; never mutates input.
+def step(state: State, params: Params, dt: float, rhs=None) -> State:
+    """One forward-Euler step of u, v and t (acc None), or StepRejected; never mutates input.
 
     rhs is the state's ``_rhs_core`` result, computed here if None; its returned
     arrays are only read, so a step may be taken again from the same rhs.  The discrete
     mass law holds to rounding: integrate(u') = integrate(u) + dt * ell * integrate(u v)
-    and integrate(v') = integrate(v) - dt * integrate(u v).  The new state's accumulators
-    are evaluated here, or left pending in the run's ``ledger``.
+    and integrate(v') = integrate(v) - dt * integrate(u v).
     """
-    du, dv, gu, gv, uv, _, lap_v, scratch = rhs or _rhs_core(state, params)
+    du, dv = (rhs or _rhs_core(state, params))[:2]
     u2 = du * dt
     u2 += state.u
     v2 = dv * dt
@@ -190,9 +190,7 @@ def step(state: State, params: Params, dt: float, rhs=None, ledger=None) -> Stat
         for field, bad in (("u", u2 < 0.0), ("v", v2 <= 0.0)):
             if bool(bad.any()):
                 raise StepRejected(state.t, dt, field, first_cell(bad))
-    acc = ledger.add(state, dt) if ledger else Accumulators(*_advance_accumulators(
-        state.acc, params, state.grid, [dt], state.u, state.v, gu, gv, uv, lap_v, scratch)[0])
-    return State(grid=state.grid, t=state.t + dt, u=u2, v=v2, acc=acc)
+    return State(grid=state.grid, t=state.t + dt, u=u2, v=v2, acc=None)
 
 
 def run(state: State, params: Params, control: StepControl, observers=(),
@@ -203,23 +201,26 @@ def run(state: State, params: Params, control: StepControl, observers=(),
     raises RuntimeError("positivity unrecoverable ...").
 
     Observers are called as observer(prev, new, dt) after every accepted step
-    with immutable snapshots.  Monitor rows are recorded at t=0, at every
-    multiple of monitor_cadence (steps land on the ticks exactly because dt is
-    clipped to them), and at t_end.
+    with immutable snapshots; new.acc is None then.  Monitor rows are recorded at
+    t=0, at every multiple of monitor_cadence (steps land on the ticks exactly because
+    dt is clipped to them), and at t_end; their states and the final one get their
+    accumulators once the observers are done.  The starting state must have them.
     """
+    if state.acc is None:
+        raise ValueError("run needs a starting state with accumulators, got acc=None")
     t_end = control.t_end
     ticks = Cadence(monitor_cadence, t_end)
     tiny = ticks.tol
     rows = [diagnostics.monitor_row(state, params, p_list)]
     n_steps = n_rejected = 0
-    ledger = _Ledger(state, params) if 2 * state.u.size <= BLOCK_CELLS else None
+    ledger = _Ledger(state, params)
     while state.t < t_end - tiny:
         rhs = _rhs_core(state, params)
         dt = max(min(_dt_limits(state, params, *rhs[4:6]),  # uv, u^alpha
                      control.dt_max, t_end - state.t, ticks.next_tick() - state.t), tiny)
         for attempt in range(control.max_rejects + 1):
             try:
-                new = step(state, params, dt, rhs, ledger)
+                new = step(state, params, dt, rhs)
                 break
             except StepRejected as exc:
                 n_rejected += 1
@@ -228,18 +229,16 @@ def run(state: State, params: Params, control: StepControl, observers=(),
                 if attempt == control.max_rejects or state.t + dt == state.t:
                     raise RuntimeError(f"positivity unrecoverable at t={state.t:.8g}: "
                                        f"{exc.field} at cell {exc.cell}") from None
+        ledger.add(state, dt, rhs)
         del rhs  # observers and monitor rows run without the rhs arrays alive
-        pending = ledger is not None and bool(ledger.dts)
         for obs in observers:
             obs(state, new, dt)
-        if pending and not ledger.dts:  # an observer read them: it will read the next, so
-            ledger = None  # each later step evaluates its own rather than copying u and v
         state = new
         n_steps += 1
         if ticks.due(state.t) is not None:
+            state.acc = ledger.evaluate()
             rows.append(diagnostics.monitor_row(state, params, p_list))
+    state.acc = ledger.evaluate()
     if rows[-1].t < state.t - tiny or len(rows) == 1:
         rows.append(diagnostics.monitor_row(state, params, p_list))
-    if ledger is not None and ledger.dts:
-        ledger.flush()  # nothing the trajectory holds still refers to the ledger
     return Trajectory(rows=rows, final=state, n_steps=n_steps, n_rejected=n_rejected)

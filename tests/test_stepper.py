@@ -352,7 +352,7 @@ def test_accumulator_increments_match_their_definitions(cells, lengths):
     p = Params(alpha=1.25, epsilon=0.01, chi=1.0, ell=1.0)
     s = State(grid=g, t=0.0, u=u, v=v)
     dt = 0.5 * _limits(s, p)
-    acc = step(s, p, dt).acc
+    acc = run(s, p, StepControl(t_end=dt)).final.acc
     gu, gv = g.face_gradient(u), g.face_gradient(v)
     lap_v = g.laplacian_neumann(v)
     vol = g.cell_volume
@@ -471,16 +471,16 @@ def _cosine_state(cells, p):
 
 @pytest.mark.parametrize("cells", [32, (8, 6), (5, 4, 3)])
 def test_step_taken_twice_from_one_rhs_is_bit_equal(cells):
-    # the accumulators reuse the rhs's scratch; nothing the rhs returns is overwritten
+    # nothing the rhs returns is overwritten by a step
     p = Params(alpha=1.25, epsilon=0.01, chi=2.0, ell=1.0)
     s = _cosine_state(cells, p)
     rhs = stepper._rhs_core(s, p)
     dt = stepper._dt_limits(s, p, *rhs[4:6])
     a = step(s, p, dt, rhs)
-    first = (a.u.tobytes(), a.v.tobytes(), a.acc)  # before the retake could write into a
+    first = (a.u.tobytes(), a.v.tobytes())  # before the retake could write into a
     b = step(s, p, dt, rhs)
-    assert (b.u.tobytes(), b.v.tobytes(), b.acc) == first
-    assert (a.u.tobytes(), a.v.tobytes()) == first[:2]
+    assert (b.u.tobytes(), b.v.tobytes()) == first
+    assert (a.u.tobytes(), a.v.tobytes()) == first
 
 
 @pytest.mark.parametrize("case", ["1d-notch", "2d-alpha1", "3d-arithmetic"])
@@ -502,33 +502,37 @@ def test_observed_steps_recompute_bit_equal_from_scratch(case):
     for prev, new, dt in seen:
         again = step(prev, p, dt)
         assert again.u.tobytes() == new.u.tobytes() and again.v.tobytes() == new.v.tobytes()
-        assert again.acc == new.acc and again.t == new.t
+        assert again.t == new.t
 
 
 def _eager_run(s, p, control, cadence):
-    """run's loop without a ledger: every step evaluates its own accumulators, and dt is
-    the step limit of the step's rhs clipped to dt_max, t_end and the next tick, halved on
-    rejection.  Returns the trajectory's fields plus every dt and accumulator row."""
+    """run's loop with each step's accumulators evaluated at once, by _advance_accumulators on
+    that step's rhs, and set on every state; dt is the step limit of the step's rhs clipped
+    to dt_max, t_end and the next tick, halved on rejection.  Returns the monitor rows, every
+    dt, the rejection count and the final state."""
     ticks = Cadence(cadence, control.t_end)
-    rows, dts, accs, n_rejected = [diagnostics.monitor_row(s, p)], [], [], 0
+    rows, dts, n_rejected = [diagnostics.monitor_row(s, p)], [], 0
     while s.t < control.t_end - ticks.tol:
         rhs = stepper._rhs_core(s, p)
         dt = max(min(stepper._dt_limits(s, p, *rhs[4:6]), control.dt_max,
                      control.t_end - s.t, ticks.next_tick() - s.t), ticks.tol)
         while True:
             try:
-                s = step(s, p, dt, rhs)
+                new = step(s, p, dt, rhs)
                 break
             except StepRejected:
                 n_rejected += 1
                 dt *= 0.5
+        _, _, gu, gv, uv, _, lap_v, scratch = rhs
+        new.acc = stepper._advance_accumulators(s.acc, p, s.grid, [dt], s.u, s.v, gu, gv, uv,
+                                                lap_v, scratch)
+        s = new
         dts.append(dt)
-        accs.append(s.acc.values())
         if ticks.due(s.t) is not None:
             rows.append(diagnostics.monitor_row(s, p))
     if rows[-1].t < s.t - ticks.tol or len(rows) == 1:
         rows.append(diagnostics.monitor_row(s, p))
-    return rows, dts, accs, n_rejected, s
+    return rows, dts, n_rejected, s
 
 
 def _block_case(cells, alpha, avg_mode, chi=2.0):
@@ -541,13 +545,13 @@ def _block_case(cells, alpha, avg_mode, chi=2.0):
 def _assert_run_is_eager_bit_for_bit(s, p, control, cadence, observers=()):
     seen = []
     traj = run(State(grid=s.grid, t=s.t, u=s.u.copy(), v=s.v.copy()), p, control,
-               observers=[*observers, lambda prev, new, dt: seen.append((new, dt))],
+               observers=[*observers, lambda prev, new, dt: seen.append(dt)],
                monitor_cadence=cadence)
-    rows, dts, accs, n_rejected, final = _eager_run(s, p, control, cadence)
+    rows, dts, n_rejected, final = _eager_run(s, p, control, cadence)
     assert (traj.n_steps, traj.n_rejected) == (len(dts), n_rejected)
-    assert [dt for _, dt in seen] == dts
-    assert [new.acc.values() for new, _ in seen] == accs  # read only now, after the run
+    assert seen == dts
     assert [r.csv_values() for r in traj.rows] == [r.csv_values() for r in rows]
+    assert traj.final.acc == final.acc
     assert traj.final.u.tobytes() == final.u.tobytes()
     assert traj.final.v.tobytes() == final.v.tobytes()
     return traj
@@ -574,23 +578,15 @@ def test_block_accumulators_bit_for_bit_without_taxis_and_with_rejections(case):
         assert traj.n_rejected >= 1
 
 
-def test_observer_reads_and_writes_leave_the_accumulators_eager():
-    # reading new.acc resolves it at once; writing into prev.u after its step changes
-    # no accumulator, since the ledger keeps its own copy of what each step saw
-    s, p, control, cadence = _block_case(64, 1.25, "arithmetic")
-    read = []
-
-    def reader(prev, new, dt):
-        read.append(new.acc.values())
-
+def test_observer_writes_leave_the_accumulators_eager():
+    # writing into prev.u after its step changes no accumulator: a block keeps its own
+    # copy of what each step saw, and a step without one is evaluated before the observers
     def scribbler(prev, new, dt):
         prev.u[...] = 7.0
         prev.v[...] = 7.0
-    _assert_run_is_eager_bit_for_bit(s, p, control, cadence, observers=[reader])
-    assert read == _eager_run(s, p, control, cadence)[2]
-    every_third = [lambda prev, new, dt: len(read) % 3 or new.acc.uv, reader]  # uneven reads
-    _assert_run_is_eager_bit_for_bit(s, p, control, cadence, observers=every_third)
-    _assert_run_is_eager_bit_for_bit(s, p, control, cadence, observers=[scribbler])
+    for cells in (64, (64, 64)):
+        _assert_run_is_eager_bit_for_bit(*_block_case(cells, 1.25, "arithmetic"),
+                                         observers=[scribbler])
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.25])
@@ -609,32 +605,38 @@ def test_accumulators_equal_a_vdot_per_integral_bit_for_bit(cells, alpha):
             np.vdot(u ** (1.0 - alpha) * v, cgu2), np.vdot(v / u, cgu2), np.vdot(u / v, cgv2),
             np.vdot(u / v, q * q), np.vdot(q * q, q / (v * v)), np.vdot(u ** (7.0 / 3.0), v)]
     dt = 0.5 * _limits(s, p)
-    assert step(s, p, dt).acc.values() == tuple(dt * float(x) * g.cell_volume for x in sums)
+    acc = run(s, p, StepControl(t_end=dt)).final.acc
+    assert acc.values() == tuple(dt * float(x) * g.cell_volume for x in sums)
 
 
-@pytest.mark.parametrize("read_at", [None, 100])
-def test_only_an_observer_read_ends_the_blocks(read_at):
-    # monitor rows and full blocks flush a block and the next one starts; once an observer
-    # has read the newest accumulators, every later step evaluates its own
-    s, p, control, cadence = _block_case(64, 1.25, "geometric")  # K = 64, ticks mid-block
-    held = []
+@pytest.mark.parametrize("cells", [64, (64, 64)])
+def test_observers_see_no_accumulators_and_the_records_get_them(cells):
+    # blocks (K = 64) and per-step evaluation (K = 1) alike: each observer sees new.acc None,
+    # and each tick state, once its observers are done, and the final state get theirs
+    seen = []
+    traj = _assert_run_is_eager_bit_for_bit(
+        *_block_case(cells, 0.5, "geometric"),
+        observers=[lambda prev, new, dt: seen.append((new, new.acc))] * 2)
+    assert len(seen) == 2 * traj.n_steps and all(acc is None for _, acc in seen)
+    recorded = [new.acc for new, _ in seen[::2] if new.acc is not None]
+    assert recorded == [r.acc for r in traj.rows[1:]] and len(recorded) >= 4
+    assert seen[-1][0] is traj.final
 
-    def observer(prev, new, dt):
-        held.append("_ledger" in vars(new.acc))  # vars() leaves a pending one pending
-        if len(held) == read_at:
-            new.acc.uv
-    traj = _assert_run_is_eager_bit_for_bit(s, p, control, cadence, observers=[observer])
-    assert len(held) == traj.n_steps > 140 and len(traj.rows) >= 4
-    cut = read_at or len(held)
-    assert held[:cut].count(False) <= cut // 64  # only a full block resolves on its step
-    assert not any(held[cut:])
+
+def test_run_refuses_a_start_state_without_accumulators(monkeypatch):
+    p = Params(alpha=1.0, epsilon=0.01)
+    s = step(_const_state(Grid(16)), p, 1e-4)
+    assert s.acc is None
+    calls = []
+    monkeypatch.setattr(stepper, "step", lambda *args: calls.append("step"))
+    with pytest.raises(ValueError, match=r"\bacc\b"):
+        run(s, p, StepControl(t_end=1e-3), observers=[lambda *args: calls.append("observer")])
+    assert calls == [] and s.acc is None and s.t == 1e-4
 
 
 def test_trajectory_from_run_pickles_without_a_ledger():
     s, p, control, cadence = _block_case(64, 0.5, "geometric")
     traj = run(s, p, control, monitor_cadence=cadence)
-    accs = [traj.final.acc] + [row.acc for row in traj.rows]
-    assert all("_ledger" not in vars(acc) for acc in accs)
     back = pickle.loads(pickle.dumps(traj))
     assert [r.csv_values() for r in back.rows] == [r.csv_values() for r in traj.rows]
     assert back.final.acc == traj.final.acc
