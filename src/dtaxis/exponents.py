@@ -11,7 +11,12 @@ moment exponents step by step:
 * strong (3/2 < alpha < 2): the sequence (q_k, p_k, r_k) whose p-component
   grows by the exact factor 7/6 each step.
 
-All recursions are deterministic float arithmetic and bit-reproducible.
+All recursions are deterministic float arithmetic and bit-reproducible.  The
+moderate, hat and strong ones run on vectors of lanes, one lane per (seed,
+alpha) pair, so the verifier takes each step for all its samples in one
+operation.  Every operation is elementwise IEEE arithmetic, so each lane is
+bit-equal to the one-lane sequence that ``moderate_seq``, ``moderate_seq_hat``
+and ``strong_seq`` return.
 """
 
 from __future__ import annotations
@@ -73,14 +78,7 @@ def moderate_seq(m0: float, alpha: float, K: int) -> list[ExponentTriple]:
     if not 2.0 <= m0 < math.inf:
         raise ValueError(f"m0 must be at least 2 and finite, got {m0}")
     _require_moderate(alpha)
-    out = []
-    m = float(m0)
-    for k in range(K):
-        p = m / 2.0 + 3.5 - 2.0 * alpha
-        r = min((4.0 * p - 6.0) / 3.0, p - 1.0)
-        out.append(ExponentTriple(k=k, first=m, p=p, r=r))
-        m = (2.0 * p) / 3.0 + r + 2.0
-    return out
+    return _one_lane("moderate", m0, alpha, K)
 
 
 def moderate_seq_hat(mhat0: float, alpha: float, K: int) -> list[ExponentTriple]:
@@ -91,14 +89,7 @@ def moderate_seq_hat(mhat0: float, alpha: float, K: int) -> list[ExponentTriple]
     if not 6.0 < mhat0 < math.inf:
         raise ValueError(f"hat seed must exceed 6 and be finite, got {mhat0}")
     _require_moderate(alpha)
-    out = []
-    m = float(mhat0)
-    for k in range(K):
-        p = m + 3.0 - 2.0 * alpha
-        r = p - 1.0
-        out.append(ExponentTriple(k=k, first=m, p=p, r=r))
-        m = (2.0 * p) / 3.0 + r + 2.0
-    return out
+    return _one_lane("moderate_hat", mhat0, alpha, K)
 
 
 def strong_seq(q0: float, alpha: float, K: int) -> list[ExponentTriple]:
@@ -115,15 +106,43 @@ def strong_seq(q0: float, alpha: float, K: int) -> list[ExponentTriple]:
     if not -1.0 < q0 < math.inf:
         raise ValueError(f"q0 must exceed -1 and be finite, got {q0}")
     _require_strong(alpha)
-    out = []
-    shift = 5.0 - 2.0 * alpha
-    q = float(q0)
-    p = q + shift
-    for k in range(K):
-        out.append(ExponentTriple(k=k, first=q, p=p, r=p - 1.0))
-        p = 7.0 * p / 6.0
-        q = p - shift
-    return out
+    return _one_lane("strong", q0, alpha, K)
+
+
+def _recursion(regime: str, first, alpha, K: int):
+    """Yield (first_k, p_k, r_k, first_(k+1)) for k < K, each a vector over lanes
+    (one lane per (seed, alpha) pair), where first is m, m_hat or q by regime."""
+    first, two_alpha = np.asarray(first, dtype=float), 2.0 * np.asarray(alpha, dtype=float)
+    if regime == "strong":
+        shift = 5.0 - two_alpha
+        p = first + shift
+        for _ in range(K):
+            p_next = 7.0 * p / 6.0
+            first_next = p_next - shift
+            yield first, p, p - 1.0, first_next
+            first, p = first_next, p_next
+        return
+    for _ in range(K):
+        if regime == "moderate":
+            p = first / 2.0 + 3.5 - two_alpha
+            r = np.minimum((4.0 * p - 6.0) / 3.0, p - 1.0)
+        else:
+            p = first + 3.0 - two_alpha
+            r = p - 1.0
+        first_next = (2.0 * p) / 3.0 + r + 2.0
+        yield first, p, r, first_next
+        first = first_next
+
+
+# a lane that overflows goes on in inf and nan, silently, as Python floats do
+_AS_PYTHON_FLOATS = dict(over="ignore", invalid="ignore")
+
+
+def _one_lane(regime: str, first0: float, alpha: float, K: int) -> list[ExponentTriple]:
+    _require_steps("K", K)
+    with np.errstate(**_AS_PYTHON_FLOATS):
+        return [ExponentTriple(k=k, first=float(m[0]), p=float(p[0]), r=float(r[0]))
+                for k, (m, p, r, _) in enumerate(_recursion(regime, [first0], [alpha], K))]
 
 
 def _require_moderate(alpha: float):
@@ -134,6 +153,11 @@ def _require_moderate(alpha: float):
 def _require_strong(alpha: float):
     if not 1.5 < alpha < 2.0:
         raise ValueError(f"strong regime needs 3/2 < alpha < 2, got {alpha}")
+
+
+def _require_steps(name: str, n: int):
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -173,105 +197,102 @@ class VerifyReport:
 _EPS = 1e-9
 
 
-def _check_moderate(alpha: float, m0: float, K: int, bad: list):
-    seq = moderate_seq(m0, alpha, K)
-    tag = f"(alpha={alpha:.6g}, m0={m0:.6g})"
-    found_k0 = False
-    for j, tr in enumerate(seq):
-        m_next = seq[j + 1].first if j + 1 < K else (2.0 * tr.p) / 3.0 + tr.r + 2.0
-        if not tr.p > 1.0 - 1e-12:
-            bad.append(f"moderate a) p_k <= 1 at k={tr.k} {tag}")
-        if 1.5 * (tr.r + 2.0) > m_next + _EPS:
-            bad.append(f"moderate a) 3/2 (r_k+2) > m_k+1 at k={tr.k} {tag}")
-        if not found_k0 and tr.p > 3.0 + 1e-12:
-            found_k0 = True
-            if not m_next > 6.0:
-                bad.append(f"moderate b) m_k0+1 <= 6 at k0={tr.k} {tag}")
-        if tr.p > 24.0 - 12.0 * alpha + _EPS:
-            if m_next >= tr.first + 1e-12 * max(1.0, abs(tr.first)):
-                bad.append(f"moderate c) m increased past threshold at k={tr.k} {tag}")
-    if not found_k0:
-        bad.append(f"moderate b) no k0 with p_k0 > 3 within {K} steps {tag}")
+def _flag(flags: list, k: int, pos: int, *checks):
+    """Record (lane, k, position, text) for every lane flagged by each (mask, text) check,
+    the first at position ``pos``."""
+    for j, (mask, text) in enumerate(zip(checks[::2], checks[1::2]), start=pos):
+        if mask.any():
+            flags += [(i, k, j, text) for i in np.flatnonzero(mask).tolist()]
 
 
-def _check_moderate_hat(alpha: float, m0: float, K: int, bad: list):
-    seq = moderate_seq_hat(m0, alpha, K)
-    tag = f"(alpha={alpha:.6g}, mhat0={m0:.6g})"
-    floor = 6.0 - 2.0 * alpha
-    for j, tr in enumerate(seq):
-        m_next = seq[j + 1].first if j + 1 < K else (2.0 * tr.p) / 3.0 + tr.r + 2.0
-        if not tr.p > 3.0 - 1e-12:
-            bad.append(f"hat a) p_k <= 3 at k={tr.k} {tag}")
-        if 1.5 * (tr.r + 2.0) > m_next + _EPS:
-            bad.append(f"hat a) 3/2 (r_k+2) > m_k+1 at k={tr.k} {tag}")
-        if m_next - tr.first <= floor - _EPS:
-            bad.append(f"hat c) increment below 6 - 2 alpha at k={tr.k} {tag}")
-    if seq[-1].first < m0 + (K - 1) * floor - 1e-6:
-        bad.append(f"hat c) sequence not diverging {tag}")
+def _messages(flags: list, alpha, seed, name: str) -> tuple[str, ...]:
+    """Flagged checks by lane, then k, then position, each with its lane's tag."""
+    return tuple(f"{text.format(k=k)} (alpha={float(alpha[i]):.6g}, {name}={float(seed[i]):.6g})"
+                 for i, k, _, text in sorted(flags))
 
 
-def _check_strong(alpha: float, q0: float, K: int, bad: list) -> int:
-    seq = strong_seq(q0, alpha, K)
-    tag = f"(alpha={alpha:.6g}, q0={q0:.6g})"
-    p0 = seq[0].p
-    boundary = 0
-    for j, tr in enumerate(seq):
-        exact = (7.0 / 6.0) ** tr.k * p0
-        if abs(tr.p - exact) > 1e-12 * max(1.0, abs(exact)):
-            bad.append(f"strong p_k != (7/6)^k p_0 at k={tr.k} {tag}")
-        if not tr.first > -1.0:
-            bad.append(f"strong q_k <= -1 at k={tr.k} {tag}")
-        if tr.p > 1.0 + 1e-12 and not tr.r > 0.0:
-            bad.append(f"strong r_k <= 0 with p_k > 1 at k={tr.k} {tag}")
-        if abs(tr.r) <= 1e-12:
-            boundary += 1
-        if j + 1 < K:
-            if not seq[j + 1].first > tr.first:
-                bad.append(f"strong q not increasing at k={tr.k} {tag}")
-            if not seq[j + 1].p > tr.p:
-                bad.append(f"strong p not increasing at k={tr.k} {tag}")
+def _verify_moderate(alpha, m0, K: int) -> tuple[str, ...]:
+    flags, found = [], np.zeros(alpha.size, dtype=bool)
+    threshold = 24.0 - 12.0 * alpha + _EPS
+    for k, (m, p, r, m_next) in enumerate(_recursion("moderate", m0, alpha, K)):
+        k0 = ~found & (p > 3.0 + 1e-12)
+        found |= k0
+        _flag(flags, k, 0,
+              ~(p > 1.0 - 1e-12), "moderate a) p_k <= 1 at k={k}",
+              1.5 * (r + 2.0) > m_next + _EPS, "moderate a) 3/2 (r_k+2) > m_k+1 at k={k}",
+              k0 & ~(m_next > 6.0), "moderate b) m_k0+1 <= 6 at k0={k}",
+              (p > threshold) & (m_next >= m + 1e-12 * np.maximum(1.0, np.abs(m))),
+              "moderate c) m increased past threshold at k={k}")
+    _flag(flags, K, 0, ~found, f"moderate b) no k0 with p_k0 > 3 within {K} steps")
+    return _messages(flags, alpha, m0, "m0")
+
+
+def _verify_moderate_hat(alpha, m0, K: int) -> tuple[str, ...]:
+    flags, floor = [], 6.0 - 2.0 * alpha
+    for k, (m, p, r, m_next) in enumerate(_recursion("moderate_hat", m0, alpha, K)):
+        _flag(flags, k, 0,
+              ~(p > 3.0 - 1e-12), "hat a) p_k <= 3 at k={k}",
+              1.5 * (r + 2.0) > m_next + _EPS, "hat a) 3/2 (r_k+2) > m_k+1 at k={k}",
+              m_next - m <= floor - _EPS, "hat c) increment below 6 - 2 alpha at k={k}")
+    _flag(flags, K, 0, m < m0 + (K - 1) * floor - 1e-6, "hat c) sequence not diverging")
+    return _messages(flags, alpha, m0, "mhat0")
+
+
+def _verify_strong(alpha, q0, K: int) -> tuple[tuple[str, ...], int]:
+    """The strong checks and the number of (lane, k) with r_k = 0 to 1e-12."""
+    flags, boundary, above = [], 0, np.full(alpha.size, -1)
+    for k, (q, p, r, _) in enumerate(_recursion("strong", q0, alpha, K)):
+        if k == 0:
+            p0 = p
+        else:  # the step from k - 1, checked after the rest of k - 1
+            _flag(flags, k - 1, 3, ~(q > q_prev), "strong q not increasing at k={k}",
+                  ~(p > p_prev), "strong p not increasing at k={k}")
+        exact = (7.0 / 6.0) ** k * p0  # a Python float power, as one lane takes it
+        _flag(flags, k, 0,
+              np.abs(p - exact) > 1e-12 * np.maximum(1.0, np.abs(exact)),
+              "strong p_k != (7/6)^k p_0 at k={k}",
+              ~(q > -1.0), "strong q_k <= -1 at k={k}",
+              (p > 1.0 + 1e-12) & ~(r > 0.0), "strong r_k <= 0 with p_k > 1 at k={k}")
+        boundary += int(np.count_nonzero(np.abs(r) <= 1e-12))
+        above[(above < 0) & (p > 100.0)] = k
+        q_prev, p_prev = q, p
     # geometric growth: p exceeds 100 within ceil(log_(7/6)(100/p0)) steps
-    target = next((tr.k for tr in seq if tr.p > 100.0), None)
-    if target is not None:
-        kbound = math.ceil(math.log(100.0 / p0) / math.log(7.0 / 6.0))
-        if target > max(kbound, 0):
-            bad.append(f"strong growth slower than geometric {tag}")
-    return boundary
+    for i, (target, start) in enumerate(zip(above.tolist(), p0.tolist())):
+        if target >= 0 and target > max(math.ceil(math.log(100.0 / start)
+                                                  / math.log(7.0 / 6.0)), 0):
+            flags.append((i, K, 0, "strong growth slower than geometric"))
+    return _messages(flags, alpha, q0, "q0"), boundary
 
 
 def verify_regime_lemmas(samples: int, seed: int, iterations: int) -> VerifyReport:
     """Draw random admissible (alpha, seed) pairs per regime and assert every
     stated structural property of the three recursions; returns the
-    counterexample report (expected empty)."""
+    counterexample report (expected empty).
+
+    Each regime runs one recursion over all its pairs at once, the drawn ones
+    followed by fixed edge cases."""
+    _require_steps("samples", samples)
+    _require_steps("iterations", iterations)
     rng = np.random.default_rng(seed)
 
-    bad_m: list[str] = []
-    for _ in range(samples):
-        alpha = float(rng.uniform(1.0 + 1e-9, 1.5))
-        m0 = float(rng.uniform(2.0, 60.0))
-        _check_moderate(alpha, m0, iterations, bad_m)
-    _check_moderate(1.5, 2.0, iterations, bad_m)
+    def draw(lo, hi, *edges):
+        pairs = np.concatenate([rng.uniform(lo, hi, size=(samples, 2)),
+                                np.array(edges, dtype=float).reshape(-1, 2)])
+        return pairs[:, 0].copy(), pairs[:, 1].copy()
 
-    bad_h: list[str] = []
-    for _ in range(samples):
-        alpha = float(rng.uniform(1.0 + 1e-9, 1.5))
-        m0 = float(rng.uniform(6.0 + 1e-6, 40.0))
-        _check_moderate_hat(alpha, m0, iterations, bad_h)
-
-    bad_s: list[str] = []
-    boundary = 0
-    for _ in range(samples):
-        alpha = float(rng.uniform(1.5 + 1e-9, 2.0 - 1e-9))
-        q0 = float(rng.uniform(-1.0 + 1e-6, 6.0))
-        boundary += _check_strong(alpha, q0, iterations, bad_s)
-    # limit-case robustness near the regime boundary and near the seed floor
-    boundary += _check_strong(1.5 + 1e-9, -0.99, iterations, bad_s)
-    alpha_edge = 1.75
-    boundary += _check_strong(alpha_edge, 2.0 * alpha_edge - 4.0, iterations, bad_s)
+    with np.errstate(**_AS_PYTHON_FLOATS):
+        alpha, m0 = draw((1.0 + 1e-9, 2.0), (1.5, 60.0), (1.5, 2.0))
+        bad_m = _verify_moderate(alpha, m0, iterations)
+        alpha, mhat0 = draw((1.0 + 1e-9, 6.0 + 1e-6), (1.5, 40.0))
+        bad_h = _verify_moderate_hat(alpha, mhat0, iterations)
+        # limit-case robustness near the regime boundary and near the seed floor
+        alpha, q0 = draw((1.5 + 1e-9, -1.0 + 1e-6), (2.0 - 1e-9, 6.0),
+                         (1.5 + 1e-9, -0.99), (1.75, 2.0 * 1.75 - 4.0))
+        bad_s, boundary = _verify_strong(alpha, q0, iterations)
 
     return VerifyReport(
-        moderate=RegimeReport("moderate", samples + 1, iterations, tuple(bad_m)),
-        moderate_hat=RegimeReport("moderate_hat", samples, iterations, tuple(bad_h)),
-        strong=RegimeReport("strong", samples + 2, iterations, tuple(bad_s),
+        moderate=RegimeReport("moderate", samples + 1, iterations, bad_m),
+        moderate_hat=RegimeReport("moderate_hat", samples, iterations, bad_h),
+        strong=RegimeReport("strong", samples + 2, iterations, bad_s,
                             boundary_cases=boundary),
     )

@@ -115,14 +115,20 @@ def _advance_accumulators(acc: Accumulators, params: Params, grid, dts: list[flo
                           u, v, gu, gv, uv, lap_v, scratch) -> Accumulators:
     """The running integrals after k accepted steps from ``acc``, added step by step:
     row i of each (k, *shape) stack (unstacked at k = 1) is what step i saw.  Each integral
-    is a cell quadrature (see ``grid``), its row sums bit for bit those of each row alone;
-    each product goes into ``scratch`` once its last reader is done."""
-    k, vol, dot = len(dts), grid.cell_volume, np.vecdot
+    is a cell quadrature (see ``grid``), its row sums bit for bit those of each row alone
+    and, being numpy's pairwise sums, free of any BLAS thread count; each product goes into
+    ``scratch`` once its last reader is done."""
+    k, vol = len(dts), grid.cell_volume
     flux, (c0, c1, c2) = scratch
     cgu2 = grid.cell_dot(gu, gu, out=c0, faces=flux, cell=c2)
     cgv2 = grid.cell_dot(gv, gv, out=c1, faces=flux, cell=c2)
     # the rest is cell by cell, so it runs on (k, cells) views, reduced row by row
     u, v, uv, lap_v, cgu2, cgv2, c2 = (x.reshape(k, -1) for x in (u, v, uv, lap_v, cgu2, cgv2, c2))
+    prod = np.empty_like(u)
+
+    def dot(a, b):
+        return np.multiply(a, b, out=prod).sum(axis=1)
+
     sums = [uv.sum(axis=1), dot(v, cgu2), dot(u, cgv2), dot(lap_v, lap_v),
             dot(np.multiply(_power(u, 1.0 - params.alpha, out=c2), v, out=c2), cgu2),
             dot(np.divide(v, u, out=c2), cgu2)]

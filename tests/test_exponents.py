@@ -1,8 +1,12 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dtaxis.exponents import (ExponentTriple, moderate_seq, moderate_seq_hat,
+from dtaxis import exponents
+from dtaxis.exponents import (ExponentTriple, RegimeReport, moderate_seq, moderate_seq_hat,
                               p0_sup, strong_seq, verify_regime_lemmas,
                               weak_feedback_p)
 
@@ -165,3 +169,210 @@ def test_recursions_bit_reproducible():
 def test_triple_is_plain_record():
     tr = ExponentTriple(k=0, first=2.0, p=2.0, r=2.0 / 3.0)
     assert (tr.k, tr.first, tr.p, tr.r) == (0, 2.0, 2.0, 2.0 / 3.0)
+
+
+@pytest.mark.parametrize("samples, iterations, name", [
+    (0, 10, "samples"), (-3, 10, "samples"), (5, 0, "iterations"), (5, -1, "iterations")])
+def test_verify_refuses_sizes_below_one(samples, iterations, name):
+    bad = min(samples, iterations)
+    with pytest.raises(ValueError, match=rf"^{name} must be at least 1, got {bad}$"):
+        verify_regime_lemmas(samples, 0, iterations)
+
+
+@pytest.mark.parametrize("K", [0, -2])
+@pytest.mark.parametrize("build, seed, alpha", [
+    (moderate_seq, 2.0, 1.25), (moderate_seq_hat, 6.5, 1.25), (strong_seq, -0.5, 1.75)])
+def test_sequences_refuse_fewer_than_one_step(build, seed, alpha, K):
+    with pytest.raises(ValueError, match=rf"^K must be at least 1, got {K}$"):
+        build(seed, alpha, K)
+
+
+def _scalar_moderate(alpha, m0, K, bad):
+    seq = moderate_seq(m0, alpha, K)
+    tag = f"(alpha={alpha:.6g}, m0={m0:.6g})"
+    found_k0 = False
+    for j, tr in enumerate(seq):
+        m_next = seq[j + 1].first if j + 1 < K else (2.0 * tr.p) / 3.0 + tr.r + 2.0
+        if not tr.p > 1.0 - 1e-12:
+            bad.append(f"moderate a) p_k <= 1 at k={tr.k} {tag}")
+        if 1.5 * (tr.r + 2.0) > m_next + 1e-9:
+            bad.append(f"moderate a) 3/2 (r_k+2) > m_k+1 at k={tr.k} {tag}")
+        if not found_k0 and tr.p > 3.0 + 1e-12:
+            found_k0 = True
+            if not m_next > 6.0:
+                bad.append(f"moderate b) m_k0+1 <= 6 at k0={tr.k} {tag}")
+        if tr.p > 24.0 - 12.0 * alpha + 1e-9:
+            if m_next >= tr.first + 1e-12 * max(1.0, abs(tr.first)):
+                bad.append(f"moderate c) m increased past threshold at k={tr.k} {tag}")
+    if not found_k0:
+        bad.append(f"moderate b) no k0 with p_k0 > 3 within {K} steps {tag}")
+
+
+def _scalar_moderate_hat(alpha, m0, K, bad):
+    seq = moderate_seq_hat(m0, alpha, K)
+    tag = f"(alpha={alpha:.6g}, mhat0={m0:.6g})"
+    floor = 6.0 - 2.0 * alpha
+    for j, tr in enumerate(seq):
+        m_next = seq[j + 1].first if j + 1 < K else (2.0 * tr.p) / 3.0 + tr.r + 2.0
+        if not tr.p > 3.0 - 1e-12:
+            bad.append(f"hat a) p_k <= 3 at k={tr.k} {tag}")
+        if 1.5 * (tr.r + 2.0) > m_next + 1e-9:
+            bad.append(f"hat a) 3/2 (r_k+2) > m_k+1 at k={tr.k} {tag}")
+        if m_next - tr.first <= floor - 1e-9:
+            bad.append(f"hat c) increment below 6 - 2 alpha at k={tr.k} {tag}")
+    if seq[-1].first < m0 + (K - 1) * floor - 1e-6:
+        bad.append(f"hat c) sequence not diverging {tag}")
+
+
+def _scalar_strong(alpha, q0, K, bad):
+    seq = strong_seq(q0, alpha, K)
+    tag = f"(alpha={alpha:.6g}, q0={q0:.6g})"
+    p0 = seq[0].p
+    boundary = 0
+    for j, tr in enumerate(seq):
+        exact = (7.0 / 6.0) ** tr.k * p0
+        if abs(tr.p - exact) > 1e-12 * max(1.0, abs(exact)):
+            bad.append(f"strong p_k != (7/6)^k p_0 at k={tr.k} {tag}")
+        if not tr.first > -1.0:
+            bad.append(f"strong q_k <= -1 at k={tr.k} {tag}")
+        if tr.p > 1.0 + 1e-12 and not tr.r > 0.0:
+            bad.append(f"strong r_k <= 0 with p_k > 1 at k={tr.k} {tag}")
+        if abs(tr.r) <= 1e-12:
+            boundary += 1
+        if j + 1 < K:
+            if not seq[j + 1].first > tr.first:
+                bad.append(f"strong q not increasing at k={tr.k} {tag}")
+            if not seq[j + 1].p > tr.p:
+                bad.append(f"strong p not increasing at k={tr.k} {tag}")
+    target = next((tr.k for tr in seq if tr.p > 100.0), None)
+    if target is not None:
+        kbound = math.ceil(math.log(100.0 / p0) / math.log(7.0 / 6.0))
+        if target > max(kbound, 0):
+            bad.append(f"strong growth slower than geometric {tag}")
+    return boundary
+
+
+def _scalar_verify(samples, seed, K):
+    """The verifier one (alpha, seed) pair at a time, with scalar draws."""
+    rng = np.random.default_rng(seed)
+    bad_m, bad_h, bad_s = [], [], []
+    for _ in range(samples):
+        alpha = float(rng.uniform(1.0 + 1e-9, 1.5))
+        _scalar_moderate(alpha, float(rng.uniform(2.0, 60.0)), K, bad_m)
+    _scalar_moderate(1.5, 2.0, K, bad_m)
+    for _ in range(samples):
+        alpha = float(rng.uniform(1.0 + 1e-9, 1.5))
+        _scalar_moderate_hat(alpha, float(rng.uniform(6.0 + 1e-6, 40.0)), K, bad_h)
+    boundary = 0
+    for _ in range(samples):
+        alpha = float(rng.uniform(1.5 + 1e-9, 2.0 - 1e-9))
+        boundary += _scalar_strong(alpha, float(rng.uniform(-1.0 + 1e-6, 6.0)), K, bad_s)
+    boundary += _scalar_strong(1.5 + 1e-9, -0.99, K, bad_s)
+    boundary += _scalar_strong(1.75, 2.0 * 1.75 - 4.0, K, bad_s)
+    return (RegimeReport("moderate", samples + 1, K, tuple(bad_m)),
+            RegimeReport("moderate_hat", samples, K, tuple(bad_h)),
+            RegimeReport("strong", samples + 2, K, tuple(bad_s), boundary_cases=boundary))
+
+
+@pytest.mark.parametrize("samples, seed, K", [
+    *((37, 7, K) for K in (1, 2, 3, 4, 6)), (1, 0, 5), (60, 11, 40), (200, 3, 200)])
+def test_verify_equals_the_scalar_checks_of_one_pair_at_a_time(samples, seed, K):
+    assert verify_regime_lemmas(samples, seed, K).reports() == _scalar_verify(samples, seed, K)
+
+
+def _moderate_no_k0(K, *tags):
+    return tuple(f"moderate b) no k0 with p_k0 > 3 within {K} steps {tag}" for tag in tags)
+
+
+@pytest.mark.parametrize("K, moderate", [
+    (1, _moderate_no_k0(1, "(alpha=1.18477, m0=2.21659)", "(alpha=1.5, m0=2)")),
+    (2, _moderate_no_k0(2, "(alpha=1.5, m0=2)")),
+    (4, _moderate_no_k0(4, "(alpha=1.5, m0=2)"))])
+def test_verify_reports_of_few_steps_are_pinned(K, moderate):
+    # a lane whose p never passes 3 in K steps: a drawn one at K = 1, the edge (1.5, 2) up to
+    # K = 4 (p_3 = 3 exactly); the strong edge seed q0 = 2 alpha - 4 has r_0 = 0
+    rep = verify_regime_lemmas(37, 7, K)
+    assert rep.moderate == RegimeReport("moderate", 38, K, moderate)
+    assert rep.moderate_hat == RegimeReport("moderate_hat", 37, K, ())
+    assert rep.strong == RegimeReport("strong", 39, K, (), boundary_cases=1)
+
+
+@pytest.mark.parametrize("regime, faults, messages", [
+    # the edge lane (alpha=1.5, m0=2): p_0 = 30 is a k0 with m_1 = 3, and past 24 - 12 alpha
+    ("moderate", [(5, 0, 30.0)], (
+        "moderate b) m_k0+1 <= 6 at k0=0 (alpha=1.5, m0=2)",
+        "moderate c) m increased past threshold at k=0 (alpha=1.5, m0=2)")),
+    # two lanes: lane 1 is reported first though its fault comes at the later k
+    ("moderate", [(4, 1, 0.5), (1, 3, 0.5)], (
+        "moderate a) p_k <= 1 at k=3 (alpha=1.40064, m0=35.7654)",
+        "moderate a) p_k <= 1 at k=1 (alpha=1.36729, m0=8.59298)")),
+    ("moderate_hat", [(1, 2, 2.0)], ("hat a) p_k <= 3 at k=2 (alpha=1.21531, mhat0=25.9512)",)),
+    # p_17 is the first above 100; at 50 it falls below p_16 and delays the passage past 100
+    ("strong", [(0, 17, 50.0)], (
+        "strong p not increasing at k=16 (alpha=1.50075, q0=5.81422)",
+        "strong p_k != (7/6)^k p_0 at k=17 (alpha=1.50075, q0=5.81422)",
+        "strong growth slower than geometric (alpha=1.50075, q0=5.81422)"))])
+def test_an_injected_fault_is_reported_in_order(monkeypatch, regime, faults, messages):
+    # each (lane, k, value) sets p_k of that lane; the messages are those of the scalar
+    # checks with the same p_k set in that pair's sequence
+    real = exponents._recursion
+
+    def faulty(name, first, alpha, K):
+        for k, (m, p, r, m_next) in enumerate(real(name, first, alpha, K)):
+            if name == regime:
+                p = p.copy()
+                for lane, k_fault, value in faults:
+                    if k == k_fault:
+                        p[lane] = value
+            yield m, p, r, m_next
+
+    monkeypatch.setattr(exponents, "_recursion", faulty)
+    reports = {r.regime: r for r in verify_regime_lemmas(5, 3, 20).reports()}
+    assert reports.pop(regime).violations == messages
+    assert all(r.ok for r in reports.values())
+
+
+def _scalar_triples(regime, first, alpha, K):
+    """The recurrences on Python floats, one lane at a time."""
+    out, shift = [], 5.0 - 2.0 * alpha
+    p = first + shift
+    for _ in range(K):
+        if regime == "strong":
+            out.append((first, p, p - 1.0))
+            p = 7.0 * p / 6.0
+            first = p - shift
+            continue
+        if regime == "moderate":
+            p = first / 2.0 + 3.5 - 2.0 * alpha
+            r = min((4.0 * p - 6.0) / 3.0, p - 1.0)
+        else:
+            p = first + 3.0 - 2.0 * alpha
+            r = p - 1.0
+        out.append((first, p, r))
+        first = (2.0 * p) / 3.0 + r + 2.0
+    return out
+
+
+_ALPHA = st.floats(1.0, 1.5, exclude_min=True)
+_REGIMES = {"moderate": (moderate_seq, st.floats(2.0, 60.0), _ALPHA),
+            "moderate_hat": (moderate_seq_hat, st.floats(6.0, 40.0, exclude_min=True), _ALPHA),
+            "strong": (strong_seq, st.floats(-1.0, 6.0, exclude_min=True),
+                       st.floats(1.5, 2.0, exclude_min=True, exclude_max=True))}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_each_lane_of_a_batch_is_its_one_lane_sequence_bit_for_bit(data):
+    regime = data.draw(st.sampled_from(sorted(_REGIMES)))
+    build, seed_floats, alpha_floats = _REGIMES[regime]
+    pairs = data.draw(st.lists(st.tuples(seed_floats, alpha_floats), min_size=1, max_size=40))
+    K = data.draw(st.integers(1, 80))
+    seeds, alphas = (np.array(x) for x in zip(*pairs))
+    lanes = [[] for _ in pairs]
+    for vectors in exponents._recursion(regime, seeds, alphas, K):
+        for i, triple in enumerate(zip(*(v.tolist() for v in vectors[:3]))):
+            lanes[i].append(tuple(map(float.hex, triple)))
+    for (seed, alpha), lane in zip(pairs, lanes):
+        one = [tuple(map(float.hex, (t.first, t.p, t.r))) for t in build(seed, alpha, K)]
+        scalar = [tuple(map(float.hex, t)) for t in _scalar_triples(regime, seed, alpha, K)]
+        assert lane == one == scalar

@@ -1,12 +1,17 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dtaxis
 from dtaxis import Grid, InitialData, Params, StepControl, StepRejected, build_initial
 from dtaxis import diagnostics, stepper
 from dtaxis.model import AVG_MODES, Accumulators, State
@@ -590,23 +595,51 @@ def test_observer_writes_leave_the_accumulators_eager():
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.25])
-@pytest.mark.parametrize("cells", [64, (9, 7), (5, 4, 6), (64, 64)])
+@pytest.mark.parametrize("cells", [64, (9, 7), (5, 4, 6), (64, 64), (24, 24, 24)])
 def test_accumulators_equal_a_vdot_per_integral_bit_for_bit(cells, alpha):
-    # the reference: each integrand formed on its own and reduced by np.vdot, the
-    # form the stacked np.vecdot rows replaced; a run's blocks are then checked
-    # against per-step evaluation by the tests above
+    # the reference: each integrand formed on its own and reduced by numpy's pairwise sum,
+    # as Grid.integrals reduces; a run's blocks are then checked against per-step
+    # evaluation by the tests above.  24^3 = 13824 cells is past the 10 000 elements
+    # above which a threaded BLAS dot product splits its sum.
     p = Params(alpha=alpha, epsilon=0.01, chi=2.0, ell=1.0)
     s = _cosine_state(cells, p)
     g, u, v = s.grid, s.u, s.v
     gu, gv = g.face_gradient(u), g.face_gradient(v)
     cgu2, cgv2, lap_v = g.cell_dot(gu, gu), g.cell_dot(gv, gv), g.div_faces(gv)
     q = cgv2 / v
-    sums = [(u * v).sum(), np.vdot(v, cgu2), np.vdot(u, cgv2), np.vdot(lap_v, lap_v),
-            np.vdot(u ** (1.0 - alpha) * v, cgu2), np.vdot(v / u, cgu2), np.vdot(u / v, cgv2),
-            np.vdot(u / v, q * q), np.vdot(q * q, q / (v * v)), np.vdot(u ** (7.0 / 3.0), v)]
+
+    def dot(a, b):
+        return (a * b).sum()
+
+    sums = [(u * v).sum(), dot(v, cgu2), dot(u, cgv2), dot(lap_v, lap_v),
+            dot(u ** (1.0 - alpha) * v, cgu2), dot(v / u, cgu2), dot(u / v, cgv2),
+            dot(u / v, q * q), dot(q * q, q / (v * v)), dot(u ** (7.0 / 3.0), v)]
     dt = 0.5 * _limits(s, p)
     acc = run(s, p, StepControl(t_end=dt)).final.acc
     assert acc.values() == tuple(dt * float(x) * g.cell_volume for x in sums)
+
+
+_ACCUMULATORS_OF_ONE_STEP = """
+from dtaxis import Grid, InitialData, Params, build_initial, stepper
+from dtaxis.model import _rhs_core
+p = Params(alpha=1.25, epsilon=0.01, chi=2.0, ell=1.0)
+s = build_initial(Grid((24, 24, 24)), InitialData(kind="cosine_mix", u_base=1.0,
+                                                  u_amplitude=-0.5, v_amplitude=0.2), p)
+rhs = _rhs_core(s, p)
+acc = stepper._advance_accumulators(s.acc, p, s.grid, [1e-3], s.u, s.v, *rhs[2:5], *rhs[6:])
+print(*(x.hex() for x in acc.values()))
+"""
+
+
+def test_accumulators_do_not_depend_on_the_blas_thread_count():
+    # 13824 cells per integrand: a threaded BLAS dot product would split each sum in two
+    # at 2 threads; the thread count is read once, when numpy loads, so each gets a process
+    env = {**os.environ, "PYTHONPATH": str(Path(dtaxis.__file__).parents[1])}
+    outs = [subprocess.run([sys.executable, "-c", _ACCUMULATORS_OF_ONE_STEP], check=True,
+                           capture_output=True, text=True, timeout=120,
+                           env={**env, "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert len(outs[0].split()) == 10 and outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("cells", [64, (64, 64)])
