@@ -5,7 +5,7 @@ Subcommands:
 * ``run``                 one simulation; writes monitors.csv, residuals.csv
                           and (optionally) field snapshots at a fixed cadence
 * ``sweep``               a run per response exponent in ``alpha_<value>/``;
-                          final rows aggregated into sweep.csv, tagged by regime
+                          final rows in sweep.csv, tagged by ``exponents.regime``
 * ``eps-study``           a run per regularization shift in ``epsilon_<value>/``;
                           successive L2 differences written to eps_study.csv
 * ``verify-inequalities`` randomized batches of the functional-inequality
@@ -22,6 +22,7 @@ rejected before any run, 1 when a run or a member fails.
 
 Config files are line-oriented ``key = value`` with ``#`` comments; unknown
 keys are rejected, and a key whose record field has no default is required.
+A snapshot file is the magic, one ``_SNAPSHOT_HEADERS`` struct, then u and v.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ class RunConfig:
         for p in self.p_list:
             if not 0.0 < p < math.inf:
                 raise ValueError(f"invalid value for p_list: {p}")
+        header = MonitorRow.csv_header(self.p_list)
+        if len(set(header)) < len(header):
+            raise ValueError(f"invalid value for p_list: {self.p_list} repeats a monitor column")
 
 
 # key: (parser, record, field).  An omitted key keeps the record field's default;
@@ -176,50 +180,36 @@ class Snapshot:
     epsilon: float
 
 
-def save_snapshot(state: State, params: Params, path) -> None:
-    """Binary snapshot: magic, grid header, (t, alpha, chi, ell, epsilon), u, v.
+# the fields after the magic, per grid dimension: dim, cells, lengths, t, alpha, chi, ell, epsilon
+_SNAPSHOT_HEADERS = {dim: struct.Struct(f"<I{dim}I{dim}d5d") for dim in (1, 2, 3)}
 
-    All payload floats are little-endian 64-bit, row-major, so the round trip
-    is bit exact.
-    """
+
+def save_snapshot(state: State, params: Params, path) -> None:
+    """Binary snapshot: magic, the header ``_SNAPSHOT_HEADERS[dim]``, then u and v as
+    little-endian float64 in row-major order, so the round trip is bit exact."""
     g = state.grid
     with open(path, "wb") as f:
         f.write(SNAPSHOT_MAGIC)
-        f.write(struct.pack("<I", g.dim))
-        f.write(struct.pack(f"<{g.dim}I", *g.cells))
-        f.write(struct.pack(f"<{g.dim}d", *g.lengths))
-        f.write(struct.pack("<5d", state.t, params.alpha, params.chi,
-                            params.ell, params.epsilon))
+        f.write(_SNAPSHOT_HEADERS[g.dim].pack(g.dim, *g.cells, *g.lengths, state.t, params.alpha,
+                                              params.chi, params.ell, params.epsilon))
         f.write(np.ascontiguousarray(state.u, dtype="<f8").tobytes())
         f.write(np.ascontiguousarray(state.v, dtype="<f8").tobytes())
 
 
 def load_snapshot(path, expect_grid: Grid | None = None) -> Snapshot:
     data = Path(path).read_bytes()
-    if len(data) < len(SNAPSHOT_MAGIC) or not data.startswith(SNAPSHOT_MAGIC):
+    if not data.startswith(SNAPSHOT_MAGIC):
         raise ValueError("not a snapshot")
     off = len(SNAPSHOT_MAGIC)
-
-    def take(fmt: str):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(data):
-            raise ValueError("corrupt snapshot")
-        vals = struct.unpack_from(fmt, data, off)
-        off += size
-        return vals
-
-    (dim,) = take("<I")
-    if dim not in (1, 2, 3):
+    header = _SNAPSHOT_HEADERS.get(int.from_bytes(data[off:off + 4], "little"))
+    if header is None or len(data) < off + header.size:
         raise ValueError("corrupt snapshot")
-    cells = take(f"<{dim}I")
-    lengths = take(f"<{dim}d")
-    t, alpha, chi, ell, epsilon = take("<5d")
-    n = int(np.prod(cells))
-    if len(data) != off + 2 * 8 * n:
+    dim, *fields = header.unpack_from(data, off)
+    cells, lengths, (t, alpha, chi, ell, epsilon) = fields[:dim], fields[dim:-5], fields[-5:]
+    off += header.size
+    if len(data) != off + 2 * 8 * math.prod(cells):
         raise ValueError("corrupt snapshot")
-    u = np.frombuffer(data, dtype="<f8", count=n, offset=off).reshape(cells).copy()
-    v = np.frombuffer(data, dtype="<f8", count=n, offset=off + 8 * n).reshape(cells).copy()
+    u, v = np.frombuffer(data, dtype="<f8", offset=off).reshape(2, *cells).copy()
     grid = Grid(cells, lengths)
     if expect_grid is not None and grid != expect_grid:
         raise ValueError(
@@ -350,18 +340,13 @@ def _study(config: RunConfig, key: str, values, workers: int = 1) -> dict:
     return dict(zip(values, map(*jobs)))
 
 
-def regime_label(alpha: float) -> str:
-    """Chemotactic-strength regime of a response exponent (endpoints closed left)."""
-    return "weak" if alpha <= 1.0 else "moderate" if alpha <= 1.5 else "strong"
-
-
 def run_sweep(config: RunConfig, alphas, workers: int = 1) -> list:
     """Independent runs per response exponent, each distinct one once in
     ``alpha_{alpha!r}``; one aggregated CSV row per requested alpha."""
     alphas = [float(a) for a in alphas]
     finals = {a: traj and [_fmt(x) for x in traj.rows[-1].csv_values()]
               for a, traj in _study(config, "alpha", alphas, workers).items()}
-    results = [(a, regime_label(a), "ok" if finals[a] else "failed", finals[a]) for a in alphas]
+    results = [(a, exponents.regime(a), "ok" if finals[a] else "failed", finals[a]) for a in alphas]
     cols = MonitorRow.csv_header(config.p_list)
     _write_csv(_output_dir(config) / "sweep.csv", ["alpha", "regime", "status"] + cols,
                [[a, regime, status, *(final or [""] * len(cols))]

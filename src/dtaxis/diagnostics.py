@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .exponents import regime
 from .grid import Grid, first_cell, lp_power, lp_root
 from .model import Accumulators, Params, State, _power
 
@@ -495,7 +496,7 @@ class Struc2Report:
 
 def check_struc2_balance(pairs, params: Params,
                          c0_grid: tuple[float, ...] | None = None) -> Struc2Report:
-    if params.alpha <= 1.0:
+    if regime(params.alpha) not in ("moderate", "strong"):
         raise ValueError("the balance is tracked only for alpha > 1")
     if c0_grid is None:
         c0_grid = tuple(2.0 ** k for k in range(-6, 7))

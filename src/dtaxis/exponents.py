@@ -1,8 +1,8 @@
 """Bootstrap exponent recursions and their programmatic verification.
 
-Pure arithmetic, completely independent of the solver.  Three integrability
-regimes of the response exponent alpha come with three recursions that upgrade
-moment exponents step by step:
+Pure arithmetic, completely independent of the solver.  ``regime`` alone splits
+the response exponent alpha into three integrability regimes, which come with
+three recursions that upgrade moment exponents step by step:
 
 * weak (0 <= alpha <= 1): a single feedback jump p(r) and the supremum of
   admissible gradient exponents p0;
@@ -22,9 +22,18 @@ and ``strong_seq`` return.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+
+def regime(alpha: float) -> str | None:
+    """The paper's regime of a response exponent: "weak" for 0 <= alpha <= 1, "moderate"
+    for 1 < alpha <= 3/2, "strong" for 3/2 < alpha < 2, and None outside [0, 2)."""
+    if not 0.0 <= alpha < 2.0:
+        return None
+    return "weak" if alpha <= 1.0 else "moderate" if alpha <= 1.5 else "strong"
 
 
 @dataclass(frozen=True)
@@ -46,8 +55,7 @@ def weak_feedback_p(r: float, alpha: float, slack: float = 1e-6) -> float:
     """
     if not 2.0 <= r < math.inf:
         raise ValueError(f"r must be at least 2 and finite, got {r}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _require_regime("weak", alpha)
     if not 0.0 < slack < 1.0 / 12.0:
         raise ValueError(f"slack must lie in (0, 1/12), got {slack}")
     p = r + (2.0 * r / 3.0 - 2.0 * alpha + 1.0) - slack
@@ -58,8 +66,7 @@ def weak_feedback_p(r: float, alpha: float, slack: float = 1e-6) -> float:
 
 def p0_sup(alpha: float) -> float:
     """Exclusive supremum of gradient integrability exponents; inf at alpha=0."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _require_regime("weak", alpha)
     if alpha == 0.0:
         return math.inf
     return 3.0 * (3.0 - alpha) / alpha
@@ -77,7 +84,6 @@ def moderate_seq(m0: float, alpha: float, K: int) -> list[ExponentTriple]:
     """
     if not 2.0 <= m0 < math.inf:
         raise ValueError(f"m0 must be at least 2 and finite, got {m0}")
-    _require_moderate(alpha)
     return _one_lane("moderate", m0, alpha, K)
 
 
@@ -88,7 +94,6 @@ def moderate_seq_hat(mhat0: float, alpha: float, K: int) -> list[ExponentTriple]
     """
     if not 6.0 < mhat0 < math.inf:
         raise ValueError(f"hat seed must exceed 6 and be finite, got {mhat0}")
-    _require_moderate(alpha)
     return _one_lane("moderate_hat", mhat0, alpha, K)
 
 
@@ -105,15 +110,14 @@ def strong_seq(q0: float, alpha: float, K: int) -> list[ExponentTriple]:
     """
     if not -1.0 < q0 < math.inf:
         raise ValueError(f"q0 must exceed -1 and be finite, got {q0}")
-    _require_strong(alpha)
     return _one_lane("strong", q0, alpha, K)
 
 
-def _recursion(regime: str, first, alpha, K: int):
+def _recursion(kind: str, first, alpha, K: int):
     """Yield (first_k, p_k, r_k, first_(k+1)) for k < K, each a vector over lanes
-    (one lane per (seed, alpha) pair), where first is m, m_hat or q by regime."""
+    (one lane per (seed, alpha) pair), where first is m, m_hat or q by kind."""
     first, two_alpha = np.asarray(first, dtype=float), 2.0 * np.asarray(alpha, dtype=float)
-    if regime == "strong":
+    if kind == "strong":
         shift = 5.0 - two_alpha
         p = first + shift
         for _ in range(K):
@@ -123,7 +127,7 @@ def _recursion(regime: str, first, alpha, K: int):
             first, p = first_next, p_next
         return
     for _ in range(K):
-        if regime == "moderate":
+        if kind == "moderate":
             p = first / 2.0 + 3.5 - two_alpha
             r = np.minimum((4.0 * p - 6.0) / 3.0, p - 1.0)
         else:
@@ -138,21 +142,22 @@ def _recursion(regime: str, first, alpha, K: int):
 _AS_PYTHON_FLOATS = dict(over="ignore", invalid="ignore")
 
 
-def _one_lane(regime: str, first0: float, alpha: float, K: int) -> list[ExponentTriple]:
+def _one_lane(kind: str, first0: float, alpha: float, K: int) -> list[ExponentTriple]:
+    _require_regime(kind.removesuffix("_hat"), alpha)
     _require_steps("K", K)
     with np.errstate(**_AS_PYTHON_FLOATS):
         return [ExponentTriple(k=k, first=float(m[0]), p=float(p[0]), r=float(r[0]))
-                for k, (m, p, r, _) in enumerate(_recursion(regime, [first0], [alpha], K))]
+                for k, (m, p, r, _) in enumerate(_recursion(kind, [first0], [alpha], K))]
 
 
-def _require_moderate(alpha: float):
-    if not 1.0 < alpha <= 1.5:
-        raise ValueError(f"moderate regime needs 1 < alpha <= 3/2, got {alpha}")
+_OUTSIDE = {"weak": "alpha must lie in [0, 1]",
+            "moderate": "moderate regime needs 1 < alpha <= 3/2",
+            "strong": "strong regime needs 3/2 < alpha < 2"}
 
 
-def _require_strong(alpha: float):
-    if not 1.5 < alpha < 2.0:
-        raise ValueError(f"strong regime needs 3/2 < alpha < 2, got {alpha}")
+def _require_regime(name: str, alpha: float):
+    if regime(alpha) != name:
+        raise ValueError(f"{_OUTSIDE[name]}, got {alpha}")
 
 
 def _require_steps(name: str, n: int):
@@ -195,6 +200,9 @@ class VerifyReport:
 
 
 _EPS = 1e-9
+_P_TOL = 1e-12  # relative tolerance of the strong check p_k = (7/6)^k p_0
+# p_k and (7/6)^k p_0 round apart by up to 3 (k + 1) half-ulps, within _P_TOL for all k below
+_MAX_ITERATIONS = int(_P_TOL / (1.5 * sys.float_info.epsilon))
 
 
 def _flag(flags: list, k: int, pos: int, *checks):
@@ -249,7 +257,7 @@ def _verify_strong(alpha, q0, K: int) -> tuple[tuple[str, ...], int]:
                   ~(p > p_prev), "strong p not increasing at k={k}")
         exact = (7.0 / 6.0) ** k * p0  # a Python float power, as one lane takes it
         _flag(flags, k, 0,
-              np.abs(p - exact) > 1e-12 * np.maximum(1.0, np.abs(exact)),
+              np.abs(p - exact) > _P_TOL * np.maximum(1.0, np.abs(exact)),
               "strong p_k != (7/6)^k p_0 at k={k}",
               ~(q > -1.0), "strong q_k <= -1 at k={k}",
               (p > 1.0 + 1e-12) & ~(r > 0.0), "strong r_k <= 0 with p_k > 1 at k={k}")
@@ -270,9 +278,12 @@ def verify_regime_lemmas(samples: int, seed: int, iterations: int) -> VerifyRepo
     counterexample report (expected empty).
 
     Each regime runs one recursion over all its pairs at once, the drawn ones
-    followed by fixed edge cases."""
+    followed by fixed edge cases.  More than ``_MAX_ITERATIONS`` iterations are refused:
+    past them rounding alone could fail the strong check, and 7 p_k overflows later still."""
     _require_steps("samples", samples)
     _require_steps("iterations", iterations)
+    if iterations > _MAX_ITERATIONS:
+        raise ValueError(f"iterations must be at most {_MAX_ITERATIONS}, got {iterations}")
     rng = np.random.default_rng(seed)
 
     def draw(lo, hi, *edges):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .exponents import regime
 from .grid import FaceData, Grid, first_cell
 
 AVG_MODES = ("arithmetic", "geometric")
@@ -36,7 +37,7 @@ class Params:
     avg_mode: str = "geometric"
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 2.0:
+        if regime(self.alpha) is None:
             raise ValueError(f"alpha must satisfy 0 <= alpha < 2, got {self.alpha}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import struct
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -11,8 +12,9 @@ import pytest
 from dtaxis import Grid, InitialData, Params, StepControl
 from dtaxis import cli
 from dtaxis.cli import (EpsRow, RunConfig, build_state, cmd_run, load_snapshot, parse_config,
-                        regime_label, run_eps_study, run_sweep, save_snapshot)
+                        run_eps_study, run_sweep, save_snapshot)
 from dtaxis.diagnostics import P_LIST, monitor_row
+from dtaxis.exponents import regime
 from dtaxis.model import State
 from dtaxis.stepper import run
 
@@ -179,6 +181,50 @@ def test_snapshot_errors(tmp_path):
         load_snapshot(path, expect_grid=Grid(16))
 
 
+@pytest.mark.parametrize("grid", [Grid(2), Grid((3, 2), (1.0, 2.0)), Grid((2, 2, 2))])
+def test_every_truncation_and_one_more_byte_are_refused(tmp_path, grid):
+    path, bad = tmp_path / "a.dtxs", tmp_path / "bad.dtxs"
+    save_snapshot(State(grid=grid, t=0.5, u=np.ones(grid.shape), v=np.ones(grid.shape)),
+                  Params(alpha=1.0, epsilon=0.01), path)
+    data = path.read_bytes()
+    for n in range(len(data) + 2):
+        if n == len(data):
+            continue
+        bad.write_bytes(data[:n] if n < len(data) else data + b"\0")
+        want = "not a snapshot" if n < len(b"DTXS1") else "corrupt snapshot"
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            load_snapshot(bad)
+
+
+@pytest.mark.parametrize("dim", [0, 4])
+def test_a_snapshot_dimension_outside_1_to_3_is_corrupt(tmp_path, dim):
+    # laid out in full for that dimension: 2 cells per axis, unit lengths
+    n = 2 ** dim
+    path = tmp_path / "d.dtxs"
+    path.write_bytes(b"DTXS1" + struct.pack(f"<I{dim}I{dim}d5d", dim, *[2] * dim, *[1.0] * dim,
+                                            0.0, 1.0, 1.0, 0.0, 0.01) + bytes(2 * 8 * n))
+    with pytest.raises(ValueError, match="^corrupt snapshot$"):
+        load_snapshot(path)
+
+
+def test_a_snapshot_packed_from_the_documented_layout_loads(tmp_path):
+    # README: magic DTXS1, uint32 dim, dim uint32 cells, dim float64 lengths, float64 t,
+    # alpha, chi, ell, epsilon, then u and v, all little-endian and row-major
+    u, v = np.arange(1.0, 7.0).reshape(3, 2), np.arange(7.0, 13.0).reshape(3, 2) / 8.0
+    data = (b"DTXS1" + struct.pack("<I", 2) + struct.pack("<2I", 3, 2)
+            + struct.pack("<2d", 1.5, 0.25) + struct.pack("<5d", 0.125, 1.3, 0.7, 0.4, 0.02)
+            + u.astype("<f8").tobytes() + v.astype("<f8").tobytes())
+    path = tmp_path / "hand.dtxs"
+    path.write_bytes(data)
+    snap = load_snapshot(path)
+    assert snap.state.grid == Grid((3, 2), (1.5, 0.25))
+    assert (snap.state.t, snap.alpha, snap.chi, snap.ell, snap.epsilon) == (
+        0.125, 1.3, 0.7, 0.4, 0.02)
+    assert snap.state.u.tobytes() == u.tobytes() and snap.state.v.tobytes() == v.tobytes()
+    save_snapshot(snap.state, Params(alpha=1.3, epsilon=0.02, chi=0.7, ell=0.4), path)
+    assert path.read_bytes() == data
+
+
 def test_cmd_run_constant_mass_column(tmp_path):
     cfg = _small_config(tmp_path)
     assert cmd_run(cfg) == 0
@@ -331,11 +377,11 @@ def test_build_state_grid_mismatch(tmp_path):
 
 
 def test_regime_labels():
-    assert regime_label(0.5) == "weak"
-    assert regime_label(1.0) == "weak"
-    assert regime_label(1.25) == "moderate"
-    assert regime_label(1.5) == "moderate"
-    assert regime_label(1.75) == "strong"
+    assert regime(0.5) == "weak"
+    assert regime(1.0) == "weak"
+    assert regime(1.25) == "moderate"
+    assert regime(1.5) == "moderate"
+    assert regime(1.75) == "strong"
 
 
 def test_sweep_three_regimes(tmp_path):
@@ -511,6 +557,15 @@ def test_verify_counts_must_be_positive(capsys, argv):
     assert f"argument {argv[1]}: expected {want}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("iterations", ["4600", "5000"])
+def test_main_refuses_iterations_past_the_strong_checks_range(capsys, iterations):
+    assert cli.main(["verify-exponents", "--samples", "30", "--seed", "2",
+                     "--iterations", iterations]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: iterations must be at most 3002, got {iterations}\n"
+
+
 def test_main_verify_inequalities(tmp_path):
     out = tmp_path / "ineq.jsonl"
     assert cli.main(["verify-inequalities", "--cells", "32", "--samples", "5",
@@ -661,6 +716,17 @@ def test_main_rejects_a_bad_p_list_before_any_output(tmp_path, capsys, command, 
     assert cli.main(_argv(command, _write_cfg(tmp_path, f"p_list = 1,{order}\n"))) == 2
     err = capsys.readouterr().err
     assert err == f"error: invalid value for p_list: {float(order)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("orders", ["1,1.0000001", "2,2"])  # lp_1_u, lp_2_u twice
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_main_rejects_a_p_list_that_repeats_a_column_before_any_output(tmp_path, capsys,
+                                                                      command, orders):
+    assert cli.main(_argv(command, _write_cfg(tmp_path, f"p_list = {orders}\n"))) == 2
+    err = capsys.readouterr().err
+    p_list = tuple(map(float, orders.split(",")))
+    assert err == f"error: invalid value for p_list: {p_list} repeats a monitor column\n"
     assert not (tmp_path / "out").exists()
 
 

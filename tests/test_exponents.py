@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from dtaxis import exponents
 from dtaxis.exponents import (ExponentTriple, RegimeReport, moderate_seq, moderate_seq_hat,
-                              p0_sup, strong_seq, verify_regime_lemmas,
+                              p0_sup, regime, strong_seq, verify_regime_lemmas,
                               weak_feedback_p)
 
 
@@ -177,6 +179,40 @@ def test_verify_refuses_sizes_below_one(samples, iterations, name):
     bad = min(samples, iterations)
     with pytest.raises(ValueError, match=rf"^{name} must be at least 1, got {bad}$"):
         verify_regime_lemmas(samples, 0, iterations)
+
+
+def test_regime_outside_0_to_2_is_none():
+    assert [regime(a) for a in (0.0, -0.0, math.nextafter(2.0, 0.0))] == ["weak", "weak", "strong"]
+    assert [regime(a) for a in (-1e-300, 2.0, math.inf, math.nan)] == [None] * 4
+
+
+_BELOW_1, _ABOVE_3_2 = math.nextafter(1.0, 2.0), math.nextafter(1.5, 2.0)
+
+
+@pytest.mark.parametrize("call, alpha, message", [
+    (lambda a: weak_feedback_p(2.0, a), _BELOW_1, "alpha must lie in [0, 1]"),
+    (lambda a: weak_feedback_p(2.0, a), -0.5, "alpha must lie in [0, 1]"),
+    (p0_sup, _BELOW_1, "alpha must lie in [0, 1]"),
+    (lambda a: moderate_seq(2.0, a, 3), 1.0, "moderate regime needs 1 < alpha <= 3/2"),
+    (lambda a: moderate_seq(2.0, a, 3), _ABOVE_3_2, "moderate regime needs 1 < alpha <= 3/2"),
+    (lambda a: moderate_seq_hat(6.5, a, 3), 1.0, "moderate regime needs 1 < alpha <= 3/2"),
+    (lambda a: strong_seq(-0.5, a, 3), 1.5, "strong regime needs 3/2 < alpha < 2"),
+    (lambda a: strong_seq(-0.5, a, 3), 2.0, "strong regime needs 3/2 < alpha < 2")])
+def test_each_builder_refuses_an_alpha_outside_its_regime(call, alpha, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {alpha}$"):
+        call(alpha)
+
+
+def test_verify_refuses_iterations_past_the_strong_checks_range():
+    # p_k takes two roundings of u = eps / 2 per step, (7/6)^k p_0 one per step from the
+    # rounded base and one each in the power and the product: 3 (k + 1) for every k < limit;
+    # 7 p_k, which each step forms, stays finite for p_0 below 8 = max q0 + 5 - 2 min alpha
+    limit, u = exponents._MAX_ITERATIONS, sys.float_info.epsilon / 2.0
+    assert 3 * limit * u <= 1e-12 < 3 * (limit + 1) * u
+    assert 7.0 * (7.0 / 6.0) ** (limit - 1) * 8.0 < sys.float_info.max
+    assert verify_regime_lemmas(samples=3, seed=2, iterations=limit).ok
+    with pytest.raises(ValueError, match=rf"^iterations must be at most {limit}, got {limit + 1}$"):
+        verify_regime_lemmas(samples=3, seed=2, iterations=limit + 1)
 
 
 @pytest.mark.parametrize("K", [0, -2])
