@@ -54,13 +54,8 @@ def _tuple_of(kind):
     return lambda s: tuple(map(kind, s.split(",")))
 
 
-def _grid(cells: tuple[int, ...], dim: int | None = None, lengths=None) -> Grid:
-    """The configured grid; a single entry of cells or lengths fills every axis."""
-    dim = len(cells) if dim is None else dim
-    if len(cells) == 1 and dim > 1:
-        cells = cells * dim
-    if len(cells) != dim:
-        raise ValueError(f"invalid value for cells: {len(cells)} axes given, dim = {dim}")
+def _grid(cells: tuple[int, ...], lengths=None) -> Grid:
+    """The configured grid, one axis per entry of cells; one entry of lengths fills all."""
     return Grid(cells, lengths[0] if lengths and len(lengths) == 1 else lengths)
 
 
@@ -92,7 +87,6 @@ class RunConfig:
 # key: (parser, record, field).  An omitted key keeps the record field's default;
 # monitor_cadence, the one RunConfig field without one, defaults to t_end / 20.
 _SCHEMA: dict = {
-    "dim": (int, _grid, "dim"),
     "cells": (_tuple_of(int), _grid, "cells"),
     "lengths": (_tuple_of(float), _grid, "lengths"),
     "alpha": (float, Params, "alpha"),
@@ -113,7 +107,6 @@ _SCHEMA: dict = {
     "snapshot_in": (str, InitialData, "snapshot_path"),
     "t_end": (float, StepControl, "t_end"),
     "dt_max": (float, StepControl, "dt_max"),
-    "max_rejects": (int, StepControl, "max_rejects"),
     "monitor_cadence": (float, RunConfig, "monitor_cadence"),
     "snapshot_cadence": (float, RunConfig, "snapshot_cadence"),
     "p_list": (_tuple_of(float), RunConfig, "p_list"),
@@ -243,6 +236,13 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
             f.write(",".join(x if isinstance(x, str) else _fmt(x) for x in row) + "\n")
 
 
+# residuals.csv: (column, report attribute); only the first-energy report has a slack
+_RESIDUAL_COLUMNS = (("identity", "name"), ("t0", "t0"), ("t1", "t1"), ("lhs", "lhs"),
+                     ("rhs", "rhs"), ("residual", "residual"), ("normalizer", "normalizer"),
+                     ("rel_residual", "rel"), ("first_energy_slack", "slack"))
+RESIDCOLS = [column for column, _ in _RESIDUAL_COLUMNS]
+
+
 class _ResidualObserver:
     """Evaluate the balance-law residuals for the step crossing each tick."""
 
@@ -260,9 +260,7 @@ class _ResidualObserver:
             diagnostics.residual_upvq_identity(prev, new, 0.5, 1.0, self.params),
             diagnostics.check_first_energy(prev, new, self.params),
         ]
-        for rep in reports:
-            self.rows.append([rep.name, rep.t0, rep.t1, rep.lhs, rep.rhs, rep.residual,
-                              rep.normalizer, rep.rel, getattr(rep, "slack", "")])
+        self.rows += [[getattr(rep, attr, "") for _, attr in _RESIDUAL_COLUMNS] for rep in reports]
 
 
 class _SnapshotObserver:
@@ -277,10 +275,6 @@ class _SnapshotObserver:
         k = self.ticks.due(new.t)
         if k is not None:
             save_snapshot(new, self.params, self.out_dir / f"snap_{k:04d}.dtxs")
-
-
-RESIDCOLS = ["identity", "t0", "t1", "lhs", "rhs", "residual", "normalizer",
-             "rel_residual", "first_energy_slack"]
 
 
 def _output_dir(config: RunConfig) -> Path:

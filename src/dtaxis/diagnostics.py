@@ -258,8 +258,8 @@ class FirstEnergyReport(ResidualReport):
     rhs_inequality: float
     slack: float
 
-    def passes(self, tol: float = 1e-8) -> bool:
-        return self.slack >= -tol
+    def passes(self) -> bool:
+        return self.slack >= -1e-8
 
 
 def check_first_energy(prev: State, nxt: State, params: Params) -> FirstEnergyReport:
@@ -363,9 +363,9 @@ class LogHessianReport:
         return self.lhs_hess / self.bound_hess if self.bound_hess > 0.0 else (
             0.0 if self.lhs_hess == 0.0 else math.inf)
 
-    def passes(self, slack: float = 0.05) -> bool:
-        return (self.lhs_grad <= (1.0 + slack) * self.bound_grad
-                and self.lhs_hess <= (1.0 + slack) * self.bound_hess)
+    def passes(self) -> bool:
+        """Both bounds hold within a slack of 5 percent."""
+        return self.lhs_grad <= 1.05 * self.bound_grad and self.lhs_hess <= 1.05 * self.bound_hess
 
 
 def check_log_hessian(grid: Grid, phi: np.ndarray, q: float) -> LogHessianReport:
@@ -398,26 +398,25 @@ def check_log_hessian(grid: Grid, phi: np.ndarray, q: float) -> LogHessianReport
 # random Neumann-compatible positive test fields
 
 
-def sample_cosine_field(rng: np.random.Generator, dim: int, max_mode: int = 6,
-                        amplitude: float = 0.8) -> list:
+def sample_cosine_field(rng: np.random.Generator, dim: int) -> list:
     """Coefficients of a random eight-term cosine series; the field is exp(series).
 
-    The series uses axis products of cos(k pi x / L) so the continuous field
-    has zero normal derivative on every wall, and the coefficients are scaled
-    so the exponent stays within +-amplitude (the field is strictly positive
+    The series uses axis products of cos(k pi x / L), 0 <= k <= 6 per axis, so the
+    continuous field has zero normal derivative on every wall, and the coefficients
+    are scaled so the exponent stays within +-0.8 (the field is strictly positive
     and uniformly bounded).  The returned coefficient list can be evaluated on
     any grid, which is what makes refinement comparisons meaningful.
     """
     terms = []
     total = 0.0
     while len(terms) < 8:
-        k = tuple(int(rng.integers(0, max_mode + 1)) for _ in range(dim))
+        k = tuple(int(rng.integers(0, 7)) for _ in range(dim))
         if all(ki == 0 for ki in k):
             continue
         c = float(rng.normal()) / (1.0 + float(sum(ki * ki for ki in k)))
         terms.append((k, c))
         total += abs(c)
-    scale = amplitude / total if total > 0.0 else 0.0
+    scale = 0.8 / total if total > 0.0 else 0.0
     return [(k, c * scale) for k, c in terms]
 
 
@@ -443,7 +442,7 @@ class BatchReport:
 
 
 def log_hessian_batch(grid: Grid, q: float, samples: int, seed: int) -> BatchReport:
-    """Both log-Hessian inequalities over random fields, judged by ``passes()``'s default slack."""
+    """Both log-Hessian inequalities over random fields, each judged by ``passes()``."""
     rng = np.random.default_rng(seed)
     ratios = []
     violations = 0
@@ -470,12 +469,14 @@ def sobolev_batch(grid: Grid, samples: int, seed: int) -> BatchReport:
 # ---------------------------------------------------------------------------
 # two-functional balance with nonconstructive constants: tracked, not gated
 
+C0_VALUES = tuple(2.0 ** k for k in range(-6, 7))  # the candidate c0 of check_struc2_balance
+
 
 @dataclass(frozen=True)
 class Struc2Report:
     """Empirical constants for the coupled log-entropy / gradient-quartic balance.
 
-    For each candidate c0 the report records the smallest C with
+    For each candidate c0 in C0_VALUES the report records the smallest C with
     4 c0 dA + dB + c0 P + Q <= C R on every step of the window, where
     A = int(u log u - u), B = int |grad v|^4 / v^3, P = int v |grad u|^2,
     Q = 2 int (|grad v|^2 / v)|D2 log v|^2 + int u |grad v|^4 / v^3 and
@@ -484,22 +485,18 @@ class Struc2Report:
     never a pass/fail gate.
     """
 
-    c0_grid: tuple[float, ...]
     c_required: tuple[float, ...]
     best_c0: float
     best_c: float
     n_steps: int
 
     def c_for(self, c0: float) -> float:
-        return self.c_required[self.c0_grid.index(c0)]
+        return self.c_required[C0_VALUES.index(c0)]
 
 
-def check_struc2_balance(pairs, params: Params,
-                         c0_grid: tuple[float, ...] | None = None) -> Struc2Report:
+def check_struc2_balance(pairs, params: Params) -> Struc2Report:
     if regime(params.alpha) not in ("moderate", "strong"):
         raise ValueError("the balance is tracked only for alpha > 1")
-    if c0_grid is None:
-        c0_grid = tuple(2.0 ** k for k in range(-6, 7))
     rows = []
     for prev, nxt in pairs:
         g, u, v = prev.grid, prev.u, prev.v
@@ -515,7 +512,7 @@ def check_struc2_balance(pairs, params: Params,
         rows.append(((a1 - a0) / dt, (b1 - b0) / dt, p_term, 2.0 * q1 + q2, r1 + r2))
 
     c_req = []
-    for c0 in c0_grid:
+    for c0 in C0_VALUES:
         worst = 0.0
         for da, db, p_term, q_term, r_term in rows:
             lhs = 4.0 * c0 * da + db + c0 * p_term + q_term
@@ -526,7 +523,6 @@ def check_struc2_balance(pairs, params: Params,
                 break
             worst = max(worst, lhs / r_term)
         c_req.append(worst)
-    best = min(range(len(c0_grid)), key=lambda i: (c_req[i], c0_grid[i]))
-    return Struc2Report(c0_grid=tuple(c0_grid), c_required=tuple(c_req),
-                        best_c0=c0_grid[best], best_c=c_req[best],
+    best = min(range(len(C0_VALUES)), key=lambda i: (c_req[i], C0_VALUES[i]))
+    return Struc2Report(c_required=tuple(c_req), best_c0=C0_VALUES[best], best_c=c_req[best],
                         n_steps=len(rows))

@@ -46,22 +46,17 @@ class ExponentTriple:
     r: float
 
 
-def weak_feedback_p(r: float, alpha: float, slack: float = 1e-6) -> float:
+def weak_feedback_p(r: float, alpha: float) -> float:
     """The moment exponent one feedback pass upgrades r to, minus a slack.
 
-    Returns r + (2r/3 - 2 alpha + 1) - slack.  The slack realizes "strictly
-    below, arbitrarily close"; it must stay below 1/12 so the result is
-    guaranteed to exceed r + 1/4.
+    Returns r + (2r/3 - 2 alpha + 1) - 1e-6.  The slack realizes "strictly
+    below, arbitrarily close"; with r >= 2 and alpha <= 1 the result exceeds
+    r + 1/3 - 1e-6 > r + 1/4.
     """
     if not 2.0 <= r < math.inf:
         raise ValueError(f"r must be at least 2 and finite, got {r}")
     _require_regime("weak", alpha)
-    if not 0.0 < slack < 1.0 / 12.0:
-        raise ValueError(f"slack must lie in (0, 1/12), got {slack}")
-    p = r + (2.0 * r / 3.0 - 2.0 * alpha + 1.0) - slack
-    if not p > r + 0.25:
-        raise ValueError(f"slack {slack} too large to keep p > r + 1/4")
-    return p
+    return r + (2.0 * r / 3.0 - 2.0 * alpha + 1.0) - 1e-6
 
 
 def p0_sup(alpha: float) -> float:

@@ -6,6 +6,9 @@ reaction bound, and the maximum-principle cap dt * (2*dim/h^2 + max u) <= 1 that
 keeps sup v nonincreasing even where the CFL bound is loose) and serves every
 attempt.  An update that still produces a negative value is rejected and retried
 with dt halved, never clipped: clipping would break the exact discrete mass law.
+The run's time resolution 1e-12 * t_end is its dt floor, its tick tolerance and its
+stop rule: a step whose halved dt falls below it ends the run, after at most 40
+halvings since dt <= t_end, and before dt could stop advancing t.
 ``step`` advances u, v and t.  ``run`` integrates the ten running accumulators (cell
 quadratures), which nothing in the dynamics reads, and sets them on the states it
 records: each monitor tick's and the final one.  On n cells it evaluates them per block
@@ -41,15 +44,12 @@ class StepRejected(Exception):
 class StepControl:
     t_end: float
     dt_max: float = math.inf
-    max_rejects: int = 40
 
     def __post_init__(self):
         if not 0.0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not self.dt_max > 0.0:
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
-        if self.max_rejects < 1:
-            raise ValueError("max_rejects must be at least 1")
 
 
 class Cadence:
@@ -203,8 +203,8 @@ def run(state: State, params: Params, control: StepControl, observers=(),
         monitor_cadence: float | None = None,
         p_list: tuple[float, ...] = diagnostics.P_LIST) -> Trajectory:
     """Advance to t_end, rejecting and halving dt when positivity would fail; a step
-    still rejected after max_rejects halvings, or once its dt no longer advances t,
-    raises RuntimeError("positivity unrecoverable ...").
+    still rejected once its halved dt falls below the run's time resolution
+    1e-12 * t_end raises RuntimeError("positivity unrecoverable ...").
 
     Observers are called as observer(prev, new, dt) after every accepted step
     with immutable snapshots; new.acc is None then.  Monitor rows are recorded at
@@ -224,15 +224,14 @@ def run(state: State, params: Params, control: StepControl, observers=(),
         rhs = _rhs_core(state, params)
         dt = max(min(_dt_limits(state, params, *rhs[4:6]),  # uv, u^alpha
                      control.dt_max, t_end - state.t, ticks.next_tick() - state.t), tiny)
-        for attempt in range(control.max_rejects + 1):
+        while True:
             try:
                 new = step(state, params, dt, rhs)
                 break
             except StepRejected as exc:
                 n_rejected += 1
                 dt *= 0.5
-                # out of retries, or a dt too small to advance t, which would never end the run
-                if attempt == control.max_rejects or state.t + dt == state.t:
+                if dt < tiny:
                     raise RuntimeError(f"positivity unrecoverable at t={state.t:.8g}: "
                                        f"{exc.field} at cell {exc.cell}") from None
         ledger.add(state, dt, rhs)

@@ -43,12 +43,12 @@ def test_minimal_config_takes_the_library_defaults():
 
 # one non-default value per config key
 _SAMPLE = {
-    "dim": "2", "cells": "16,8", "lengths": "2.0", "alpha": "0.5", "chi": "2.5",
+    "cells": "16,8", "lengths": "2.0", "alpha": "0.5", "chi": "2.5",
     "ell": "1.0", "epsilon": "0.1", "cfl_safety": "0.5", "avg_mode": "arithmetic",
     "u0_kind": "cosine_mix", "u0_base": "0.5", "u0_amplitude": "2.0", "u0_width": "0.3",
     "u0_mode": "3", "v0_base": "2.0", "v0_amplitude": "0.2", "v0_mode": "2",
     "v0_floor": "1e-6", "snapshot_in": "snap.dtxs", "t_end": "0.5", "dt_max": "1e-3",
-    "max_rejects": "5", "monitor_cadence": "0.01", "snapshot_cadence": "0.02",
+    "monitor_cadence": "0.01", "snapshot_cadence": "0.02",
     "p_list": "1,2.5", "output_dir": "results",
 }
 
@@ -102,6 +102,17 @@ def test_parse_unknown_key():
         parse_config(MINIMAL + "banana = 1\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("epsilon 0.01", "invalid value for line 2: 'epsilon 0.01' (expected key = value)"),
+    ("dim = 2", "unknown key dim"),  # cells alone sets the dimension
+    ("max_rejects = 5", "unknown key max_rejects"),  # 1e-12 * t_end ends reject-and-halve
+])
+def test_parse_refuses_a_line_it_cannot_place(line, message):
+    with pytest.raises(ValueError) as exc:
+        parse_config(f"alpha = 1.25\n{line}\ncells = 16\nt_end = 0.1\n")
+    assert str(exc.value) == message
+
+
 def test_parse_missing_key():
     with pytest.raises(ValueError, match="missing key epsilon"):
         parse_config("alpha = 1.0\ncells = 32\nt_end = 1.0\n")
@@ -119,8 +130,6 @@ def test_parse_rejects_bad_u0_width(value):
 
 
 def test_parse_2d_config():
-    cfg = parse_config("alpha = 1.0\nepsilon = 0.01\ncells = 16\ndim = 2\nt_end = 0.1\n")
-    assert cfg.grid.cells == (16, 16)
     cfg = parse_config("alpha = 1.0\nepsilon = 0.01\ncells = 16,8\nlengths = 1.0,2.0\nt_end = 0.1\n")
     assert cfg.grid.cells == (16, 8)
     assert cfg.grid.lengths == (1.0, 2.0)
@@ -134,8 +143,7 @@ def _small_config(tmp_path, **over):
                     avg_mode=over.pop("avg_mode", "geometric"))
     initial = over.pop("initial", InitialData(kind="constant", u_amplitude=1.0, v_base=1.0))
     control = StepControl(t_end=over.pop("t_end", 0.05),
-                          dt_max=over.pop("dt_max", math.inf),
-                          max_rejects=over.pop("max_rejects", 40))
+                          dt_max=over.pop("dt_max", math.inf))
     cfg = RunConfig(grid=g, initial=initial, params=params, control=control,
                     monitor_cadence=over.pop("monitor_cadence", 0.01),
                     snapshot_cadence=over.pop("snapshot_cadence", None),
@@ -295,12 +303,16 @@ def test_cmd_run_four_residual_rows_per_monitor_tick(tmp_path):
                         initial=InitialData(kind="gaussian_bump", u_amplitude=1.0))
     assert cmd_run(cfg) == 0
     _, mon = _read_csv(tmp_path / "out" / "monitors.csv")
-    _, res = _read_csv(tmp_path / "out" / "residuals.csv")
+    header, res = _read_csv(tmp_path / "out" / "residuals.csv")
+    assert header == ["identity", "t0", "t1", "lhs", "rhs", "residual", "normalizer",
+                      "rel_residual", "first_energy_slack"]
     assert len(mon) == 6
     assert len(res) == 4 * (len(mon) - 1)
     for i, row in enumerate(mon[1:]):
         block = res[4 * i:4 * i + 4]
         assert [r[0] for r in block] == ["v_energy", "v_pow_2", "u0.5_v1", "first_energy"]
+        assert {len(r) for r in block} == {len(header)}
+        assert [r[-1] == "" for r in block] == [True, True, True, False]  # first_energy's slack
         assert {r[2] for r in block} == {row[0]}  # t1 of the step landing on the tick
 
 
@@ -357,7 +369,7 @@ def test_cmd_run_positivity_failure_exit_code(tmp_path, capsys):
     snap_path = tmp_path / "seed.dtxs"
     save_snapshot(seed_state, seed_params, snap_path)
     cfg = _small_config(tmp_path, cells=32, alpha=0.0, chi=5.0, epsilon=1e-12,
-                        cfl_safety=1.0, max_rejects=3, t_end=0.01,
+                        cfl_safety=1.0, t_end=0.01,
                         initial=InitialData(kind="from_snapshot",
                                             snapshot_path=str(snap_path)))
     assert cmd_run(cfg) == 1
@@ -629,7 +641,7 @@ def test_main_sweep_rejects_a_bad_alpha_before_any_member_runs(tmp_path, capsys,
     assert not list(tmp_path.glob("**/sweep.csv"))
 
 
-def _vacuum_cfg(tmp_path, max_rejects=3) -> str:
+def _vacuum_cfg(tmp_path) -> str:
     """The config of test_cmd_run_positivity_failure_exit_code: at alpha = 0 nothing
     insulates its vacuum cell, and for epsilon <= 1e-3 positivity is unrecoverable."""
     g = Grid(32)
@@ -640,7 +652,7 @@ def _vacuum_cfg(tmp_path, max_rejects=3) -> str:
     save_snapshot(State(grid=g, t=0.0, u=u0, v=v0), Params(alpha=0.0, epsilon=1e-12), snap_path)
     cfg_path = tmp_path / "vac.cfg"
     cfg_path.write_text(f"alpha = 0\nepsilon = 1e-12\nchi = 5\ncells = 32\ncfl_safety = 1\n"
-                        f"max_rejects = {max_rejects}\nt_end = 0.01\nu0_kind = from_snapshot\n"
+                        f"t_end = 0.01\nu0_kind = from_snapshot\n"
                         f"snapshot_in = {snap_path}\noutput_dir = {tmp_path / 'out'}\n")
     return str(cfg_path)
 
@@ -670,9 +682,9 @@ def test_main_eps_study_reports_a_failing_member_and_runs_the_rest(tmp_path, cap
 
 
 def test_main_run_ends_once_a_halved_dt_no_longer_advances_t(tmp_path, capsys):
-    # with retries to spare, halving would go on to accept steps that leave t unchanged
+    # the step that needs a dt below 1e-12 * t_end = 1e-14 ends the run
     t0 = time.perf_counter()
-    assert cli.main(["run", "--config", _vacuum_cfg(tmp_path, max_rejects=1200)]) == 1
+    assert cli.main(["run", "--config", _vacuum_cfg(tmp_path)]) == 1
     assert time.perf_counter() - t0 < 1.0
     assert re.fullmatch(r"error: positivity unrecoverable at t=\S+e-14: u at cell \(16,\)\n",
                         capsys.readouterr().err)

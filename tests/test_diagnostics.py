@@ -128,6 +128,13 @@ def test_residual_vq_constant_specialization():
     assert rep.residual == 0.0
 
 
+@pytest.mark.parametrize("q", [1.0, 0.5])
+def test_residual_vq_needs_q_above_1(q):
+    s = _const_state(Grid(8))
+    with pytest.raises(ValueError, match=f"q must exceed 1, got {q}"):
+        residual_vq_identity(s, s, q, Params(alpha=1.0, epsilon=0.01))
+
+
 def test_residual_vq_cubic_constant_ode():
     # constants: (1/q) d/dt int v^q = -int u v^q up to O(dt)
     g = Grid(12)

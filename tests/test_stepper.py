@@ -237,12 +237,12 @@ def test_run_positivity_unrecoverable():
     s = State(grid=g, t=0.0, u=u, v=v)
     with pytest.raises(RuntimeError,
                        match=r"positivity unrecoverable at t=0: u at cell \(16,\)$"):
-        run(s, p, StepControl(t_end=0.1, max_rejects=3))
+        run(s, p, StepControl(t_end=0.1))
 
 
 def test_run_raises_once_a_halved_dt_no_longer_advances_t():
-    # an exact vacuum cell at alpha = 0 with retries to spare: near t = 2e-14 halving takes
-    # dt below the spacing of floats at t, where accepted steps would leave t unchanged
+    # an exact vacuum cell at alpha = 0: near t = 1e-14 a step needs a dt below the run's
+    # time resolution 1e-12 * t_end, which ends the run before dt could stop advancing t
     g = Grid(32)
     p = Params(alpha=0.0, epsilon=1e-12, chi=5.0, cfl_safety=1.0)
     u = np.full(g.shape, 1.0 + p.epsilon)
@@ -251,8 +251,23 @@ def test_run_raises_once_a_halved_dt_no_longer_advances_t():
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError,
                        match=r"positivity unrecoverable at t=\S+e-14: u at cell \(16,\)$"):
-        run(State(grid=g, t=0.0, u=u, v=v), p, StepControl(t_end=0.01, max_rejects=1200))
+        run(State(grid=g, t=0.0, u=u, v=v), p, StepControl(t_end=0.01))
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_run_halves_a_step_at_most_40_times(monkeypatch):
+    # every attempt is rejected and the first dt is t_end itself, the largest possible:
+    # t_end / 2^39 is the last dt tried, since t_end / 2^40 < 1e-12 * t_end
+    tried = []
+
+    def reject(state, params, dt, rhs=None):
+        tried.append(dt)
+        raise StepRejected(state.t, dt, "u", (0,))
+    monkeypatch.setattr(stepper, "step", reject)
+    t_end = 1e-3
+    with pytest.raises(RuntimeError, match=r"positivity unrecoverable at t=0: u at cell \(0,\)$"):
+        run(_const_state(Grid(2)), Params(alpha=1.0, epsilon=0.01), StepControl(t_end=t_end))
+    assert tried == [t_end / 2.0 ** k for k in range(40)]
 
 
 @pytest.mark.parametrize("value, avg_mode, error, match", [
@@ -299,7 +314,7 @@ def test_run_one_rhs_per_step_one_step_call_per_attempt(monkeypatch):
     monkeypatch.setattr(stepper, "_rhs_core", counted("rhs", stepper._rhs_core))
     monkeypatch.setattr(stepper, "step", counted("step", stepper.step))
     s, p = _notch_state()
-    traj = run(s, p, StepControl(t_end=2e-3, max_rejects=60))
+    traj = run(s, p, StepControl(t_end=2e-3))
     assert traj.n_rejected >= 1
     assert calls["rhs"] == traj.n_steps
     assert calls["step"] == traj.n_steps + traj.n_rejected
@@ -340,7 +355,7 @@ def test_run_dt_equals_public_limits(g, p, u_base, u_amplitude, dt_max, t_end, c
 
 def test_run_rejected_dt_is_its_limit_halved():
     s, p = _notch_state()
-    traj, pairs = _dt_trace(s, p, StepControl(t_end=2e-3, max_rejects=60), None)
+    traj, pairs = _dt_trace(s, p, StepControl(t_end=2e-3), None)
     halvings = [math.log2(limit / dt) for dt, limit in pairs]
     assert all(k == round(k) for k in halvings)
     assert sum(halvings) == traj.n_rejected >= 1
@@ -401,8 +416,6 @@ def test_step_control_validation():
         StepControl(t_end=0.0)
     with pytest.raises(ValueError):
         StepControl(t_end=1.0, dt_max=0.0)
-    with pytest.raises(ValueError):
-        StepControl(t_end=1.0, max_rejects=0)
 
 
 def test_run_2d_full_apparatus():
@@ -493,7 +506,7 @@ def test_observed_steps_recompute_bit_equal_from_scratch(case):
     # an observer keeps every (prev, new, dt); no buffer of a later step may alias them
     if case == "1d-notch":
         s, p = _notch_state()  # rejects and halves, so attempts share one rhs
-        control = StepControl(t_end=2e-3, max_rejects=60)
+        control = StepControl(t_end=2e-3)
     elif case == "2d-alpha1":
         p = Params(alpha=1.0, epsilon=0.01, chi=3.0, ell=1.0)  # u^alpha is u itself
         s, control = _cosine_state((8, 6), p), StepControl(t_end=0.01)
@@ -578,7 +591,7 @@ def test_block_accumulators_bit_for_bit_without_taxis_and_with_rejections(case):
         _assert_run_is_eager_bit_for_bit(*_block_case(64, 1.25, "geometric", chi=0.0))
     else:
         s, p = _notch_state()
-        traj = _assert_run_is_eager_bit_for_bit(s, p, StepControl(t_end=2e-3, max_rejects=60),
+        traj = _assert_run_is_eager_bit_for_bit(s, p, StepControl(t_end=2e-3),
                                                 3.1e-4)
         assert traj.n_rejected >= 1
 
