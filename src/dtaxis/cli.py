@@ -392,8 +392,7 @@ def cmd_verify_inequalities(cells: int, samples: int, seed: int, qs, out=None) -
     bad = 0
     for dim in (1, 2):
         grid = Grid(cells) if dim == 1 else Grid((max(16, cells // 2),) * 2)
-        for q in qs:
-            rep = diagnostics.log_hessian_batch(grid, q, samples, seed)
+        for q, rep in zip(qs, diagnostics.log_hessian_batch(grid, qs, samples, seed)):
             bad += rep.violations
             lines.append({"check": "log_hessian", "dim": dim, "q": q,
                           "samples": rep.samples, "violations": rep.violations,

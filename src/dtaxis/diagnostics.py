@@ -10,12 +10,14 @@ of checks live in this module:
   semi-discrete system (the residuals shrink like O(dt + h^2) on smooth runs);
 * ``check_sobolev_product``, ``check_log_hessian`` and
   ``check_struc2_balance`` probe standalone integral inequalities on given
-  positive fields or trajectory windows.
+  positive fields or trajectory windows; ``sobolev_batch`` and
+  ``log_hessian_batch`` run the first two on random fields, stacked by sample,
+  with each field's gradients and Hessians formed once for every q.
 
 Every gradient integral is the grid's one cell quadrature (see ``grid``), and
 each function forms each gradient product once per state and reduces its
 integrands in one call: the rows of one buffer, summed by ``Grid.integrals``
-(by a row sum over interior cells in ``check_log_hessian``).
+(by a row sum over interior cells in the log-Hessian check).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .exponents import regime
-from .grid import Grid, first_cell, lp_power, lp_root
+from .grid import BLOCK_CELLS, Grid, first_cell, lp_power, lp_root
 from .model import Accumulators, Params, State, _power
 
 P_LIST = (1.0, 2.0, 3.0)  # default orders of the u moment monitors lp_{p}_u
@@ -58,7 +60,7 @@ def hessian_sq(grid: Grid, f: np.ndarray) -> np.ndarray:
         return 0.5 * (g[grid.lo[a]] + g[grid.hi[a]])
 
     gf = grid.face_gradient(f)
-    out = np.zeros(grid.shape)
+    out = np.zeros(f.shape)
     for b in range(grid.dim):
         out += ((gf[b][grid.hi[b]] - gf[b][grid.lo[b]]) / grid.h[b]) ** 2
         if b:
@@ -321,19 +323,27 @@ class SobolevReport:
 
 def check_sobolev_product(grid: Grid, phi: np.ndarray, psi: np.ndarray,
                           p: float, mu: float) -> SobolevReport:
-    if bool((phi <= 0.0).any()) or bool((psi <= 0.0).any()):
-        raise ValueError("nonpositive field")
+    [report] = _sobolev_reports(grid, [(phi[None], psi[None])], p, mu)
+    return report
+
+
+def _sobolev_reports(grid: Grid, stacks, p: float, mu: float) -> list[SobolevReport]:
+    """One report per field pair of the (k, *shape) stacks (phi, psi), in order."""
     if not 1.0 <= mu <= 3.0:
         raise ValueError(f"mu must lie in [1, N/(N-2)] = [1, 3] in N = 3 dimensions, got {mu}")
-    gphi, gpsi = grid.face_gradient(phi), grid.face_gradient(psi)
-    w = _power(phi, p + 1.0) * psi
-    s_mu, t_phi, t_psi, t_zero = grid.integrals(np.stack([
-        w ** mu, _power(phi, p - 1.0) * psi * grid.cell_dot(gphi, gphi),
-        _power(phi, p + 1.0) / psi * grid.cell_dot(gpsi, gpsi), w]))
-    lhs, rhs = s_mu ** (1.0 / mu), t_phi + t_psi + t_zero
-    return SobolevReport(p=p, mu=mu, lhs=lhs, grad_phi_term=t_phi,
-                         grad_psi_term=t_psi, zero_order_term=t_zero,
-                         ratio=lhs / rhs)
+    reports = []
+    for phi, psi in stacks:
+        if bool((phi <= 0.0).any()) or bool((psi <= 0.0).any()):
+            raise ValueError("nonpositive field")
+        gphi, gpsi = grid.face_gradient(phi), grid.face_gradient(psi)
+        w = _power(phi, p + 1.0) * psi
+        rows = np.stack([w ** mu, _power(phi, p - 1.0) * psi * grid.cell_dot(gphi, gphi),
+                         _power(phi, p + 1.0) / psi * grid.cell_dot(gpsi, gpsi), w], 1)
+        sums = iter(grid.integrals(rows.reshape(-1, *grid.shape)))  # each field's 4 in turn
+        for s_mu, t_phi, t_psi, t_zero in zip(sums, sums, sums, sums):
+            lhs, rhs = s_mu ** (1.0 / mu), t_phi + t_psi + t_zero
+            reports.append(SobolevReport(p, mu, lhs, t_phi, t_psi, t_zero, lhs / rhs))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -369,33 +379,45 @@ class LogHessianReport:
 
 
 def check_log_hessian(grid: Grid, phi: np.ndarray, q: float) -> LogHessianReport:
-    if not 2.0 <= q < math.inf:
-        raise ValueError(f"q must be at least 2 and finite, got {q}")
-    if bool((phi <= 0.0).any()):
-        raise ValueError("nonpositive field")
+    [[report]] = _log_hessian_reports(grid, [phi[None]], (q,))
+    return report
+
+
+def _log_hessian_reports(grid: Grid, stacks, qs) -> list[list[LogHessianReport]]:
+    """For each q, one report per field of the (k, *shape) stacks, in order.  The arguments
+    are checked before the first stack is drawn; each stack's gradients and Hessians are
+    formed once for all q, and only the three power rows depend on q."""
+    for q in qs:
+        if not 2.0 <= q < math.inf:
+            raise ValueError(f"q must be at least 2 and finite, got {q}")
     if min(grid.cells) < 3:
         raise ValueError(f"log-Hessian check needs at least 3 cells per axis, got {grid.cells}")
-    n = grid.dim
-    inner = (slice(1, -1),) * n
-    gphi = grid.face_gradient(phi)
-    g2 = grid.cell_dot(gphi, gphi)[inner]
-    ph = phi[inner]
-    hess_log, hess_phi = hessian_sq(grid, np.log(phi))[inner], hessian_sq(grid, phi)[inner]
-    g2q = g2 ** ((q - 2.0) / 2.0)
-    rows = np.stack([_power(ph, -q - 1.0) * g2 ** ((q + 2.0) / 2.0),
-                     _power(ph, -q + 1.0) * g2q * hess_phi, _power(ph, -q + 3.0) * g2q * hess_log])
-    lhs_grad, lhs_hess, base = (rows.reshape(3, -1).sum(axis=1) * grid.cell_volume).tolist()
-    return LogHessianReport(
-        q=q,
-        lhs_grad=lhs_grad,
-        bound_grad=(q + math.sqrt(n)) ** 2 * base,
-        lhs_hess=lhs_hess,
-        bound_hess=(q + math.sqrt(n) + 1.0) ** 2 * base,
-    )
+    inner = (Ellipsis,) + (slice(1, -1),) * grid.dim
+    reports = [[] for _ in qs]
+    for phi in stacks:
+        if bool((phi <= 0.0).any()):
+            raise ValueError("nonpositive field")
+        gphi = grid.face_gradient(phi)
+        g2 = grid.cell_dot(gphi, gphi)[inner]
+        ph = phi[inner]
+        hess_log, hess_phi = hessian_sq(grid, np.log(phi))[inner], hessian_sq(grid, phi)[inner]
+        for q, per_q in zip(qs, reports):
+            g2q = g2 ** ((q - 2.0) / 2.0)
+            rows = np.stack([_power(ph, -q - 1.0) * g2 ** ((q + 2.0) / 2.0),
+                             _power(ph, -q + 1.0) * g2q * hess_phi,
+                             _power(ph, -q + 3.0) * g2q * hess_log], 1)
+            sums = rows.reshape(3 * len(ph), -1).sum(1).tolist()  # each field's 3 in turn
+            sums = iter(s * grid.cell_volume for s in sums)
+            c_grad, c_hess = (q + math.sqrt(grid.dim)) ** 2, (q + math.sqrt(grid.dim) + 1.0) ** 2
+            per_q += [LogHessianReport(q, lhs_grad, c_grad * base, lhs_hess, c_hess * base)
+                      for lhs_grad, lhs_hess, base in zip(sums, sums, sums)]
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # random Neumann-compatible positive test fields
+
+MODES = 7  # a sampled field uses the cosine modes 0 <= k < MODES along each axis
 
 
 def sample_cosine_field(rng: np.random.Generator, dim: int) -> list:
@@ -410,7 +432,7 @@ def sample_cosine_field(rng: np.random.Generator, dim: int) -> list:
     terms = []
     total = 0.0
     while len(terms) < 8:
-        k = tuple(int(rng.integers(0, 7)) for _ in range(dim))
+        k = tuple(int(rng.integers(0, MODES)) for _ in range(dim))
         if all(ki == 0 for ki in k):
             continue
         c = float(rng.normal()) / (1.0 + float(sum(ki * ki for ki in k)))
@@ -420,14 +442,19 @@ def sample_cosine_field(rng: np.random.Generator, dim: int) -> list:
     return [(k, c * scale) for k, c in terms]
 
 
-def evaluate_cosine_field(grid: Grid, terms: list) -> np.ndarray:
-    xs = grid.mesh()
-    s = np.zeros(grid.shape)
-    for k, c in terms:
-        term = np.full(grid.shape, c)
-        for a, ka in enumerate(k):
-            if ka:
-                term = term * np.cos(ka * np.pi * xs[a] / grid.lengths[a])
+def evaluate_cosine_fields(grid: Grid, term_lists: list) -> np.ndarray:
+    """The fields of coefficient lists of one length, as a (k, *shape) stack.  A term is c
+    times one factor cos(k pi x / L) per axis, in axis order, and the terms add in order;
+    each axis has one table of factors, whose k = 0 row is exactly 1."""
+    tables = [np.stack([np.cos(ka * np.pi * x / grid.lengths[a]) for ka in range(MODES)])
+              for a, x in enumerate(grid.mesh())]
+    coef = np.array([[c for _, c in terms] for terms in term_lists])
+    modes = np.array([[k for k, _ in terms] for terms in term_lists])
+    s = np.zeros((len(term_lists),) + grid.shape)
+    for j in range(coef.shape[1]):
+        term = coef[:, j].reshape((-1,) + (1,) * grid.dim)
+        for a, table in enumerate(tables):
+            term = term * table[modes[:, j, a]]
         s += term
     return np.exp(s)
 
@@ -441,29 +468,37 @@ class BatchReport:
     ratios: tuple[float, ...]
 
 
-def log_hessian_batch(grid: Grid, q: float, samples: int, seed: int) -> BatchReport:
-    """Both log-Hessian inequalities over random fields, each judged by ``passes()``."""
-    rng = np.random.default_rng(seed)
-    ratios = []
-    violations = 0
-    for _ in range(samples):
-        phi = evaluate_cosine_field(grid, sample_cosine_field(rng, grid.dim))
-        rep = check_log_hessian(grid, phi, q)
-        ratios.append(max(rep.ratio_grad(), rep.ratio_hess()))
-        violations += not rep.passes()
-    return BatchReport("log_hessian", samples, violations, max(ratios), tuple(ratios))
+def _sampled_fields(grid: Grid, samples: int, seed: int, per_sample: int):
+    """The random fields of samples, drawn in order, per_sample to a sample, as stacks
+    (per_sample, k, *shape) of k samples with at most BLOCK_CELLS cells (or of one sample)."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    rng, per = np.random.default_rng(seed), max(1, BLOCK_CELLS // math.prod(grid.shape))
+    for i in range(0, samples, per):
+        drawn = [sample_cosine_field(rng, grid.dim)
+                 for _ in range(per_sample * min(per, samples - i))]
+        by_role = [terms for j in range(per_sample) for terms in drawn[j::per_sample]]
+        yield evaluate_cosine_fields(grid, by_role).reshape(per_sample, -1, *grid.shape)
+
+
+def log_hessian_batch(grid: Grid, qs, samples: int, seed: int) -> list[BatchReport]:
+    """Both log-Hessian inequalities over random fields, each judged by ``passes()``: one
+    report per q, in the order of qs.  Each field is sampled and evaluated once for all q."""
+    batches = []
+    fields = (phi for [phi] in _sampled_fields(grid, samples, seed, 1))
+    for reps in _log_hessian_reports(grid, fields, qs):
+        ratios = tuple(max(r.ratio_grad(), r.ratio_hess()) for r in reps)
+        batches.append(BatchReport("log_hessian", samples, sum(not r.passes() for r in reps),
+                                   max(ratios), ratios))
+    return batches
 
 
 def sobolev_batch(grid: Grid, samples: int, seed: int) -> BatchReport:
     """Empirical constant for the amended product embedding (p = 1, mu = 3) over random fields."""
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(samples):
-        phi = evaluate_cosine_field(grid, sample_cosine_field(rng, grid.dim))
-        psi = evaluate_cosine_field(grid, sample_cosine_field(rng, grid.dim))
-        ratios.append(check_sobolev_product(grid, phi, psi, 1.0, 3.0).ratio)
+    ratios = tuple(r.ratio for r in
+                   _sobolev_reports(grid, _sampled_fields(grid, samples, seed, 2), 1.0, 3.0))
     violations = 0 if all(math.isfinite(r) for r in ratios) else 1
-    return BatchReport("sobolev_product", samples, violations, max(ratios), tuple(ratios))
+    return BatchReport("sobolev_product", samples, violations, max(ratios), ratios)
 
 
 # ---------------------------------------------------------------------------

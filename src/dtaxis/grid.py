@@ -30,6 +30,8 @@ import numpy as np
 # first/last slice along the axis (the wall faces) must stay zero.
 FaceData = list[np.ndarray]
 
+BLOCK_CELLS = 4096  # cells per stack of stepper blocks and inequality samples (see CHANGES.md)
+
 
 class Grid:
     """Structured uniform grid in 1, 2 or 3 dimensions."""

@@ -24,11 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .grid import first_cell
+from .grid import BLOCK_CELLS, first_cell
 from .model import Accumulators, Params, State, _power, _rhs_core
-
-
-BLOCK_CELLS = 4096  # chosen by measurement, see CHANGES.md
 
 
 class StepRejected(Exception):

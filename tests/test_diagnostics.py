@@ -350,6 +350,16 @@ def test_hessian_sq_commutes_with_mirroring(cells):
         np.testing.assert_allclose(hm, h, rtol=1e-12, atol=1e-12 * h.max())
 
 
+@pytest.mark.parametrize("cells", [(11,), (9, 8), (6, 5, 7)])
+def test_hessian_sq_acts_row_by_row_on_a_stack(cells):
+    g = Grid(cells)
+    stack = np.random.default_rng(5).uniform(0.5, 2.0, (3,) + g.shape)
+    h = hessian_sq(g, stack)
+    assert h.shape == stack.shape
+    for f, row in zip(stack, h):
+        assert np.array_equal(hessian_sq(g, f), row)
+
+
 def test_hessian_sq_wall_cell_one_sided_closure():
     g = Grid(10, 2.0)
     x = g.centers(0)

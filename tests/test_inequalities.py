@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dtaxis import Grid, InitialData, Params, StepControl, build_initial
+from dtaxis import Grid, InitialData, Params, StepControl, build_initial, diagnostics
 from dtaxis.diagnostics import (C0_VALUES, check_log_hessian, check_sobolev_product,
-                                check_struc2_balance, evaluate_cosine_field,
+                                check_struc2_balance, evaluate_cosine_fields, hessian_sq,
                                 log_hessian_batch, sample_cosine_field,
                                 sobolev_batch)
 from dtaxis.stepper import run
@@ -98,8 +98,93 @@ def test_log_hessian_needs_interior_cells(cells):
 
 @pytest.mark.parametrize("cells,q", [(64, 2.0), (64, 3.0), ((32, 32), 2.0)])
 def test_log_hessian_batch_no_violations(cells, q):
-    rep = log_hessian_batch(Grid(cells), q, samples=30, seed=17)
+    [rep] = log_hessian_batch(Grid(cells), (q,), samples=30, seed=17)
     assert rep.violations == 0
+
+
+def _reference_field(grid, terms):
+    """A sampled field evaluated term by term, one field at a time."""
+    xs = grid.mesh()
+    s = np.zeros(grid.shape)
+    for k, c in terms:
+        term = np.full(grid.shape, c)
+        for a, ka in enumerate(k):
+            if ka:
+                term = term * np.cos(ka * np.pi * xs[a] / grid.lengths[a])
+        s += term
+    return np.exp(s)
+
+
+def _reference_log_hessian(grid, phi, q):
+    """(max ratio, passes) of one field, with every integrand formed for this q alone."""
+    n = grid.dim
+    inner = (slice(1, -1),) * n
+    gphi = grid.face_gradient(phi)
+    g2 = grid.cell_dot(gphi, gphi)[inner]
+    ph = phi[inner]
+    hess_log, hess_phi = hessian_sq(grid, np.log(phi))[inner], hessian_sq(grid, phi)[inner]
+    g2q = g2 ** ((q - 2.0) / 2.0)
+    rows = np.stack([ph ** (-q - 1.0) * g2 ** ((q + 2.0) / 2.0),
+                     ph ** (-q + 1.0) * g2q * hess_phi, ph ** (-q + 3.0) * g2q * hess_log])
+    lhs_grad, lhs_hess, base = (rows.reshape(3, -1).sum(axis=1) * grid.cell_volume).tolist()
+    bounds = ((q + math.sqrt(n)) ** 2 * base, (q + math.sqrt(n) + 1.0) ** 2 * base)
+    ratios = [lhs / b if b > 0.0 else (0.0 if lhs == 0.0 else math.inf)
+              for lhs, b in zip((lhs_grad, lhs_hess), bounds)]
+    return max(ratios), lhs_grad <= 1.05 * bounds[0] and lhs_hess <= 1.05 * bounds[1]
+
+
+def _reference_sobolev_ratio(grid, phi, psi):
+    gphi, gpsi = grid.face_gradient(phi), grid.face_gradient(psi)
+    w = phi ** 2.0 * psi
+    s_mu, t_phi, t_psi, t_zero = grid.integrals(np.stack([
+        w ** 3.0, psi * grid.cell_dot(gphi, gphi), phi ** 2.0 / psi * grid.cell_dot(gpsi, gpsi),
+        w]))
+    return s_mu ** (1.0 / 3.0) / (t_phi + t_psi + t_zero)
+
+
+@pytest.mark.parametrize("cells", [64, (32, 32)])
+def test_batches_equal_a_field_by_field_loop_bit_for_bit(cells):
+    # 37 samples: one partial chunk of 64 fields in 1D-64, nine of 4 and one of 1 in 2D-32^2
+    g, qs, samples = Grid(cells), (2.0, 3.0, 4.0), 37
+    rng = np.random.default_rng(17)
+    fields = [_reference_field(g, sample_cosine_field(rng, g.dim)) for _ in range(samples)]
+    for q, rep in zip(qs, log_hessian_batch(g, qs, samples, seed=17)):
+        ratios, passes = zip(*(_reference_log_hessian(g, phi, q) for phi in fields))
+        assert (rep.check, rep.samples) == ("log_hessian", samples)
+        assert rep.ratios == ratios and rep.max_ratio == max(ratios)
+        assert rep.violations == passes.count(False)
+
+    rng = np.random.default_rng(11)
+    pairs = [(_reference_field(g, sample_cosine_field(rng, g.dim)),
+              _reference_field(g, sample_cosine_field(rng, g.dim))) for _ in range(samples)]
+    ratios = tuple(_reference_sobolev_ratio(g, phi, psi) for phi, psi in pairs)
+    rep = sobolev_batch(g, samples, seed=11)
+    assert (rep.ratios, rep.max_ratio, rep.violations) == (ratios, max(ratios), 0)
+
+
+def test_batches_refuse_bad_arguments_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("a field was sampled")
+    monkeypatch.setattr(diagnostics, "sample_cosine_field", no_sampling)
+    g = Grid(16)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            log_hessian_batch(g, (2.0,), samples, seed=1)
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            sobolev_batch(g, samples, seed=1)
+    for bad in (1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"q must be at least 2 and finite, got {bad}"):
+            log_hessian_batch(g, (2.0, 3.0, bad), 4, seed=1)
+    with pytest.raises(ValueError, match="at least 3 cells per axis"):
+        log_hessian_batch(Grid((16, 2)), (2.0,), 4, seed=1)
+
+
+def test_batch_reports_follow_the_order_of_qs():
+    g = Grid(24)
+    reps = log_hessian_batch(g, (4.0, 2.0, 3.0), 5, seed=2)
+    for q, rep in zip((4.0, 2.0, 3.0), reps):
+        assert rep == log_hessian_batch(g, (q,), 5, seed=2)[0]
+    assert len(reps) == 3 and reps[0] != reps[1]
 
 
 def test_cosine_field_sampler_properties():
@@ -107,7 +192,7 @@ def test_cosine_field_sampler_properties():
     terms = sample_cosine_field(rng, dim=2)
     assert len(terms) == 8 and all(0 <= k <= 6 for modes, _ in terms for k in modes)
     for g in (Grid((24, 24)), Grid((48, 48))):
-        phi = evaluate_cosine_field(g, terms)
+        [phi] = evaluate_cosine_fields(g, [terms])
         assert phi.min() > math.exp(-0.8) - 1e-12
         assert phi.max() < math.exp(0.8) + 1e-12
         # continuous field has zero normal derivative; discrete wall faces too
