@@ -13,12 +13,13 @@ Subcommands:
 * ``exponents``           prints a bootstrap exponent table as CSV
 * ``verify-exponents``    randomized verification of the exponent recursions
 
-Both studies are one engine (``_study``) plus an aggregate, and ``--output-dir``
-replaces the config's output_dir once, in ``main``.  Every command builds the
-starting state of each run and study member before it writes any output or
-starts any run, so input is rejected at the boundary; a member that fails is
-reported and marked failed while the others run.  Exit codes: 2 when input is
-rejected before any run, 1 when a run or a member fails.
+``_build_parser`` declares each subcommand's flags with its handler; ``main``
+parses, calls it, and maps input rejected before any run to exit code 2.  Both
+studies are one engine (``_study``) plus an aggregate; ``_config`` applies
+``--output-dir``.  Every command builds the starting state of each run and study
+member before it writes any output or starts any run.  Exit code 1: a run or a
+member failed, an error writing its outputs included; a failed member is
+reported and marked failed while the others run.
 
 Config files are line-oriented ``key = value`` with ``#`` comments; unknown
 keys are rejected, and a key whose record field has no default is required.
@@ -304,15 +305,14 @@ def _started(fn, label: str, *args):
     """fn(*args) for a run whose input was accepted, or None after reporting its failure."""
     try:
         return fn(*args)
-    except (RuntimeError, FloatingPointError, ValueError) as exc:
+    except (RuntimeError, FloatingPointError, ValueError, OSError) as exc:
         print(f"error: {label}{exc}", file=sys.stderr)
         return None
 
 
 def cmd_run(config: RunConfig) -> int:
     """Execute one configured run and persist its outputs; 0 on success, 1 on failure."""
-    state = build_state(config)
-    return 1 if _started(_write_run, "", config, state) is None else 0
+    return 1 if _started(_write_run, "", config, build_state(config)) is None else 0
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +387,12 @@ def run_eps_study(config: RunConfig, eps_list) -> list[EpsRow]:
 # inequality and exponent commands
 
 
-def cmd_verify_inequalities(cells: int, samples: int, seed: int, qs, out=None) -> int:
+def cmd_verify_inequalities(args) -> int:
+    cells, samples, seed, qs = args.cells, args.samples, args.seed, args.qs
     lines = []
-    bad = 0
     for dim in (1, 2):
         grid = Grid(cells) if dim == 1 else Grid((max(16, cells // 2),) * 2)
         for q, rep in zip(qs, diagnostics.log_hessian_batch(grid, qs, samples, seed)):
-            bad += rep.violations
             lines.append({"check": "log_hessian", "dim": dim, "q": q,
                           "samples": rep.samples, "violations": rep.violations,
                           "max_ratio": rep.max_ratio})
@@ -404,17 +403,17 @@ def cmd_verify_inequalities(cells: int, samples: int, seed: int, qs, out=None) -
                   "max_ratio": coarse.max_ratio,
                   "max_ratio_refined": fine.max_ratio,
                   "rel_change_on_refinement": rel_change})
-    _write_jsonl(lines, out)
-    return 1 if bad else 0
+    return _write_jsonl(lines, args.out, ok=not any(r.get("violations") for r in lines))
 
 
-def _write_jsonl(records, out=None) -> None:
-    """One JSON object per line, to the file out or else to stdout."""
+def _write_jsonl(records, out, ok: bool) -> int:
+    """One JSON object per line, to the file out or else to stdout; exit code 0 if ok, else 1."""
     text = "".join(json.dumps(r) + "\n" for r in records)
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
+    return 0 if ok else 1
 
 
 # regime: (bootstrap recursion, CSV header); the weak regime's feedback table has its own shape
@@ -425,8 +424,9 @@ _SEQUENCES = {
 }
 
 
-def cmd_exponents(regime: str, alpha: float, seed_value: float, count: int) -> int:
+def cmd_exponents(args) -> int:
     """Print one exponent table, built and checked finite in full before any of it is written."""
+    regime, alpha, seed_value, count = args.regime, args.alpha, args.seed_value, args.count
     lines = []
     if regime == "weak":
         lines.append(f"# p0_sup = {exponents.p0_sup(alpha)!r}")
@@ -446,14 +446,13 @@ def cmd_exponents(regime: str, alpha: float, seed_value: float, count: int) -> i
     return 0
 
 
-def cmd_verify_exponents(samples: int, seed: int, iterations: int, out=None) -> int:
-    report = exponents.verify_regime_lemmas(samples, seed, iterations)
-    _write_jsonl((r.as_dict() for r in report.reports()), out)
-    return 0 if report.ok else 1
+def cmd_verify_exponents(args) -> int:
+    report = exponents.verify_regime_lemmas(args.samples, args.seed, args.iterations)
+    return _write_jsonl((r.as_dict() for r in report.reports()), args.out, report.ok)
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table: each subcommand's flags and its handler
 
 
 def _positive_int(text: str) -> int:
@@ -470,34 +469,49 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+def _config(args) -> RunConfig:
+    """The --config file, with --output-dir, when given, replacing its output_dir."""
+    config = parse_config_file(args.config)
+    return config if args.output_dir is None else replace(config, output_dir=args.output_dir)
+
+
+def _all_ok(statuses) -> int:
+    return 0 if all(status == "ok" for status in statuses) else 1
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dtaxis",
                                  description="degenerate taxis numerical laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", required=True)
+    configured.add_argument("--output-dir", default=None)
 
-    p = sub.add_parser("run", help="run one configured simulation")
-    p.add_argument("--config", required=True)
-    p.add_argument("--output-dir", default=None)
+    def command(name, help, func, *parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("sweep", help="independent runs over response exponents")
-    p.add_argument("--config", required=True)
+    command("run", "run one configured simulation", lambda a: cmd_run(_config(a)), configured)
+
+    p = command("sweep", "independent runs over response exponents",
+                lambda a: _all_ok(r[2] for r in run_sweep(_config(a), a.alphas, a.workers)),
+                configured)
     p.add_argument("--alphas", type=_float_list, required=True, help="comma list, each in [0, 2)")
-    p.add_argument("--output-dir", default=None)
     p.add_argument("--workers", type=_positive_int, default=1)
 
-    p = sub.add_parser("eps-study", help="convergence study in the shift epsilon")
-    p.add_argument("--config", required=True)
+    p = command("eps-study", "convergence study in the shift epsilon",
+                lambda a: _all_ok(r.status for r in run_eps_study(_config(a), a.eps)), configured)
     p.add_argument("--eps", type=_float_list, required=True, help="decreasing comma list in (0, 1)")
-    p.add_argument("--output-dir", default=None)
 
-    p = sub.add_parser("verify-inequalities", help="randomized inequality batches")
+    p = command("verify-inequalities", "randomized inequality batches", cmd_verify_inequalities)
     p.add_argument("--cells", type=int, default=64)
     p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--qs", type=_float_list, default="2,3,4")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("exponents", help="print one bootstrap exponent table")
+    p = command("exponents", "print one bootstrap exponent table", cmd_exponents)
     p.add_argument("--regime", required=True,
                    choices=["weak", *_SEQUENCES])
     p.add_argument("--alpha", type=float, required=True)
@@ -505,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="m0 / mhat0 / q0 / starting r")
     p.add_argument("--count", type=_positive_int, default=12)
 
-    p = sub.add_parser("verify-exponents", help="randomized recursion checks")
+    p = command("verify-exponents", "randomized recursion checks", cmd_verify_exponents)
     p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iterations", type=_positive_int, default=200)
@@ -516,28 +530,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in ("run", "sweep", "eps-study"):
-            config = parse_config_file(args.config)
-            if args.output_dir is not None:
-                config = replace(config, output_dir=args.output_dir)
-            if args.command == "run":
-                return cmd_run(config)
-            if args.command == "sweep":
-                results = run_sweep(config, args.alphas, args.workers)
-                return 0 if all(r[2] == "ok" for r in results) else 1
-            return 0 if all(r.status == "ok" for r in run_eps_study(config, args.eps)) else 1
-        if args.command == "verify-inequalities":
-            return cmd_verify_inequalities(args.cells, args.samples, args.seed,
-                                           args.qs, out=args.out)
-        if args.command == "exponents":
-            return cmd_exponents(args.regime, args.alpha, args.seed_value, args.count)
-        if args.command == "verify-exponents":
-            return cmd_verify_exponents(args.samples, args.seed, args.iterations,
-                                        out=args.out)
+        return args.func(args)
     except (ValueError, OSError) as exc:  # input rejected before any run
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

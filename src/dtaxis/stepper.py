@@ -27,6 +27,8 @@ from . import diagnostics
 from .grid import BLOCK_CELLS, first_cell
 from .model import Accumulators, Params, State, _power, _rhs_core
 
+RESOLUTION = 1e-12  # a run's time resolution, its dt floor and tick tolerance, per unit t_end
+
 
 class StepRejected(Exception):
     """An attempted update made field ("u" or "v") negative, first at cell; halve dt."""
@@ -45,8 +47,8 @@ class StepControl:
     def __post_init__(self):
         if not 0.0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if not self.dt_max > 0.0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
+        if not self.dt_max >= RESOLUTION * self.t_end:
+            raise ValueError(f"dt_max must be at least {RESOLUTION:g} * t_end, got {self.dt_max}")
 
 
 class Cadence:
@@ -58,11 +60,12 @@ class Cadence:
     """
 
     def __init__(self, every: float | None, t_end: float):
-        self.tol = 1e-12 * t_end
+        self.tol = RESOLUTION * t_end
         if every is not None and not 0.0 < every < math.inf:
             raise ValueError(f"cadence must be positive and finite, got {every}")
         if every is not None and every < self.tol:
-            raise ValueError(f"cadence must be at least 1e-12 * t_end = {self.tol:g}, got {every}")
+            raise ValueError(f"cadence must be at least {RESOLUTION:g} * t_end = {self.tol:g}, "
+                             f"got {every}")
         self.every = every
         self.k = 1
 

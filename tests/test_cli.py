@@ -444,21 +444,24 @@ def test_sweep_near_equal_alphas_get_their_own_directories(tmp_path):
 
 
 def test_sweep_isolates_failures(tmp_path, monkeypatch):
-    cfg = _small_config(tmp_path, t_end=0.02)
     real = cli._write_run
+    for error in (RuntimeError("boom"), OSError("disk full")):  # a failed run, a failed write
+        out = tmp_path / type(error).__name__
+        cfg = replace(_small_config(tmp_path, t_end=0.02), output_dir=str(out))
 
-    def flaky(config, state):
-        if config.params.alpha == 1.25:
-            raise RuntimeError("boom")
-        return real(config, state)
+        def flaky(config, state, error=error):
+            if config.params.alpha == 1.25:
+                raise error
+            return real(config, state)
 
-    monkeypatch.setattr(cli, "_write_run", flaky)
-    results = run_sweep(cfg, [0.5, 1.25, 1.75])
-    statuses = {r[0]: r[2] for r in results}
-    assert statuses[1.25] == "failed"
-    assert statuses[0.5] == statuses[1.75] == "ok"
-    assert (tmp_path / "out" / "alpha_0.5" / "monitors.csv").exists()
-    assert (tmp_path / "out" / "alpha_1.75" / "monitors.csv").exists()
+        monkeypatch.setattr(cli, "_write_run", flaky)
+        results = run_sweep(cfg, [0.5, 1.25, 1.75])
+        statuses = {r[0]: r[2] for r in results}
+        assert statuses[1.25] == "failed"
+        assert statuses[0.5] == statuses[1.75] == "ok"
+        assert (out / "alpha_0.5" / "monitors.csv").exists()
+        assert (out / "alpha_1.75" / "monitors.csv").exists()
+        assert (out / "sweep.csv").exists()
 
 
 def test_eps_study_constant_closed_form(tmp_path):
@@ -690,6 +693,34 @@ def test_main_run_ends_once_a_halved_dt_no_longer_advances_t(tmp_path, capsys):
                         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_main_sweep_fails_only_the_member_whose_outputs_cannot_be_written(tmp_path, capsys,
+                                                                         workers):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "alpha_1.25").write_text("a regular file where the member's directory goes")
+    argv = ["sweep", "--config", cfg, "--alphas", "0.5,1.25,1.75", "--workers", workers]
+    assert cli.main(argv) == 1
+    if workers == "1":  # a pool member reports to its own stderr
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha=1.25: ") and err.count("\n") == 1
+    _, rows = _read_csv(out / "sweep.csv")
+    assert [r[:3] for r in rows] == [["0.5", "weak", "ok"], ["1.25", "moderate", "failed"],
+                                     ["1.75", "strong", "ok"]]
+    assert set(rows[1][3:]) == {""}
+    for alpha in ("0.5", "1.75"):
+        assert (out / f"alpha_{alpha}" / "monitors.csv").exists()
+
+
+def test_main_run_whose_outputs_cannot_be_written_fails(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    (tmp_path / "out").write_text("a regular file where the output directory goes")
+    assert cli.main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["run", "sweep --workers 2", "eps-study"])
 def test_main_output_dir_flag_overrides_the_config(tmp_path, command):
     argv = _argv(command, _write_cfg(tmp_path)) + ["--output-dir", str(tmp_path / "flag")]
@@ -750,6 +781,17 @@ def test_main_rejects_a_cadence_below_the_tick_tolerance_before_any_output(tmp_p
     err = capsys.readouterr().err
     assert err == (f"error: invalid value for {key}: cadence must be at least "
                    f"1e-12 * t_end = 2e-14, got 1e-25\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_main_rejects_a_dt_max_below_the_time_resolution_before_any_output(tmp_path, capsys,
+                                                                           command):
+    # every step would be the dt floor 1e-12 * t_end = 2e-14, above dt_max, and 1e12 of them
+    t0 = time.perf_counter()
+    assert cli.main(_argv(command, _write_cfg(tmp_path, "dt_max = 1e-20\n"))) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == "error: dt_max must be at least 1e-12 * t_end, got 1e-20\n"
     assert not (tmp_path / "out").exists()
 
 

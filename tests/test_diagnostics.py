@@ -6,7 +6,7 @@ from dtaxis.diagnostics import (FirstEnergyReport, MonitorRow, ResidualReport,
                                 _normalizer, check_first_energy, hessian_sq, monitor_row,
                                 residual_upvq_identity, residual_v_energy,
                                 residual_vq_identity)
-from dtaxis.model import State, _power
+from dtaxis.model import Accumulators, State, _power
 from dtaxis.stepper import run, step
 
 # reference for int (0.3 pi sin(pi x))^4 / (1 + 0.3 cos(pi x))^3 on [0, 1],
@@ -45,6 +45,14 @@ def test_monitor_grad4_against_quadrature_oracle():
     v = 1.0 + 0.3 * np.cos(np.pi * g.centers(0))
     row = monitor_row(State(grid=g, t=0.0, u=np.ones(g.shape), v=v), p)
     assert abs(row.grad4_energy - GRAD4_COSINE_REF) < 1e-4
+
+
+def test_monitor_row_refuses_a_non_finite_accumulator():
+    g = Grid(16)
+    state = State(grid=g, t=0.0, u=np.ones(g.shape), v=np.ones(g.shape),
+                  acc=Accumulators(uv=np.inf))
+    with pytest.raises(ValueError, match="^non-finite monitor entry acc_uv at t=0$"):
+        monitor_row(state, Params(alpha=1.0, epsilon=0.01))
 
 
 def test_monitor_lp_list_and_header():

@@ -215,6 +215,8 @@ def test_lp_norm_errors():
     assert g.lp_norm(f, 2.0) == g.integrate(f ** 2) ** 0.5
     with pytest.raises(ValueError):
         g.lp_norm(np.ones(g.shape), 0.0)
+    with pytest.raises(ValueError, match="^negative integral, no real lp_norm$"):
+        Grid(4).lp_norm(-np.ones(4), 3.0)  # an odd integer power keeps the sign
 
 
 @pytest.mark.parametrize("cells", [48, (12, 10)])

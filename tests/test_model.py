@@ -99,6 +99,9 @@ def test_build_initial_from_fields_names_the_cell():
     with pytest.raises(ValueError, match=r"initial v must be strictly positive: 0.0002 "
                                          r"< v_floor at cell \(1, 2\)"):
         build_initial_from_fields(g, np.ones(g.shape), v0, p)
+    with pytest.raises(ValueError, match=r"^initial fields of shape \(4, 4\)/\(4, 3\) do not "
+                                         r"fit grid \(4, 3\)$"):
+        build_initial_from_fields(g, np.ones((4, 4)), np.ones(g.shape), p)
     with pytest.raises(ValueError):
         InitialData(kind="banana")
 

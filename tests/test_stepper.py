@@ -210,10 +210,13 @@ def test_cadence_rejects_bad_periods(every):
 def test_step_control_rejects_non_finite():
     for name, bad in (("t_end", dict(t_end=math.nan)), ("t_end", dict(t_end=math.inf)),
                       ("dt_max", dict(t_end=0.1, dt_max=math.nan)),
-                      ("dt_max", dict(t_end=0.1, dt_max=0.0))):
+                      ("dt_max", dict(t_end=0.1, dt_max=0.0)),
+                      ("dt_max", dict(t_end=0.1, dt_max=-1.0)),
+                      ("dt_max", dict(t_end=0.01, dt_max=1e-20))):  # below 1e-12 * t_end
         with pytest.raises(ValueError, match=name):
             StepControl(**bad)
     assert StepControl(t_end=0.1).dt_max == math.inf
+    assert StepControl(t_end=1.0, dt_max=1e-12).dt_max == 1e-12
 
 
 def test_run_accumulator_bookkeeping():
