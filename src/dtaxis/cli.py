@@ -18,7 +18,8 @@ parses, calls it, and maps input rejected before any run to exit code 2.  Both
 studies are one engine (``_study``) plus an aggregate; ``_config`` applies
 ``--output-dir``.  Every command builds the starting state of each run and study
 member before it writes any output or starts any run.  Exit code 1: a run or a
-member failed, an error writing its outputs included; a failed member is
+member failed, an error writing its outputs included, or a study's aggregate or
+an ``--out`` file could not be written once the work ran; a failed member is
 reported and marked failed while the others run.
 
 Config files are line-oriented ``key = value`` with ``#`` comments; unknown
@@ -230,11 +231,12 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path, header: list[str], rows: list[list]) -> list[list]:
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(x if isinstance(x, str) else _fmt(x) for x in row) + "\n")
+    return rows
 
 
 # residuals.csv: (column, report attribute); only the first-energy report has a slack
@@ -334,18 +336,22 @@ def _study(config: RunConfig, key: str, values, workers: int = 1) -> dict:
     return dict(zip(values, map(*jobs)))
 
 
-def run_sweep(config: RunConfig, alphas, workers: int = 1) -> list:
-    """Independent runs per response exponent, each distinct one once in
-    ``alpha_{alpha!r}``; one aggregated CSV row per requested alpha."""
+def run_sweep(config: RunConfig, alphas, workers: int = 1) -> list | None:
+    """Independent runs per response exponent, each distinct one once in ``alpha_{alpha!r}``;
+    one sweep.csv row per requested alpha, or None, reported like a failed member, if the
+    rows cannot be written."""
     alphas = [float(a) for a in alphas]
-    finals = {a: traj and [_fmt(x) for x in traj.rows[-1].csv_values()]
-              for a, traj in _study(config, "alpha", alphas, workers).items()}
-    results = [(a, exponents.regime(a), "ok" if finals[a] else "failed", finals[a]) for a in alphas]
-    cols = MonitorRow.csv_header(config.p_list)
-    _write_csv(_output_dir(config) / "sweep.csv", ["alpha", "regime", "status"] + cols,
-               [[a, regime, status, *(final or [""] * len(cols))]
-                for a, regime, status, final in results])
-    return results
+    trajs = _study(config, "alpha", alphas, workers)
+
+    def aggregate():
+        results = [(a, exponents.regime(a), "ok" if trajs[a] else "failed",
+                    trajs[a] and [_fmt(x) for x in trajs[a].rows[-1].csv_values()]) for a in alphas]
+        cols = MonitorRow.csv_header(config.p_list)
+        _write_csv(_output_dir(config) / "sweep.csv", ["alpha", "regime", "status"] + cols,
+                   [[a, regime, status, *(final or [""] * len(cols))]
+                    for a, regime, status, final in results])
+        return results
+    return _started(aggregate, "")
 
 
 class EpsRow(NamedTuple):
@@ -356,12 +362,12 @@ class EpsRow(NamedTuple):
     status: str
 
 
-def run_eps_study(config: RunConfig, eps_list) -> list[EpsRow]:
+def run_eps_study(config: RunConfig, eps_list) -> list[EpsRow] | None:
     """Rerun one config over a decreasing list of regularization shifts, each distinct one
     once in ``epsilon_{eps!r}`` and with no monitor tick to clip its steps, and write the L2
-    distances between final fields of consecutive runs to eps_study.csv.  Only finiteness
-    is asserted: the underlying limit comes with no rate, so monotonicity of the
-    differences is not a contract.
+    distances between final fields of consecutive runs to eps_study.csv; None, reported like
+    a failed member, if computing or writing them fails.  Only finiteness is asserted: the
+    underlying limit comes with no rate, so monotonicity of the differences is not a contract.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2:
@@ -370,17 +376,17 @@ def run_eps_study(config: RunConfig, eps_list) -> list[EpsRow]:
         raise ValueError("epsilon list must be decreasing")
     finals = {eps: traj and traj.final for eps, traj in
               _study(replace(config, monitor_cadence=None), "epsilon", eps_list).items()}
-    rows = []
-    g = config.grid
-    for ea, eb in zip(eps_list, eps_list[1:]):
-        fa, fb = finals[ea], finals[eb]
-        if fa is None or fb is None:
-            rows.append(EpsRow(ea, eb, math.nan, math.nan, "failed"))
-            continue
-        rows.append(EpsRow(ea, eb, g.lp_norm(fb.u - fa.u, 2.0),
-                           g.lp_norm(fb.v - fa.v, 2.0), "ok"))
-    _write_csv(_output_dir(config) / "eps_study.csv", list(EpsRow._fields), rows)
-    return rows
+
+    def aggregate():
+        rows, g = [], config.grid
+        for ea, eb in zip(eps_list, eps_list[1:]):
+            fa, fb = finals[ea], finals[eb]
+            ok = fa is not None and fb is not None
+            rows.append(EpsRow(ea, eb, g.lp_norm(fb.u - fa.u, 2.0) if ok else math.nan,
+                               g.lp_norm(fb.v - fa.v, 2.0) if ok else math.nan,
+                               "ok" if ok else "failed"))
+        return _write_csv(_output_dir(config) / "eps_study.csv", list(EpsRow._fields), rows)
+    return _started(aggregate, "")
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +413,13 @@ def cmd_verify_inequalities(args) -> int:
 
 
 def _write_jsonl(records, out, ok: bool) -> int:
-    """One JSON object per line, to the file out or else to stdout; exit code 0 if ok, else 1."""
+    """One JSON object per line, to the file out or else to stdout; exit code 0 if ok, else 1.
+    A file that cannot be written is reported like a failed run, and exits 1."""
     text = "".join(json.dumps(r) + "\n" for r in records)
     if out is None:
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+    elif _started(Path(out).write_text, "", text, "utf-8") is None:
+        return 1
     return 0 if ok else 1
 
 
@@ -475,8 +482,9 @@ def _config(args) -> RunConfig:
     return config if args.output_dir is None else replace(config, output_dir=args.output_dir)
 
 
-def _all_ok(statuses) -> int:
-    return 0 if all(status == "ok" for status in statuses) else 1
+def _all_ok(rows, status: int) -> int:
+    """0 if a study's aggregate was written and each row's entry ``status`` is ok, else 1."""
+    return 0 if rows is not None and all(row[status] == "ok" for row in rows) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -495,13 +503,13 @@ def _build_parser() -> argparse.ArgumentParser:
     command("run", "run one configured simulation", lambda a: cmd_run(_config(a)), configured)
 
     p = command("sweep", "independent runs over response exponents",
-                lambda a: _all_ok(r[2] for r in run_sweep(_config(a), a.alphas, a.workers)),
+                lambda a: _all_ok(run_sweep(_config(a), a.alphas, a.workers), 2),
                 configured)
     p.add_argument("--alphas", type=_float_list, required=True, help="comma list, each in [0, 2)")
     p.add_argument("--workers", type=_positive_int, default=1)
 
     p = command("eps-study", "convergence study in the shift epsilon",
-                lambda a: _all_ok(r.status for r in run_eps_study(_config(a), a.eps)), configured)
+                lambda a: _all_ok(run_eps_study(_config(a), a.eps), -1), configured)
     p.add_argument("--eps", type=_float_list, required=True, help="decreasing comma list in (0, 1)")
 
     p = command("verify-inequalities", "randomized inequality batches", cmd_verify_inequalities)

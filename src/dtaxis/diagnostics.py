@@ -16,8 +16,7 @@ of checks live in this module:
 
 Every gradient integral is the grid's one cell quadrature (see ``grid``), and
 each function forms each gradient product once per state and reduces its
-integrands in one call: the rows of one buffer, summed by ``Grid.integrals``
-(by a row sum over interior cells in the log-Hessian check).
+integrands in one call: the rows of one buffer, summed by ``Grid.integrals``.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .exponents import regime
-from .grid import BLOCK_CELLS, Grid, first_cell, lp_power, lp_root
-from .model import Accumulators, Params, State, _power
+from .grid import BLOCK_CELLS, Grid, _power, first_cell, lp_power, lp_root
+from .model import Accumulators, Params, State
 
 P_LIST = (1.0, 2.0, 3.0)  # default orders of the u moment monitors lp_{p}_u
 
@@ -406,8 +405,7 @@ def _log_hessian_reports(grid: Grid, stacks, qs) -> list[list[LogHessianReport]]
             rows = np.stack([_power(ph, -q - 1.0) * g2 ** ((q + 2.0) / 2.0),
                              _power(ph, -q + 1.0) * g2q * hess_phi,
                              _power(ph, -q + 3.0) * g2q * hess_log], 1)
-            sums = rows.reshape(3 * len(ph), -1).sum(1).tolist()  # each field's 3 in turn
-            sums = iter(s * grid.cell_volume for s in sums)
+            sums = iter(grid.integrals(rows.reshape(3 * len(ph), -1)))  # each field's 3 in turn
             c_grad, c_hess = (q + math.sqrt(grid.dim)) ** 2, (q + math.sqrt(grid.dim) + 1.0) ** 2
             per_q += [LogHessianReport(q, lhs_grad, c_grad * base, lhs_hess, c_hess * base)
                       for lhs_grad, lhs_hess, base in zip(sums, sums, sums)]

@@ -102,16 +102,13 @@ class Grid:
     # -- discrete calculus ---------------------------------------------------
 
     def integrate(self, f: np.ndarray) -> float:
-        """Midpoint-rule integral over the box; exact on per-axis linears.  A
-        non-finite cell, or a finite field whose sum overflows, fails the sum's check."""
-        s = float(f.sum())
-        if not math.isfinite(s):
-            raise ValueError("non-finite field")
-        return s * self.cell_volume
+        """Midpoint-rule integral over the box, exact on per-axis linears: the one row of
+        ``integrals``, so it refuses a non-finite sum and ignores f's memory layout."""
+        return self.integrals(f[None])[0]
 
     def integrals(self, stack: np.ndarray) -> list[float]:
-        """``integrate`` of every row of a C-contiguous (k, *shape) stack in one reduction,
-        each bit for bit; the check names the first row whose sum is not finite."""
+        """The integral of every row of a (k, *shape) stack, in any memory layout, by one
+        reduction in C order; the check names the first row whose sum is not finite."""
         sums = stack.reshape(len(stack), -1).sum(axis=1).tolist()
         for i, s in enumerate(sums):
             if not math.isfinite(s):
@@ -148,7 +145,7 @@ class Grid:
 
     def lp_norm(self, f: np.ndarray, p: float) -> float:
         """(integral of f^p)^(1/p).  f must be nonnegative when p is fractional."""
-        return lp_root(float(lp_power(f, p).sum()) * self.cell_volume, p)
+        return lp_root(self.integrate(lp_power(f, p)), p)
 
     def cell_dot(self, ga: FaceData, gb: FaceData, out: np.ndarray | None = None,
                  faces: FaceData | None = None, cell: np.ndarray | None = None) -> np.ndarray:
@@ -162,15 +159,21 @@ class Grid:
         return out
 
 
+def _power(u: np.ndarray, a: float, out: np.ndarray | None = None) -> np.ndarray:
+    """u ** a, bit for bit, written into and returned as ``out`` if given and else a new
+    array: never u itself, so a caller may write into it at every exponent."""
+    out = np.positive(u, out=out, dtype=float)
+    out **= a  # the same scalar-power path as u ** a (a square root at a = 0.5)
+    return out
+
+
 def lp_power(f: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
     """The integrand f^p of ``Grid.lp_norm``, written into ``out`` if given."""
     if p <= 0.0:
         raise ValueError(f"lp_norm order must be positive, got {p}")
     if p != round(p) and bool((f < 0.0).any()):
         raise ValueError(f"fractional power of negative value at cell {first_cell(f < 0.0)}")
-    out = np.positive(f, out=out, dtype=float)
-    out **= p  # the scalar-power path of f ** p
-    return out
+    return _power(f, p, out)
 
 
 def lp_root(s: float, p: float) -> float:

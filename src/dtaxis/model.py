@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .exponents import regime
-from .grid import FaceData, Grid, first_cell
+from .grid import FaceData, Grid, _power, first_cell
 
 AVG_MODES = ("arithmetic", "geometric")
 INITIAL_KINDS = ("constant", "gaussian_bump", "cosine_mix", "from_snapshot")
@@ -201,16 +201,6 @@ def face_average(grid: Grid, w: np.ndarray, mode: str, out: FaceData | None = No
         else:
             np.multiply(lo, hi, out=f[grid.inner[a]])
             np.sqrt(f, out=f)
-    return out
-
-
-def _power(u: np.ndarray, a: float, out: np.ndarray | None = None) -> np.ndarray:
-    """u ** a, written into and returned as ``out`` if given; without ``out``, u itself
-    at a = 1 and new ones at a = 0."""
-    if out is None:
-        return u if a == 1.0 else np.ones_like(u) if a == 0.0 else u ** a
-    np.copyto(out, u)
-    out **= a  # the same scalar-power path as u ** a (a square root at a = 0.5)
     return out
 
 

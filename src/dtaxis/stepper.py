@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .grid import BLOCK_CELLS, first_cell
-from .model import Accumulators, Params, State, _power, _rhs_core
+from .grid import BLOCK_CELLS, _power, first_cell
+from .model import Accumulators, Params, State, _rhs_core
 
 RESOLUTION = 1e-12  # a run's time resolution, its dt floor and tick tolerance, per unit t_end
 

@@ -721,6 +721,28 @@ def test_main_run_whose_outputs_cannot_be_written_fails(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, target, members", [
+    ("sweep --workers 1", "out/sweep.csv", ["alpha_0.5", "alpha_1.25"]),
+    ("eps-study", "out/eps_study.csv", ["epsilon_0.1", "epsilon_0.01"]),
+    ("verify-inequalities --cells 16 --samples 2", "ineq.jsonl", []),
+    ("verify-exponents --samples 20 --iterations 50", "exps.jsonl", []),
+])
+def test_main_write_error_after_the_work_ran_exits_1(tmp_path, capsys, command, target, members):
+    # a directory where the aggregate or --out file goes: the work has run, so this is
+    # a failed write (exit 1), not input rejected before any run (exit 2)
+    (tmp_path / target).mkdir(parents=True)
+    if members:
+        argv = _argv(command, _write_cfg(tmp_path))
+    else:
+        argv = command.split() + ["--out", str(tmp_path / target)]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and target.split("/")[-1] in err
+    for member in members:
+        assert (tmp_path / "out" / member / "monitors.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep --workers 2", "eps-study"])
 def test_main_output_dir_flag_overrides_the_config(tmp_path, command):
     argv = _argv(command, _write_cfg(tmp_path)) + ["--output-dir", str(tmp_path / "flag")]

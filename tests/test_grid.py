@@ -66,6 +66,10 @@ def test_integrals_bit_equal_integrate(cells):
     stack = rng.lognormal(0.0, 3.0, (5,) + g.shape) * rng.choice([-1.0, 1.0], (5,) + g.shape)
     assert g.integrals(stack) == [g.integrate(f) for f in stack]
     assert g.integrals(stack[2:3]) == [g.integrate(stack[2])]
+    # a transposed (F-ordered) view is summed in C order, like its contiguous copy
+    f = (rng.lognormal(0.0, 3.0, g.shape[::-1]) * rng.choice([-1.0, 1.0], g.shape[::-1])).T
+    assert g.integrate(f) == g.integrate(np.ascontiguousarray(f))
+    assert g.integrate(f) == g.integrals(np.concatenate([stack, f[None]]))[5]
 
 
 @pytest.mark.parametrize("cells", [16, (6, 5), (4, 3, 5)])
@@ -217,6 +221,10 @@ def test_lp_norm_errors():
         g.lp_norm(np.ones(g.shape), 0.0)
     with pytest.raises(ValueError, match="^negative integral, no real lp_norm$"):
         Grid(4).lp_norm(-np.ones(4), 3.0)  # an odd integer power keeps the sign
+    # a finite field whose p-th power overflows has no finite norm
+    g = Grid((37, 53))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite field"):
+        g.lp_norm(np.full(g.shape, 1e200), 2.0)
 
 
 @pytest.mark.parametrize("cells", [48, (12, 10)])

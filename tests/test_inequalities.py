@@ -85,6 +85,10 @@ def test_log_hessian_validation():
             check_log_hessian(g, np.ones(g.shape), q)
     with pytest.raises(ValueError, match="nonpositive field"):
         check_log_hessian(g, np.zeros(g.shape), 2.0)
+    # positive and finite, but its weighted gradient integrals overflow
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite field"):
+        check_log_hessian(g, np.exp(np.linspace(0.0, 700.0, 16)), 2.0)
 
 
 @pytest.mark.parametrize("cells", [2, (16, 2), (2, 16)])

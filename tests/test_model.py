@@ -270,4 +270,6 @@ def test_power_writes_into_out_at_every_exponent(a):
     assert got.tobytes() == (u ** a).tobytes()
     got *= 2.0
     assert u.tobytes() == before.tobytes()
-    assert (_power(u, 1.0) is u) and _power(u, 0.0).tobytes() == np.ones(u.shape).tobytes()
+    one = _power(u, 1.0)
+    assert one is not u and one.tobytes() == u.tobytes()
+    assert _power(u, 0.0).tobytes() == np.ones(u.shape).tobytes()

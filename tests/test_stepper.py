@@ -511,7 +511,7 @@ def test_observed_steps_recompute_bit_equal_from_scratch(case):
         s, p = _notch_state()  # rejects and halves, so attempts share one rhs
         control = StepControl(t_end=2e-3)
     elif case == "2d-alpha1":
-        p = Params(alpha=1.0, epsilon=0.01, chi=3.0, ell=1.0)  # u^alpha is u itself
+        p = Params(alpha=1.0, epsilon=0.01, chi=3.0, ell=1.0)
         s, control = _cosine_state((8, 6), p), StepControl(t_end=0.01)
     else:
         p = Params(alpha=1.75, epsilon=0.01, chi=3.0, ell=1.0, avg_mode="arithmetic")
