@@ -13,9 +13,8 @@ regimes.
 
 from .diagnostics import (MonitorRow, ResidualReport, check_first_energy,
                           check_log_hessian, check_sobolev_product,
-                          check_struc2_balance, monitor_row,
-                          residual_upvq_identity, residual_v_energy,
-                          residual_vq_identity)
+                          check_struc2_balance, monitor_row, residual_rows,
+                          residual_upvq_identity, residual_v_energy)
 from .exponents import (ExponentTriple, moderate_seq, moderate_seq_hat, p0_sup,
                         strong_seq, verify_regime_lemmas, weak_feedback_p)
 from .grid import FaceData, Grid
@@ -30,6 +29,6 @@ __all__ = [
     "StepRejected", "Trajectory", "assemble_rhs", "build_initial",
     "check_first_energy", "check_log_hessian", "check_sobolev_product",
     "check_struc2_balance", "moderate_seq", "moderate_seq_hat", "monitor_row",
-    "p0_sup", "residual_upvq_identity", "residual_v_energy", "residual_vq_identity",
+    "p0_sup", "residual_rows", "residual_upvq_identity", "residual_v_energy",
     "run", "step", "strong_seq", "verify_regime_lemmas", "weak_feedback_p",
 ]

@@ -257,13 +257,8 @@ class _ResidualObserver:
     def __call__(self, prev: State, new: State, dt: float):
         if self.ticks.due(new.t) is None:
             return
-        reports = [
-            diagnostics.residual_v_energy(prev, new, self.params),
-            diagnostics.residual_vq_identity(prev, new, 2.0, self.params),
-            diagnostics.residual_upvq_identity(prev, new, 0.5, 1.0, self.params),
-            diagnostics.check_first_energy(prev, new, self.params),
-        ]
-        self.rows += [[getattr(rep, attr, "") for _, attr in _RESIDUAL_COLUMNS] for rep in reports]
+        self.rows += [[getattr(rep, attr, "") for _, attr in _RESIDUAL_COLUMNS]
+                      for rep in diagnostics.residual_rows(prev, new, self.params)]
 
 
 class _SnapshotObserver:

@@ -5,9 +5,10 @@ of checks live in this module:
 
 * ``monitor_row`` evaluates the full catalog of instantaneous functionals and
   copies out the running space-time accumulators;
-* the ``residual_*`` / ``check_first_energy`` functions measure, in residual
-  form, how well one accepted step satisfies the exact balance laws of the
-  semi-discrete system (the residuals shrink like O(dt + h^2) on smooth runs);
+* ``residual_rows`` and the functions it calls measure, in residual form, how
+  well one accepted step satisfies the exact balance laws of the semi-discrete
+  system (O(dt + h^2) on smooth runs): one kernel, ``_identity``, over one spec
+  per law;
 * ``check_sobolev_product``, ``check_log_hessian`` and
   ``check_struc2_balance`` probe standalone integral inequalities on given
   positive fields or trajectory windows; ``sobolev_batch`` and
@@ -115,15 +116,11 @@ def monitor_row(state: State, params: Params,
     inf_v = float(v.min())
     if inf_v <= 0.0:
         raise ValueError(f"v positivity lost at t={state.t:.6g} at cell {first_cell(v <= 0.0)}")
-    a = params.alpha
     rows = np.empty((6 + len(p_list),) + g.shape)  # six integrands, then the moments
-    gv = g.face_gradient(v)
-    cgv2 = g.cell_dot(gv, gv, out=rows[3])
-    np.divide(np.multiply(cgv2, cgv2, out=rows[4]), np.power(v, 3, out=rows[5]), out=rows[4])
-    cgv2 /= v
-    np.divide(_power(u, 3.0 - a, out=rows[5]), (2.0 - a) * (3.0 - a), out=rows[5])
-    rows[5] -= np.multiply(u, v, out=rows[2])  # rows 0 to 2 serve as scratch until here
-    rows[0], rows[1], rows[2] = u, v, _xlogx(u)
+    cgv2 = _Factors(state)["gv.gv"]
+    rows[0], rows[1], rows[2], rows[3] = u, v, _xlogx(u), cgv2 / v
+    rows[4] = cgv2 * cgv2 / np.power(v, 3)
+    _energy(state, params, rows[5])
     for p, row in zip(p_list, rows[6:]):
         lp_power(u, p, out=row)
     mass_u, mass_v, *sums = g.integrals(rows)  # then log_energy .. combined_flux_energy
@@ -137,7 +134,7 @@ def monitor_row(state: State, params: Params,
 
 
 # ---------------------------------------------------------------------------
-# balance-law residuals over one accepted step
+# balance-law residuals over one accepted step: one kernel, one spec per law
 
 
 @dataclass(frozen=True)
@@ -157,101 +154,15 @@ class ResidualReport:
         return abs(self.residual) / self.normalizer
 
 
-def residual_v_energy(prev: State, nxt: State, params: Params) -> ResidualReport:
-    """Residual of the signal gradient-energy balance over one step.
-
-    Continuous law: (1/2) d/dt int |grad v|^2 + int |lap v|^2
-    + int u |grad v|^2 = - int v grad(u) . grad(v).
-    """
-    g, dt = prev.grid, nxt.t - prev.t
-    buf = np.empty((5,) + g.shape)  # the five integrands
-    gv0, gv1 = g.face_gradient(prev.v), g.face_gradient(nxt.v)
-    g.cell_dot(gv1, gv1, out=buf[0])
-    cgv0 = g.cell_dot(gv0, gv0, out=buf[1])
-    lap = g.div_faces(gv0, out=buf[2], cell=buf[3])
-    np.multiply(lap, lap, out=lap)
-    np.multiply(prev.u, cgv0, out=buf[3])
-    np.multiply(prev.v, g.cell_dot(g.face_gradient(prev.u), gv0, out=buf[4]), out=buf[4])
-    e1, e0, t_lap, t_uvv, t_mix = g.integrals(buf)
-    rate, rhs = 0.5 * (e1 - e0) / dt, -(t_lap + t_uvv + t_mix)
-    return ResidualReport("v_energy", prev.t, nxt.t, rate, rhs, rate - rhs,
-                          _normalizer(rate, t_lap, t_uvv, t_mix))
-
-
-def residual_vq_identity(prev: State, nxt: State, q: float,
-                         params: Params) -> ResidualReport:
-    """Residual of (1/q) d/dt int v^q = -(q-1) int v^(q-2)|grad v|^2 - int u v^q."""
-    if q <= 1.0:
-        raise ValueError(f"q must exceed 1, got {q}")
-    g, dt = prev.grid, nxt.t - prev.t
-    buf = np.empty((4,) + g.shape)  # the four integrands
-    _power(nxt.v, q, out=buf[0])
-    np.multiply(prev.u, _power(prev.v, q, out=buf[1]), out=buf[3])
-    gv0 = g.face_gradient(prev.v)
-    np.multiply(g.cell_dot(gv0, gv0, out=buf[2]), _power(prev.v, q - 2.0), out=buf[2])
-    e1, e0, grad, t_cons = g.integrals(buf)
-    rate, t_grad = (e1 - e0) / (q * dt), (q - 1.0) * grad
-    rhs = -(t_grad + t_cons)
-    return ResidualReport(f"v_pow_{q:g}", prev.t, nxt.t, rate, rhs, rate - rhs,
-                          _normalizer(rate, t_grad, t_cons))
-
-
-def residual_upvq_identity(prev: State, nxt: State, p: float, q: float,
-                           params: Params) -> ResidualReport:
-    """Residual of the mixed-moment balance d/dt int u^p v^q = sum of 8 terms.
-
-    The right side collects, in order: both quadratic gradient terms, the
-    growth term, the three mixed grad(u).grad(v) terms, the v-gradient term
-    from the consumption equation, and the consumption sink:
-
-      T1 = p(1-p) int u^(p-1) v^(q+1) |grad u|^2
-      T2 = p q    int u^(p-1+alpha) v^q |grad v|^2
-      T3 = p ell  int u^p v^(q+1)
-      T4 = p(p-1) int u^(p-2+alpha) v^(q+1) grad u . grad v
-      T5 = -p q   int u^p v^q grad u . grad v
-      T6 = -p q   int u^(p-1) v^(q-1) grad u . grad v
-      T7 = -q(q-1) int u^p v^(q-2) |grad v|^2
-      T8 = -q     int u^(p+1) v^q
-
-    T6 and T7 carry the signs that integration by parts of the consumption
-    equation produces; specializing p=0 must reproduce the v^q balance above,
-    and p=1, q=0 reproduces the mass law.
-    """
-    g, u, v = prev.grid, prev.u, prev.v
-    a, dt = params.alpha, nxt.t - prev.t
-    r = np.empty((10,) + g.shape)  # the next and current u^p v^q, then T1..T8
-    gu, gv = g.face_gradient(u), g.face_gradient(v)
-    cuu, cvv, cuv = g.cell_dot(gu, gu), g.cell_dot(gv, gv), g.cell_dot(gu, gv)
-    del gu, gv  # their memory serves the powers
-    up, up_m1, vq, vq_p1 = _power(u, p), _power(u, p - 1.0), _power(v, q), _power(v, q + 1.0)
-    np.multiply(_power(nxt.u, p, out=r[0]), _power(nxt.v, q, out=r[2]), out=r[0])
-    upvq = np.multiply(up, vq, out=r[1])
-    np.multiply(np.multiply(up_m1, vq_p1, out=r[2]), cuu, out=r[2])
-    np.multiply(np.multiply(_power(u, p - 1.0 + a, out=r[3]), vq, out=r[3]), cvv, out=r[3])
-    np.multiply(up, vq_p1, out=r[4])
-    np.multiply(np.multiply(_power(u, p - 2.0 + a, out=r[5]), vq_p1, out=r[5]), cuv, out=r[5])
-    np.multiply(upvq, cuv, out=r[6])
-    np.multiply(np.multiply(up_m1, _power(v, q - 1.0, out=r[7]), out=r[7]), cuv, out=r[7])
-    np.multiply(np.multiply(up, _power(v, q - 2.0, out=r[8]), out=r[8]), cvv, out=r[8])
-    np.multiply(_power(u, p + 1.0, out=r[9]), vq, out=r[9])
-    e1, e0, *sums = g.integrals(r)
-    rate = (e1 - e0) / dt
-    coef = (p * (1.0 - p), p * q, p * params.ell, p * (p - 1.0), -p * q, -p * q, -q * (q - 1.0), -q)
-    terms = [c * x for c, x in zip(coef, sums)]
-    rhs = sum(terms[1:], terms[0])  # T1 + T2 + ... + T8, left to right
-    return ResidualReport(f"u{p:g}_v{q:g}", prev.t, nxt.t, rate, rhs, rate - rhs,
-                          _normalizer(rate, *terms))
-
-
 @dataclass(frozen=True)
 class FirstEnergyReport(ResidualReport):
     """Equality residual and inequality slack of the combined flux energy.
 
-    The energy int( u^(3-alpha)/((2-alpha)(3-alpha)) - u v ) dissipates the
-    flux-weighted square int u^alpha v |grad(u^(2-alpha)/(2-alpha) - v)|^2, so
-    lhs = rate + dissipation balances the equality right side rhs; dropping
-    the dissipation and the nonpositive -ell int u v^2 yields the one-sided
-    bound rate <= rhs_inequality, whose slack is reported here.
+    The energy E_chi = int( u^(3-alpha)/((2-alpha)(3-alpha)) - chi u v ) dissipates the
+    flux-weighted square int u^alpha v |grad w_chi|^2, w_chi = u^(2-alpha)/(2-alpha) - chi v,
+    so lhs = rate + dissipation balances the equality right side rhs; dropping the
+    dissipation and the nonpositive -ell chi int u v^2 yields the one-sided bound
+    rate <= rhs_inequality, whose slack is reported here.
     """
 
     rate: float
@@ -263,37 +174,150 @@ class FirstEnergyReport(ResidualReport):
         return self.slack >= -1e-8
 
 
-def check_first_energy(prev: State, nxt: State, params: Params) -> FirstEnergyReport:
-    g, u, v = prev.grid, prev.u, prev.v
-    a, dt = params.alpha, nxt.t - prev.t
-    c = (2.0 - a) * (3.0 - a)
-    r = np.empty((7,) + g.shape)  # the next and current energy density, the other 5 integrands
-    uv = u * v
-    u3a = _power(u, 3.0 - a, out=r[1])
-    u3av = np.multiply(u3a, v, out=r[6])
-    u3a /= c
-    r[1] -= uv
-    np.divide(u3av, 2.0 - a, out=r[5])
-    r[5] -= np.multiply(uv, v, out=r[4])
-    np.multiply(np.multiply(u, u, out=r[4]), v, out=r[4])
+class _Factors(dict):
+    """One state's integrand factors, each formed on first use and then shared: "u", "v",
+    the powers ("u", e) and ("v", e), the face gradients "gu" and "gv", their cell dot
+    products "gu.gu", "gu.gv" and "gv.gv", and "lap", the Laplacian of v."""
+
+    def __init__(self, state: State):
+        super().__init__(u=state.u, v=state.v)
+        self.grid = state.grid
+
+    def __missing__(self, key):
+        if isinstance(key, tuple):  # the power 0 is 1, and the power 1 the field itself
+            field, e = key
+            x = 1.0 if e == 0.0 else self[field] if e == 1.0 else _power(self[field], e)
+        elif key == "lap":
+            x = self.grid.div_faces(self["gv"])
+        elif len(key) == 2:  # "gu" or "gv"
+            x = self.grid.face_gradient(self[key[1]])
+        else:
+            x = self.grid.cell_dot(self[key[:2]], self[key[3:]])
+        self[key] = x
+        return x
+
+    def product(self, keys, out: np.ndarray) -> None:
+        """The product of the factors named by keys, left to right, written into out."""
+        np.multiply(self[keys[0]], self[keys[1]] if len(keys) > 1 else 1.0, out=out)
+        for key in keys[2:]:
+            out *= self[key]
+
+
+def _identity(prev: State, nxt: State, params: Params, spec) -> ResidualReport:
+    """The residual over one step of spec = (name, density, terms, per, report): d/dt int
+    density = sum of c int integrand over the (c, integrand) terms, divided through by per.
+    The next and the current density, then the integrands, are the rows of one buffer,
+    reduced in one call.  A density that is a tuple of ``_Factors`` keys makes each row the
+    product of its factors, left to right, and leaves the row of a term with c = 0 at 0, so
+    that its integrand is never formed; else ``density(prev, nxt, params, rows)`` writes
+    every row.  ``report(prev, nxt, rate, terms)`` makes the report, if given."""
+    name, density, terms, per, report = spec
+    rows = np.empty((2 + len(terms),) + prev.grid.shape)
+    if callable(density):
+        density(prev, nxt, params, rows)
+    else:
+        _Factors(nxt).product(density, rows[0])  # the next state's factors go at once
+        at = _Factors(prev)
+        for (c, keys), out in zip([(1.0, density)] + terms, rows[1:]):
+            if c != 0.0:
+                at.product(keys, out)
+            else:
+                out.fill(0.0)
+    e1, e0, *sums = prev.grid.integrals(rows)
+    rate = (e1 - e0) / (per * (nxt.t - prev.t))
+    terms = [c * x / per for (c, _), x in zip(terms, sums)]
+    if report:
+        return report(prev, nxt, rate, terms)
+    rhs = terms[0]
+    for t in terms[1:]:  # left to right, on every Python version
+        rhs += t
+    return ResidualReport(name, prev.t, nxt.t, rate, rhs, rate - rhs, _normalizer(rate, *terms))
+
+
+def residual_v_energy(prev: State, nxt: State, params: Params) -> ResidualReport:
+    """Residual of the signal gradient-energy balance over one step: (1/2) d/dt int |grad v|^2
+    = -int |lap v|^2 - int u |grad v|^2 - int v grad(u) . grad(v), doubled and halved."""
+    return _identity(prev, nxt, params, ("v_energy", ("gv.gv",), [
+        (-2.0, ("lap", "lap")), (-2.0, ("u", "gv.gv")), (-2.0, ("v", "gu.gv"))], 2.0, None))
+
+
+def _upvq(p: float, q: float, params: Params, name: str, per: float = 1.0):
+    """The spec of d/dt int u^p v^q = T1 + ... + T8: both quadratic gradient terms, growth,
+    the three mixed grad u . grad v terms, the v-gradient term of the consumption equation
+    (T6 and T7 carry the signs its integration by parts produces) and the consumption sink."""
+    a = params.alpha
+    return (name, (("u", p), ("v", q)), [
+        (p * (1.0 - p), (("u", p - 1.0), ("v", q + 1.0), "gu.gu")),
+        (p * q, (("u", p - 1.0 + a), ("v", q), "gv.gv")),
+        (p * params.ell, (("u", p), ("v", q + 1.0))),
+        (p * (p - 1.0), (("u", p - 2.0 + a), ("v", q + 1.0), "gu.gv")),
+        (-p * q, (("u", p), ("v", q), "gu.gv")),
+        (-p * q, (("u", p - 1.0), ("v", q - 1.0), "gu.gv")),
+        (-q * (q - 1.0), (("u", p), ("v", q - 2.0), "gv.gv")),
+        (-q, (("u", p + 1.0), ("v", q)))], per, None)
+
+
+def residual_upvq_identity(prev: State, nxt: State, p: float, q: float,
+                           params: Params) -> ResidualReport:
+    """Residual of the mixed-moment balance d/dt int u^p v^q = T1 + ... + T8 (see ``_upvq``);
+    p = 0 divided through by q is the v^q balance, and p = 1, q = 0 the mass law."""
+    return _identity(prev, nxt, params, _upvq(p, q, params, f"u{p:g}_v{q:g}"))
+
+
+def _energy(state: State, params: Params, out: np.ndarray) -> None:
+    """The density of E_chi, u^(3-alpha)/((2-alpha)(3-alpha)) - chi u v, written into out."""
+    a, uv = params.alpha, state.u * state.v
+    np.divide(_power(state.u, 3.0 - a, out=out), (2.0 - a) * (3.0 - a), out=out)
+    uv *= params.chi
+    out -= uv
+
+
+def _first_energy_rows(prev: State, nxt: State, params: Params, r: np.ndarray) -> None:
+    """The rows of check_first_energy: the next and current density of E_chi (the current
+    one as ``_energy`` forms it, sharing u^(3-alpha) and chi u v), then u^alpha v |grad w_chi|^2
+    with w_chi = u^(2-alpha)/(2-alpha) - chi v, w_chi u v, grad u . grad v, u^2 v and
+    u^(3-alpha) v."""
+    g, u, v, a, chi = prev.grid, prev.u, prev.v, params.alpha, params.chi
+    _energy(nxt, params, r[0])
+    chi_uv = np.multiply(np.multiply(u, v, out=r[5]), chi, out=r[5])
+    np.multiply(_power(u, 3.0 - a, out=r[1]), v, out=r[6])
+    r[1] /= (2.0 - a) * (3.0 - a)
+    r[1] -= chi_uv
+    np.divide(r[6], 2.0 - a, out=r[3])
+    r[3] -= np.multiply(chi_uv, v, out=r[5])
+    np.multiply(np.multiply(u, u, out=r[5]), v, out=r[5])
     gv = g.face_gradient(v)
-    g.cell_dot(g.face_gradient(u), gv, out=r[3])
-    gw = g.face_gradient(np.divide(_power(u, 2.0 - a, out=uv), 2.0 - a, out=uv))
-    gdiff = [np.subtract(w, x, out=w) for w, x in zip(gw, gv)]
-    np.multiply(np.multiply(_power(u, a, out=r[2]), v, out=r[2]),
-                g.cell_dot(gdiff, gdiff, out=uv), out=r[2])
-    np.divide(_power(nxt.u, 3.0 - a, out=r[0]), c, out=r[0])
-    r[0] -= np.multiply(nxt.u, nxt.v, out=uv)
-    e_next, e_now, dissipation, t_mix, t_quad, grow, u3av_sum = g.integrals(r)
-    rate, t_grow = (e_next - e_now) / dt, params.ell * grow
-    lhs, rhs = rate + dissipation, t_grow + t_mix + t_quad
-    rhs_ineq = (params.ell / (2.0 - a)) * u3av_sum + t_mix + t_quad
-    return FirstEnergyReport(
-        "first_energy", prev.t, nxt.t, lhs, rhs, lhs - rhs,
-        _normalizer(rate, dissipation, t_mix, t_quad, t_grow),
-        rate=rate, dissipation=dissipation, rhs_inequality=rhs_ineq,
-        slack=rhs_ineq - rate,
-    )
+    g.cell_dot(g.face_gradient(u), gv, out=r[4])
+    gw = g.face_gradient(np.divide(_power(u, 2.0 - a, out=r[2]), 2.0 - a, out=r[2]))
+    gw = [np.subtract(w, np.multiply(x, chi), out=w) for w, x in zip(gw, gv)]
+    np.multiply(np.multiply(_power(u, a, out=r[2]), v, out=r[2]), g.cell_dot(gw, gw), out=r[2])
+
+
+def _first_energy_report(prev: State, nxt: State, rate: float, terms) -> FirstEnergyReport:
+    dissipation, t_grow, t_mix, t_quad, t_ineq = terms
+    lhs, rhs, rhs_ineq = rate + dissipation, t_grow + t_mix + t_quad, t_ineq + t_mix + t_quad
+    return FirstEnergyReport("first_energy", prev.t, nxt.t, lhs, rhs, lhs - rhs,
+                             _normalizer(rate, dissipation, t_mix, t_quad, t_grow), rate=rate,
+                             dissipation=dissipation, rhs_inequality=rhs_ineq,
+                             slack=rhs_ineq - rate)
+
+
+def check_first_energy(prev: State, nxt: State, params: Params) -> FirstEnergyReport:
+    """d/dt E_chi + dissipation = ell int w_chi u v + chi int grad u . grad v + chi int u^2 v;
+    the bound takes (ell / (2-alpha)) int u^(3-alpha) v for the growth term."""
+    a, chi, ell = params.alpha, params.chi, params.ell
+    return _identity(prev, nxt, params, ("first_energy", _first_energy_rows, [
+        (1.0, "dissipation"), (ell, "growth"), (chi, "mix"), (chi, "quad"),
+        (ell / (2.0 - a), "growth bound")], 1.0, _first_energy_report))
+
+
+def residual_rows(prev: State, nxt: State, params: Params) -> list[ResidualReport]:
+    """The rows of residuals.csv for one step, in order: v_energy, v_pow_2 (the u^p v^q law
+    at p = 0, divided through by q = 2), u0.5_v1 and first_energy."""
+    return [residual_v_energy(prev, nxt, params),
+            _identity(prev, nxt, params, _upvq(0.0, 2.0, params, "v_pow_2", per=2.0)),
+            residual_upvq_identity(prev, nxt, 0.5, 1.0, params),
+            check_first_energy(prev, nxt, params)]
 
 
 # ---------------------------------------------------------------------------
@@ -532,16 +556,14 @@ def check_struc2_balance(pairs, params: Params) -> Struc2Report:
         raise ValueError("the balance is tracked only for alpha > 1")
     rows = []
     for prev, nxt in pairs:
-        g, u, v = prev.grid, prev.u, prev.v
-        dt = nxt.t - prev.t
-        gu = g.face_gradient(u)
-        gv, gv1 = g.face_gradient(v), g.face_gradient(nxt.v)
-        cgv2, cgv2_1 = g.cell_dot(gv, gv), g.cell_dot(gv1, gv1)
+        g, u, v, dt = prev.grid, prev.u, prev.v, nxt.t - prev.t
+        f, f1 = _Factors(prev), _Factors(nxt)
+        cgv2 = f["gv.gv"]
         quartic, xlu = cgv2 * cgv2 / v ** 3, _xlogx(u)
         a1, a0, b1, b0, p_term, q1, q2, r1, r2 = g.integrals(np.stack([
-            _xlogx(nxt.u) - nxt.u, xlu - u, cgv2_1 * cgv2_1 / nxt.v ** 3, quartic,
-            v * g.cell_dot(gu, gu), cgv2 / v * hessian_sq(g, np.log(v)), u * quartic,
-            _power(u, 2.0 * params.alpha - 2.0) * v * cgv2, v * xlu]))
+            _xlogx(nxt.u) - nxt.u, xlu - u, f1["gv.gv"] * f1["gv.gv"] / nxt.v ** 3, quartic,
+            v * f["gu.gu"], cgv2 / v * hessian_sq(g, np.log(v)), u * quartic,
+            f["u", 2.0 * params.alpha - 2.0] * v * cgv2, v * xlu]))
         rows.append(((a1 - a0) / dt, (b1 - b0) / dt, p_term, 2.0 * q1 + q2, r1 + r2))
 
     c_req = []

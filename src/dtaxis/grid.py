@@ -103,7 +103,10 @@ class Grid:
 
     def integrate(self, f: np.ndarray) -> float:
         """Midpoint-rule integral over the box, exact on per-axis linears: the one row of
-        ``integrals``, so it refuses a non-finite sum and ignores f's memory layout."""
+        ``integrals``, so it refuses a non-finite sum and ignores f's memory layout.  A
+        field whose shape is not the grid's is refused."""
+        if f.shape != self.shape:
+            raise ValueError(f"field of shape {f.shape} does not fit grid {self.shape}")
         return self.integrals(f[None])[0]
 
     def integrals(self, stack: np.ndarray) -> list[float]:

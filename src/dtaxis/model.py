@@ -234,9 +234,10 @@ def _rhs_core(state: State, params: Params):
         if params.ell != 0.0:
             du += np.multiply(uv, params.ell, out=c0)
         dv = lap_v - uv
-        # a non-finite entry of du or dv makes du . dv non-finite; an overflowing
-        # product of finite entries takes the slow path
-        finite = math.isfinite(np.vdot(du, dv))
+        # a non-finite entry of du or dv makes the sum of du + dv non-finite, and a sum
+        # that overflows takes the slow path; numpy's own reduction, not a BLAS dot, whose
+        # threads would spin between steps on large grids
+        finite = math.isfinite(np.add.reduce(np.add(du, dv, out=c0), None))
     if not finite and not (np.isfinite(du).all() and np.isfinite(dv).all()):
         raise FloatingPointError(
             f"rhs overflow at cell {first_cell(~(np.isfinite(du) & np.isfinite(dv)))}")

@@ -10,9 +10,8 @@ import pytest
 
 from dtaxis import Grid, InitialData, Params, StepControl, build_initial
 from dtaxis.cli import RunConfig, run_eps_study
-from dtaxis.diagnostics import (check_first_energy, log_hessian_batch,
-                                residual_upvq_identity, residual_v_energy,
-                                residual_vq_identity, sobolev_batch)
+from dtaxis.diagnostics import (check_first_energy, log_hessian_batch, residual_rows,
+                                sobolev_batch)
 from dtaxis.exponents import moderate_seq, verify_regime_lemmas
 from dtaxis.model import initial_profiles
 from dtaxis.stepper import run
@@ -147,14 +146,8 @@ def _residual_worst(n):
     worst = {"v_energy": 0.0, "v_pow_2": 0.0, "u0.5_v1": 0.0, "first_energy": 0.0}
 
     def obs(prev, new, dt):
-        worst["v_energy"] = max(worst["v_energy"],
-                                residual_v_energy(prev, new, p).rel)
-        worst["v_pow_2"] = max(worst["v_pow_2"],
-                               residual_vq_identity(prev, new, 2.0, p).rel)
-        worst["u0.5_v1"] = max(worst["u0.5_v1"],
-                               residual_upvq_identity(prev, new, 0.5, 1.0, p).rel)
-        worst["first_energy"] = max(worst["first_energy"],
-                                    check_first_energy(prev, new, p).rel)
+        for rep in residual_rows(prev, new, p):
+            worst[rep.name] = max(worst[rep.name], rep.rel)
 
     run(s, p, StepControl(t_end=4e-3, dt_max=0.1 * g.h[0] ** 2), observers=[obs])
     return worst

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from dtaxis import Grid, InitialData, Params, StepControl, build_initial
-from dtaxis.diagnostics import (FirstEnergyReport, MonitorRow, ResidualReport,
-                                _normalizer, check_first_energy, hessian_sq, monitor_row,
-                                residual_upvq_identity, residual_v_energy,
-                                residual_vq_identity)
+from dtaxis.diagnostics import (FirstEnergyReport, MonitorRow, ResidualReport, _identity,
+                                _normalizer, _upvq, check_first_energy, hessian_sq,
+                                monitor_row, residual_rows, residual_upvq_identity,
+                                residual_v_energy)
 from dtaxis.model import Accumulators, State, _power
 from dtaxis.stepper import run, step
 
@@ -27,6 +27,8 @@ def test_monitor_constants():
     assert row.grad2_over_v == 0.0
     assert row.log_energy == pytest.approx(0.0, abs=1e-15)
     assert row.sup_u == row.inf_v == 1.0
+    row = monitor_row(_const_state(g), Params(alpha=0.5, epsilon=0.01, chi=3.0))
+    assert row.combined_flux_energy == pytest.approx(1.0 / (1.5 * 2.5) - 3.0, rel=1e-14)
 
 
 def test_monitor_total_mass_bound():
@@ -102,6 +104,11 @@ def test_residual_v_energy_constant_is_zero():
     assert rep.normalizer == 1.0
 
 
+def _vq_row(prev, nxt, q, params):
+    """The v^q balance: the u^p v^q law at p = 0 divided through by q, as the v_pow_2 row."""
+    return _identity(prev, nxt, params, _upvq(0.0, q, params, f"v_pow_{q:g}", per=q))
+
+
 def _heat_flow_worst(n, dtmax, t_w=2e-3):
     # nearly pure heat flow for v: u tiny constant
     g = Grid(n)
@@ -112,7 +119,7 @@ def _heat_flow_worst(n, dtmax, t_w=2e-3):
 
     def obs(a, b, d):
         worst[0] = max(worst[0], residual_v_energy(a, b, p).rel)
-        worst[1] = max(worst[1], residual_vq_identity(a, b, 2.0, p).rel)
+        worst[1] = max(worst[1], _vq_row(a, b, 2.0, p).rel)
 
     run(s, p, StepControl(t_end=t_w, dt_max=dtmax), observers=[obs])
     return worst
@@ -132,15 +139,8 @@ def test_residual_vq_constant_specialization():
     p = Params(alpha=1.0, epsilon=0.01, ell=0.0)
     s = State(grid=g, t=0.0, u=np.zeros(g.shape), v=np.full(g.shape, 0.8))
     s2 = State(grid=g, t=1e-3, u=s.u, v=s.v.copy())
-    rep = residual_vq_identity(s, s2, 2.0, p)
+    rep = _vq_row(s, s2, 2.0, p)
     assert rep.residual == 0.0
-
-
-@pytest.mark.parametrize("q", [1.0, 0.5])
-def test_residual_vq_needs_q_above_1(q):
-    s = _const_state(Grid(8))
-    with pytest.raises(ValueError, match=f"q must exceed 1, got {q}"):
-        residual_vq_identity(s, s, q, Params(alpha=1.0, epsilon=0.01))
 
 
 def test_residual_vq_cubic_constant_ode():
@@ -150,7 +150,7 @@ def test_residual_vq_cubic_constant_ode():
     res = []
     for dt in (2e-3, 1e-3):
         s = _const_state(g, u=1.0, v=1.0)
-        rep = residual_vq_identity(s, step(s, p, dt), 3.0, p)
+        rep = _vq_row(s, step(s, p, dt), 3.0, p)
         res.append(abs(rep.residual))
         assert abs(rep.residual) <= 5.0 * dt
     assert res[0] / res[1] == pytest.approx(2.0, rel=0.2)
@@ -175,7 +175,7 @@ def test_residual_upvq_reduces_to_vq_at_p0():
     s2 = step(s, p, 1e-4)
     q = 3.0
     full = residual_upvq_identity(s, s2, 0.0, q, p)
-    part = residual_vq_identity(s, s2, q, p)
+    part = _vq_row(s, s2, q, p)
     assert full.residual == pytest.approx(q * part.residual, rel=1e-9, abs=1e-13)
 
 
@@ -248,23 +248,24 @@ def test_first_energy_report_is_a_residual_report():
 
 
 def _first_energy_by_definition(prev, nxt, params):
-    """check_first_energy written one integral at a time."""
+    """check_first_energy written one integral at a time, for
+    E_chi = int u^(3-alpha)/((2-alpha)(3-alpha)) - chi u v."""
     g, u, v = prev.grid, prev.u, prev.v
-    a = params.alpha
+    a, chi = params.alpha, params.chi
     c = (2.0 - a) * (3.0 - a)
     dt = nxt.t - prev.t
     u3a, uv = _power(u, 3.0 - a), u * v
     u3av = u3a * v
-    e_next = g.integrate(_power(nxt.u, 3.0 - a) / c - nxt.u * nxt.v)
-    rate = (e_next - g.integrate(u3a / c - uv)) / dt
+    e_next = g.integrate(_power(nxt.u, 3.0 - a) / c - nxt.u * nxt.v * chi)
+    rate = (e_next - g.integrate(u3a / c - uv * chi)) / dt
     gu = g.face_gradient(u)
     gv = g.face_gradient(v)
     gw = g.face_gradient(_power(u, 2.0 - a) / (2.0 - a))
-    gdiff = [gw[ax] - gv[ax] for ax in range(g.dim)]
+    gdiff = [gw[ax] - chi * gv[ax] for ax in range(g.dim)]
     dissipation = g.integrate(_power(u, a) * v * g.cell_dot(gdiff, gdiff))
-    t_mix = g.integrate(g.cell_dot(gu, gv))
-    t_quad = g.integrate(u * u * v)
-    t_grow = params.ell * g.integrate(u3av / (2.0 - a) - uv * v)
+    t_mix = chi * g.integrate(g.cell_dot(gu, gv))
+    t_quad = chi * g.integrate(u * u * v)
+    t_grow = params.ell * g.integrate(u3av / (2.0 - a) - uv * chi * v)
     lhs, rhs = rate + dissipation, t_grow + t_mix + t_quad
     rhs_ineq = (params.ell / (2.0 - a)) * g.integrate(u3av) + t_mix + t_quad
     return FirstEnergyReport(
@@ -273,6 +274,32 @@ def _first_energy_by_definition(prev, nxt, params):
         rate=rate, dissipation=dissipation, rhs_inequality=rhs_ineq,
         slack=rhs_ineq - rate,
     )
+
+
+def _v_energy_by_definition(prev, nxt, params):
+    """residual_v_energy written one integral at a time."""
+    g, dt = prev.grid, nxt.t - prev.t
+    gv0, gv1 = g.face_gradient(prev.v), g.face_gradient(nxt.v)
+    lap = g.laplacian_neumann(prev.v)
+    rate = 0.5 * (g.integrate(g.cell_dot(gv1, gv1)) - g.integrate(g.cell_dot(gv0, gv0))) / dt
+    t_lap = g.integrate(lap * lap)
+    t_uvv = g.integrate(prev.u * g.cell_dot(gv0, gv0))
+    t_mix = g.integrate(prev.v * g.cell_dot(g.face_gradient(prev.u), gv0))
+    rhs = -(t_lap + t_uvv + t_mix)
+    return ResidualReport("v_energy", prev.t, nxt.t, rate, rhs, rate - rhs,
+                          _normalizer(rate, t_lap, t_uvv, t_mix))
+
+
+def _vq_by_definition(prev, nxt, q, params):
+    """(1/q) d/dt int v^q = -(q-1) int v^(q-2) |grad v|^2 - int u v^q, one integral at a time."""
+    g, dt = prev.grid, nxt.t - prev.t
+    gv = g.face_gradient(prev.v)
+    rate = (g.integrate(_power(nxt.v, q)) - g.integrate(_power(prev.v, q))) / (q * dt)
+    t_grad = (q - 1.0) * g.integrate(g.cell_dot(gv, gv) * _power(prev.v, q - 2.0))
+    t_cons = g.integrate(prev.u * _power(prev.v, q))
+    rhs = -(t_grad + t_cons)
+    return ResidualReport(f"v_pow_{q:g}", prev.t, nxt.t, rate, rhs, rate - rhs,
+                          _normalizer(rate, t_grad, t_cons))
 
 
 def _upvq_by_definition(prev, nxt, p, q, params):
@@ -323,10 +350,43 @@ def test_stacked_diagnostics_equal_their_definitions(cells, alpha, kind, avg_mod
         observers=[lambda prev, new, dt: pairs.append((prev, new))])
     assert len(pairs) >= 3
     for prev, new in pairs:
+        assert residual_rows(prev, new, p) == [
+            _v_energy_by_definition(prev, new, p), _vq_by_definition(prev, new, 2.0, p),
+            _upvq_by_definition(prev, new, 0.5, 1.0, p), _first_energy_by_definition(prev, new, p)]
         assert check_first_energy(prev, new, p) == _first_energy_by_definition(prev, new, p)
         for pp, qq in ((0.5, 1.0), (2.0, 3.0), (0.0, 2.0), (1.0, 0.0), (1.5, 0.5)):
             assert (residual_upvq_identity(prev, new, pp, qq, p)
                     == _upvq_by_definition(prev, new, pp, qq, p))
+
+
+def test_v_pow_2_row_is_finite_on_exact_vacuum():
+    # the row builds no term with coefficient 0, so no u^(p-1) = u^(-1) at p = 0
+    g = Grid(16)
+    p = Params(alpha=1.25, epsilon=0.01)
+    u = 1.0 + 0.5 * np.cos(np.pi * g.centers(0))
+    u[5] = 0.0
+    s = State(grid=g, t=0.0, u=u, v=1.0 + 0.2 * np.cos(2.0 * np.pi * g.centers(0)))
+    s2 = step(s, p, 1e-5)
+    rep = _identity(s, s2, p, _upvq(0.0, 2.0, p, "v_pow_2", per=2.0))
+    assert np.isfinite([rep.lhs, rep.rhs, rep.residual, rep.normalizer]).all()
+    assert rep == _vq_by_definition(s, s2, 2.0, p)
+
+
+def test_first_energy_holds_at_every_chi():
+    # E_chi carries chi in its u v term: the one-step residual at chi != 1 stays within 2x of
+    # the chi = 1 value (E without chi leaves 6.8e-2 at chi = 0 and 0.27 at chi = 5 here)
+    g = Grid(64)
+    ini = InitialData(kind="cosine_mix", u_base=1.0, u_amplitude=-0.5, u_mode=2,
+                      v_amplitude=0.2)
+
+    def rel(chi):
+        p = Params(alpha=1.25, epsilon=0.01, chi=chi, ell=1.0)
+        s = build_initial(g, ini, p)
+        return check_first_energy(s, step(s, p, 1e-6), p).rel
+
+    ref = rel(1.0)
+    for chi in (0.0, 2.0, 5.0):
+        assert rel(chi) <= 2.0 * ref, chi
 
 
 def _interior_hessian_sq(cells, lengths, f):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,19 @@ def test_integrate_rejects_an_overflowing_sum():
     # every cell is finite; numpy's overflow warning is silenced so the check shows
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite field"):
         g.integrate(np.full(g.shape, 1e308))
+
+
+@pytest.mark.parametrize("grid, field", [
+    (Grid(8), np.ones(5)),  # a wrong length once summed to 5/8
+    (Grid((4, 3)), np.ones((3, 4))),  # the right size, transposed
+    (Grid(8), np.ones((8, 1))),
+])
+def test_integrate_and_lp_norm_refuse_a_field_of_another_shape(grid, field):
+    msg = f"field of shape {field.shape} does not fit grid {grid.shape}"
+    with pytest.raises(ValueError, match="^" + re.escape(msg) + "$"):
+        grid.integrate(field)
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        grid.lp_norm(field, 2.0)
 
 
 @pytest.mark.parametrize("cells", [64, 37, (8, 6), (7, 5), (5, 4, 3), (9, 7, 6)])
