@@ -7,8 +7,8 @@ of checks live in this module:
   copies out the running space-time accumulators;
 * ``residual_rows`` and the functions it calls measure, in residual form, how
   well one accepted step satisfies the exact balance laws of the semi-discrete
-  system (O(dt + h^2) on smooth runs): one kernel, ``_identity``, over one spec
-  per law;
+  system (O(dt + h^2) on smooth runs): the product laws are specs of one
+  kernel, ``_identity``, and the first energy is one direct function;
 * ``check_sobolev_product``, ``check_log_hessian`` and
   ``check_struc2_balance`` probe standalone integral inequalities on given
   positive fields or trajectory windows; ``sobolev_batch`` and
@@ -203,31 +203,48 @@ class _Factors(dict):
             out *= self[key]
 
 
+def _window(prev: State, nxt: State) -> float:
+    """nxt.t - prev.t, refused unless it is positive and both states lie on one grid."""
+    if prev.grid != nxt.grid:
+        raise ValueError(f"window states lie on different grids: {prev.grid} and {nxt.grid}")
+    if not nxt.t > prev.t:
+        raise ValueError(f"window needs t1 > t0, got t0={prev.t!r} and t1={nxt.t!r}")
+    return nxt.t - prev.t
+
+
+def _integrals(name: str, grid: Grid, rows: np.ndarray) -> list[float]:
+    """``grid.integrals(rows)``, refusing a non-finite sum by law, row and first bad cell."""
+    try:
+        return grid.integrals(rows)
+    except ValueError:
+        [i] = first_cell(~np.isfinite(rows.reshape(len(rows), -1).sum(axis=1)))
+        row = ("density at t1", "density at t0")[i] if i < 2 else f"term {i - 1}"
+        bad = ~np.isfinite(rows[i])
+        where = f"at cell {first_cell(bad)}" if bad.any() else "in its sum"
+        raise ValueError(f"{name}: non-finite {row} {where}") from None
+
+
 def _identity(prev: State, nxt: State, params: Params, spec) -> ResidualReport:
-    """The residual over one step of spec = (name, density, terms, per, report): d/dt int
-    density = sum of c int integrand over the (c, integrand) terms, divided through by per.
-    The next and the current density, then the integrands, are the rows of one buffer,
-    reduced in one call.  A density that is a tuple of ``_Factors`` keys makes each row the
-    product of its factors, left to right, and leaves the row of a term with c = 0 at 0, so
-    that its integrand is never formed; else ``density(prev, nxt, params, rows)`` writes
-    every row.  ``report(prev, nxt, rate, terms)`` makes the report, if given."""
-    name, density, terms, per, report = spec
-    rows = np.empty((2 + len(terms),) + prev.grid.shape)
-    if callable(density):
-        density(prev, nxt, params, rows)
-    else:
-        _Factors(nxt).product(density, rows[0])  # the next state's factors go at once
-        at = _Factors(prev)
-        for (c, keys), out in zip([(1.0, density)] + terms, rows[1:]):
-            if c != 0.0:
-                at.product(keys, out)
-            else:
-                out.fill(0.0)
-    e1, e0, *sums = prev.grid.integrals(rows)
-    rate = (e1 - e0) / (per * (nxt.t - prev.t))
+    """The residual over one step of spec = (name, density, terms, per): d/dt int density =
+    sum of c int integrand over the (c, integrand) terms, divided through by per.  Each is a
+    product of ``_Factors`` keys, left to right, in a row of one buffer (next density, current
+    density, integrands) that one call reduces; a term with c = 0 leaves its row 0."""
+    name, density, terms, per = spec
+    dt = _window(prev, nxt)
+    rows = np.zeros((2 + len(terms),) + prev.grid.shape)
+    _Factors(nxt).product(density, rows[0])  # the next state's factors go at once
+    live = [(keys, out) for (c, keys), out in zip([(1.0, density)] + terms, rows[1:]) if c != 0.0]
+    at = _Factors(prev)
+    for keys, _ in live:  # every gradient product first, so no face gradient meets a power
+        for key in {"gu.gu", "gu.gv", "gv.gv", "lap"}.intersection(keys):
+            at[key]
+    at.pop("gu", None)
+    at.pop("gv", None)
+    for keys, out in live:
+        at.product(keys, out)
+    e1, e0, *sums = _integrals(name, prev.grid, rows)
+    rate = (e1 - e0) / (per * dt)
     terms = [c * x / per for (c, _), x in zip(terms, sums)]
-    if report:
-        return report(prev, nxt, rate, terms)
     rhs = terms[0]
     for t in terms[1:]:  # left to right, on every Python version
         rhs += t
@@ -238,7 +255,7 @@ def residual_v_energy(prev: State, nxt: State, params: Params) -> ResidualReport
     """Residual of the signal gradient-energy balance over one step: (1/2) d/dt int |grad v|^2
     = -int |lap v|^2 - int u |grad v|^2 - int v grad(u) . grad(v), doubled and halved."""
     return _identity(prev, nxt, params, ("v_energy", ("gv.gv",), [
-        (-2.0, ("lap", "lap")), (-2.0, ("u", "gv.gv")), (-2.0, ("v", "gu.gv"))], 2.0, None))
+        (-2.0, ("lap", "lap")), (-2.0, ("u", "gv.gv")), (-2.0, ("v", "gu.gv"))], 2.0))
 
 
 def _upvq(p: float, q: float, params: Params, name: str, per: float = 1.0):
@@ -254,7 +271,7 @@ def _upvq(p: float, q: float, params: Params, name: str, per: float = 1.0):
         (-p * q, (("u", p), ("v", q), "gu.gv")),
         (-p * q, (("u", p - 1.0), ("v", q - 1.0), "gu.gv")),
         (-q * (q - 1.0), (("u", p), ("v", q - 2.0), "gv.gv")),
-        (-q, (("u", p + 1.0), ("v", q)))], per, None)
+        (-q, (("u", p + 1.0), ("v", q)))], per)
 
 
 def residual_upvq_identity(prev: State, nxt: State, p: float, q: float,
@@ -272,12 +289,14 @@ def _energy(state: State, params: Params, out: np.ndarray) -> None:
     out -= uv
 
 
-def _first_energy_rows(prev: State, nxt: State, params: Params, r: np.ndarray) -> None:
-    """The rows of check_first_energy: the next and current density of E_chi (the current
-    one as ``_energy`` forms it, sharing u^(3-alpha) and chi u v), then u^alpha v |grad w_chi|^2
-    with w_chi = u^(2-alpha)/(2-alpha) - chi v, w_chi u v, grad u . grad v, u^2 v and
-    u^(3-alpha) v."""
-    g, u, v, a, chi = prev.grid, prev.u, prev.v, params.alpha, params.chi
+def check_first_energy(prev: State, nxt: State, params: Params) -> FirstEnergyReport:
+    """d/dt E_chi + dissipation = ell int w_chi u v + chi int grad u . grad v + chi int u^2 v;
+    the bound takes (ell / (2-alpha)) int u^(3-alpha) v for the growth term.  One call reduces
+    the rows: the next and the current density of E_chi (sharing u^(3-alpha) and chi u v),
+    u^alpha v |grad w_chi|^2, w_chi u v, grad u . grad v, u^2 v and u^(3-alpha) v."""
+    dt = _window(prev, nxt)
+    g, u, v, a, chi, ell = prev.grid, prev.u, prev.v, params.alpha, params.chi, params.ell
+    r = np.empty((7,) + g.shape)
     _energy(nxt, params, r[0])
     chi_uv = np.multiply(np.multiply(u, v, out=r[5]), chi, out=r[5])
     np.multiply(_power(u, 3.0 - a, out=r[1]), v, out=r[6])
@@ -291,24 +310,15 @@ def _first_energy_rows(prev: State, nxt: State, params: Params, r: np.ndarray) -
     gw = g.face_gradient(np.divide(_power(u, 2.0 - a, out=r[2]), 2.0 - a, out=r[2]))
     gw = [np.subtract(w, np.multiply(x, chi), out=w) for w, x in zip(gw, gv)]
     np.multiply(np.multiply(_power(u, a, out=r[2]), v, out=r[2]), g.cell_dot(gw, gw), out=r[2])
-
-
-def _first_energy_report(prev: State, nxt: State, rate: float, terms) -> FirstEnergyReport:
-    dissipation, t_grow, t_mix, t_quad, t_ineq = terms
-    lhs, rhs, rhs_ineq = rate + dissipation, t_grow + t_mix + t_quad, t_ineq + t_mix + t_quad
+    e1, e0, dissipation, grow, mix, quad, bound = _integrals("first_energy", g, r)
+    rate = (e1 - e0) / dt
+    t_grow, t_mix, t_quad = ell * grow, chi * mix, chi * quad
+    lhs, rhs = rate + dissipation, t_grow + t_mix + t_quad
+    rhs_ineq = ell / (2.0 - a) * bound + t_mix + t_quad
     return FirstEnergyReport("first_energy", prev.t, nxt.t, lhs, rhs, lhs - rhs,
                              _normalizer(rate, dissipation, t_mix, t_quad, t_grow), rate=rate,
                              dissipation=dissipation, rhs_inequality=rhs_ineq,
                              slack=rhs_ineq - rate)
-
-
-def check_first_energy(prev: State, nxt: State, params: Params) -> FirstEnergyReport:
-    """d/dt E_chi + dissipation = ell int w_chi u v + chi int grad u . grad v + chi int u^2 v;
-    the bound takes (ell / (2-alpha)) int u^(3-alpha) v for the growth term."""
-    a, chi, ell = params.alpha, params.chi, params.ell
-    return _identity(prev, nxt, params, ("first_energy", _first_energy_rows, [
-        (1.0, "dissipation"), (ell, "growth"), (chi, "mix"), (chi, "quad"),
-        (ell / (2.0 - a), "growth bound")], 1.0, _first_energy_report))
 
 
 def residual_rows(prev: State, nxt: State, params: Params) -> list[ResidualReport]:
@@ -556,7 +566,7 @@ def check_struc2_balance(pairs, params: Params) -> Struc2Report:
         raise ValueError("the balance is tracked only for alpha > 1")
     rows = []
     for prev, nxt in pairs:
-        g, u, v, dt = prev.grid, prev.u, prev.v, nxt.t - prev.t
+        g, u, v, dt = prev.grid, prev.u, prev.v, _window(prev, nxt)
         f, f1 = _Factors(prev), _Factors(nxt)
         cgv2 = f["gv.gv"]
         quartic, xlu = cgv2 * cgv2 / v ** 3, _xlogx(u)

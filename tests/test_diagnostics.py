@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dtaxis import Grid, InitialData, Params, StepControl, build_initial
 from dtaxis.diagnostics import (FirstEnergyReport, MonitorRow, ResidualReport, _identity,
-                                _normalizer, _upvq, check_first_energy, hessian_sq,
-                                monitor_row, residual_rows, residual_upvq_identity,
+                                _normalizer, _upvq, check_first_energy, check_struc2_balance,
+                                hessian_sq, monitor_row, residual_rows, residual_upvq_identity,
                                 residual_v_energy)
 from dtaxis.model import Accumulators, State, _power
 from dtaxis.stepper import run, step
@@ -387,6 +389,76 @@ def test_first_energy_holds_at_every_chi():
     ref = rel(1.0)
     for chi in (0.0, 2.0, 5.0):
         assert rel(chi) <= 2.0 * ref, chi
+
+
+# every entry point of the balance laws, called on one window (prev, nxt)
+WINDOW_CHECKS = {
+    "residual_v_energy": residual_v_energy,
+    "residual_upvq_identity": lambda a, b, p: residual_upvq_identity(a, b, 0.5, 1.0, p),
+    "residual_rows": residual_rows,
+    "check_first_energy": check_first_energy,
+    "check_struc2_balance": lambda a, b, p: check_struc2_balance([(a, b)], p),
+}
+
+
+@pytest.mark.parametrize("check", WINDOW_CHECKS)
+def test_balance_laws_refuse_an_empty_window_or_two_grids(check):
+    # a window of no positive length, or of states on two grids, is named, not divided
+    # by zero or broadcast
+    p = Params(alpha=1.25, epsilon=0.01, ell=1.0)
+    ini = InitialData(kind="gaussian_bump", u_amplitude=1.0)
+    s = build_initial(Grid(16), ini, p)
+    s2 = step(s, p, 1e-5)
+    for a, b in ((s, s), (s2, s)):
+        with pytest.raises(ValueError, match="window needs t1 > t0") as err:
+            WINDOW_CHECKS[check](a, b, p)
+        assert f"t0={a.t!r}" in str(err.value) and f"t1={b.t!r}" in str(err.value)
+    coarse = build_initial(Grid(8), ini, p)
+    coarse = State(grid=coarse.grid, t=s2.t, u=coarse.u, v=coarse.v)
+    with pytest.raises(ValueError, match="different grids") as err:
+        WINDOW_CHECKS[check](s, coarse, p)
+    assert repr(s.grid) in str(err.value) and repr(coarse.grid) in str(err.value)
+
+
+def test_non_finite_integrand_is_named_by_law_row_and_cell():
+    g = Grid(16)
+    p = Params(alpha=1.25, epsilon=0.01, ell=1.0)
+    u = 1.0 + 0.5 * np.cos(np.pi * g.centers(0))
+    u[5] = 0.0
+    s = State(grid=g, t=0.0, u=u, v=1.0 + 0.2 * np.cos(2.0 * np.pi * g.centers(0)))
+    s2 = step(s, p, 1e-5)
+    # exact vacuum: T1 = (1/4) int u^(-1/2) v^2 |grad u|^2 of u0.5_v1 is infinite at cell 5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^u0\.5_v1: non-finite term 1 at cell \(5,\)$"):
+            residual_upvq_identity(s, s2, 0.5, 1.0, p)
+    v = s2.v.copy()
+    v[3] = np.nan
+    with pytest.raises(ValueError) as err:
+        check_first_energy(s, State(grid=g, t=s2.t, u=s2.u, v=v), p)
+    assert str(err.value) == "first_energy: non-finite density at t1 at cell (3,)"
+    # every integrand finite, but u^2 v = 1e308 on each cell overflows the sum of term 4
+    big = State(grid=g, t=0.0, u=np.full(16, 1e154), v=np.ones(16))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=r"^first_energy: non-finite term 4 in its sum$"):
+            check_first_energy(big, State(grid=g, t=1e-5, u=big.u, v=big.v), p)
+
+
+def test_residual_rows_memory_budget():
+    # every gradient product is formed, and the face gradients dropped, before any power:
+    # one call's traced peak at 3D-16^3 is 24.6 field sizes (29.6 with the gradients kept)
+    g = Grid((16, 16, 16))
+    p = Params(alpha=1.25, epsilon=0.01, chi=1.0, ell=1.0)
+    s = build_initial(g, InitialData(kind="cosine_mix", u_base=1.0, u_amplitude=-0.5,
+                                     u_mode=2, v_amplitude=0.2), p)
+    s2 = step(s, p, 1e-6)
+    residual_rows(s, s2, p)  # warm-up
+    tracemalloc.start()
+    try:
+        residual_rows(s, s2, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * s.u.nbytes, peak / s.u.nbytes
 
 
 def _interior_hessian_sq(cells, lengths, f):
