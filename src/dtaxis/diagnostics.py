@@ -224,7 +224,7 @@ def _integrals(name: str, grid: Grid, rows: np.ndarray) -> list[float]:
         raise ValueError(f"{name}: non-finite {row} {where}") from None
 
 
-def _identity(prev: State, nxt: State, params: Params, spec) -> ResidualReport:
+def _identity(prev: State, nxt: State, spec) -> ResidualReport:
     """The residual over one step of spec = (name, density, terms, per): d/dt int density =
     sum of c int integrand over the (c, integrand) terms, divided through by per.  Each is a
     product of ``_Factors`` keys, left to right, in a row of one buffer (next density, current
@@ -254,7 +254,7 @@ def _identity(prev: State, nxt: State, params: Params, spec) -> ResidualReport:
 def residual_v_energy(prev: State, nxt: State, params: Params) -> ResidualReport:
     """Residual of the signal gradient-energy balance over one step: (1/2) d/dt int |grad v|^2
     = -int |lap v|^2 - int u |grad v|^2 - int v grad(u) . grad(v), doubled and halved."""
-    return _identity(prev, nxt, params, ("v_energy", ("gv.gv",), [
+    return _identity(prev, nxt, ("v_energy", ("gv.gv",), [
         (-2.0, ("lap", "lap")), (-2.0, ("u", "gv.gv")), (-2.0, ("v", "gu.gv"))], 2.0))
 
 
@@ -278,7 +278,7 @@ def residual_upvq_identity(prev: State, nxt: State, p: float, q: float,
                            params: Params) -> ResidualReport:
     """Residual of the mixed-moment balance d/dt int u^p v^q = T1 + ... + T8 (see ``_upvq``);
     p = 0 divided through by q is the v^q balance, and p = 1, q = 0 the mass law."""
-    return _identity(prev, nxt, params, _upvq(p, q, params, f"u{p:g}_v{q:g}"))
+    return _identity(prev, nxt, _upvq(p, q, params, f"u{p:g}_v{q:g}"))
 
 
 def _energy(state: State, params: Params, out: np.ndarray) -> None:
@@ -325,7 +325,7 @@ def residual_rows(prev: State, nxt: State, params: Params) -> list[ResidualRepor
     """The rows of residuals.csv for one step, in order: v_energy, v_pow_2 (the u^p v^q law
     at p = 0, divided through by q = 2), u0.5_v1 and first_energy."""
     return [residual_v_energy(prev, nxt, params),
-            _identity(prev, nxt, params, _upvq(0.0, 2.0, params, "v_pow_2", per=2.0)),
+            _identity(prev, nxt, _upvq(0.0, 2.0, params, "v_pow_2", per=2.0)),
             residual_upvq_identity(prev, nxt, 0.5, 1.0, params),
             check_first_energy(prev, nxt, params)]
 

@@ -122,9 +122,10 @@ class Grid:
         """Zero face data, with leading stack axes ``lead``; the one allocator of face arrays."""
         return [np.zeros(lead + s) for s in self.face_shapes]
 
-    def face_gradient(self, f: np.ndarray) -> FaceData:
-        """Two-point difference across each interior face, row by row on a stack; walls stay 0."""
-        out = self.faces(f.shape[:-self.dim])
+    def face_gradient(self, f: np.ndarray, out: FaceData | None = None) -> FaceData:
+        """Two-point difference across each interior face, row by row on a stack; walls stay 0.
+        ``out``, face data with zero walls, receives it in place."""
+        out = self.faces(f.shape[:-self.dim]) if out is None else out
         for a in range(self.dim):
             np.subtract(f[self.hi[a]], f[self.lo[a]], out=out[a][self.inner[a]])
             out[a] /= self.h[a]  # whole and contiguous: the zero walls stay zero

@@ -204,26 +204,25 @@ def face_average(grid: Grid, w: np.ndarray, mode: str, out: FaceData | None = No
     return out
 
 
-def _rhs_core(state: State, params: Params):
-    """Right-hand side plus its shared intermediates: du, dv, gu, gv, uv, u^alpha, lap_v,
-    then the scratch (face data, three cell arrays) that ``stepper`` reuses.
-
-    Every buffer is allocated here, once per state, and written in place; nothing
-    returned is overwritten later, so one rhs can serve any number of step attempts.
-    """
+def _rhs_core(state: State, params: Params, into=None):
+    """Right-hand side du, dv and the u v and u^alpha that set dt.  The intermediates that
+    ``stepper``'s accumulators share go into ``into`` = (gu, gv, uv, lap_v) if given (face
+    data with zero walls, two cell arrays), and else into new arrays.  Every buffer is written
+    in place, and nothing returned is overwritten later, so one rhs can serve any number of
+    step attempts."""
     g, u, v = state.grid, state.u, state.v
-    flux = g.faces()
-    c0, c1, c2 = np.empty(g.shape), np.empty(g.shape), np.empty(g.shape)
+    gu, gv, uv, lap_v = into or (g.faces(), g.faces(), *np.empty((2,) + g.shape))
+    flux, (c0, c1, c2) = g.faces(), np.empty((3,) + g.shape)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        uv = u * v
+        np.multiply(u, v, out=uv)
         ua = _power(u, params.alpha)
-        gu = g.face_gradient(u)
-        gv = g.face_gradient(v)
+        g.face_gradient(u, out=gu)
+        g.face_gradient(v, out=gv)
         face_average(g, uv, params.avg_mode, out=flux)
         for a in range(g.dim):
             flux[a] *= gu[a]
         du = g.div_faces(flux, cell=c2)
-        lap_v = g.div_faces(gv, cell=c2)
+        g.div_faces(gv, out=lap_v, cell=c2)
         if params.chi != 0.0:
             face_average(g, np.multiply(ua, v, out=c0), params.avg_mode, out=flux)
             for a in range(g.dim):
@@ -241,7 +240,7 @@ def _rhs_core(state: State, params: Params):
     if not finite and not (np.isfinite(du).all() and np.isfinite(dv).all()):
         raise FloatingPointError(
             f"rhs overflow at cell {first_cell(~(np.isfinite(du) & np.isfinite(dv)))}")
-    return du, dv, gu, gv, uv, ua, lap_v, (flux, (c0, c1, c2))
+    return du, dv, uv, ua
 
 
 def assemble_rhs(state: State, params: Params) -> tuple[np.ndarray, np.ndarray]:
@@ -251,5 +250,4 @@ def assemble_rhs(state: State, params: Params) -> tuple[np.ndarray, np.ndarray]:
     integrate(du) == ell * integrate(u v) and integrate(dv) == -integrate(u v)
     up to rounding; the stepper's exact discrete mass law rests on this.
     """
-    du, dv, *_ = _rhs_core(state, params)
-    return du, dv
+    return _rhs_core(state, params)[:2]

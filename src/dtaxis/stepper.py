@@ -11,9 +11,9 @@ stop rule: a step whose halved dt falls below it ends the run, after at most 40
 halvings since dt <= t_end, and before dt could stop advancing t.
 ``step`` advances u, v and t.  ``run`` integrates the ten running accumulators (cell
 quadratures), which nothing in the dynamics reads, and sets them on the states it
-records: each monitor tick's and the final one.  On n cells it evaluates them per block
-of up to K = BLOCK_CELLS // n accepted steps, stacked along a leading axis, bit for bit
-as one evaluation per step, which it does instead when K < 2.
+records: each monitor tick's and the final one.  It evaluates them per block of up to
+K = max(1, BLOCK_CELLS // n) accepted steps on n cells, stacked along a leading axis (each
+step's rhs writes its row), bit for bit as one evaluation per step.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def _dt_limits(state: State, params: Params, uv, ua) -> float:
 def _advance_accumulators(acc: Accumulators, params: Params, grid, dts: list[float],
                           u, v, gu, gv, uv, lap_v, scratch) -> Accumulators:
     """The running integrals after k accepted steps from ``acc``, added step by step:
-    row i of each (k, *shape) stack (unstacked at k = 1) is what step i saw.  Each integral
+    row i of each (k, *shape) stack (or unstacked, at k = 1) is what step i saw.  Each integral
     is a cell quadrature (see ``grid``), its row sums bit for bit those of each row alone
     and, being numpy's pairwise sums, free of any BLAS thread count; each product goes into
     ``scratch`` once its last reader is done."""
@@ -146,36 +146,36 @@ def _advance_accumulators(acc: Accumulators, params: Params, grid, dts: list[flo
 
 
 class _Ledger:
-    """A run's accumulators but for its block of accepted steps: each one's dt and copies of
-    the u and v it saw, out of any observer's reach.  With K = BLOCK_CELLS // n < 2 there is
-    no block, and each step is evaluated at once on its own rhs arrays."""
+    """A run's accumulators but for its block of up to K = max(1, BLOCK_CELLS // n) steps: each
+    one's dt and, in its row, copies of the u and v it saw and the gu, gv, uv and lap_v its rhs
+    wrote there.  A block is allocated for its first row and released once evaluated."""
 
     def __init__(self, state: State, params: Params):
         self.acc, self.grid, self.params, self.dts = state.acc, state.grid, params, []
-        k = BLOCK_CELLS // state.u.size  # rows: u, v, uv, lap_v, 3 scratch
-        self.block = np.empty((7, k) + state.u.shape) if k >= 2 else None
+        self.k, self.block = max(1, BLOCK_CELLS // state.u.size), None
 
-    def add(self, state: State, dt: float, rhs) -> None:
-        if self.block is None:  # rhs: du, dv, gu, gv, uv, u^alpha, lap_v, scratch
-            self.acc = _advance_accumulators(self.acc, self.params, self.grid, [dt], state.u,
-                                             state.v, *rhs[2:5], *rhs[6:])
-            return
-        self.block[0, len(self.dts)], self.block[1, len(self.dts)] = state.u, state.v
+    def rows(self) -> tuple:
+        """The next step's rows of gu, gv, uv and lap_v, for its ``_rhs_core`` to write into."""
+        if self.block is None:  # faces: gu, gv; cells: u, v, uv, lap_v, 3 scratch
+            self.block = self.grid.faces((2, self.k)), np.empty((7, self.k) + self.grid.shape)
+        i, (faces, cells) = len(self.dts), self.block
+        return [f[0, i] for f in faces], [f[1, i] for f in faces], cells[2, i], cells[3, i]
+
+    def add(self, state: State, dt: float) -> None:
+        self.block[1][0, len(self.dts)], self.block[1][1, len(self.dts)] = state.u, state.v
         self.dts.append(dt)
-        if len(self.dts) == self.block.shape[1]:
+        if len(self.dts) == self.k:
             self.evaluate()
 
     def evaluate(self) -> Accumulators:
-        """The accumulators after every step added; a block rebuilds gu, gv, uv and lap_v as
-        the rhs did, and gu is read before it serves as scratch."""
+        """The accumulators after every step added; gu is read before it serves as scratch."""
         if self.dts:
-            g = self.grid
-            u, v, uv, lap_v, *cells = self.block[:, :len(self.dts)]
-            gu, gv = g.face_gradient(u), g.face_gradient(v)
-            self.acc = _advance_accumulators(
-                self.acc, self.params, g, self.dts, u, v, gu, gv, np.multiply(u, v, out=uv),
-                g.div_faces(gv, lap_v, cells[2]), (gu, cells))
-            self.dts = []
+            (faces, cells), k = self.block, len(self.dts)
+            gu, gv = ([f[j, :k] for f in faces] for j in (0, 1))
+            u, v, uv, lap_v, *scratch = cells[:, :k]
+            self.acc = _advance_accumulators(self.acc, self.params, self.grid, self.dts,
+                                             u, v, gu, gv, uv, lap_v, (gu, scratch))
+            self.dts, self.block = [], None
         return self.acc
 
 
@@ -221,8 +221,8 @@ def run(state: State, params: Params, control: StepControl, observers=(),
     n_steps = n_rejected = 0
     ledger = _Ledger(state, params)
     while state.t < t_end - tiny:
-        rhs = _rhs_core(state, params)
-        dt = max(min(_dt_limits(state, params, *rhs[4:6]),  # uv, u^alpha
+        rhs = _rhs_core(state, params, ledger.rows())
+        dt = max(min(_dt_limits(state, params, *rhs[2:]),  # uv, u^alpha
                      control.dt_max, t_end - state.t, ticks.next_tick() - state.t), tiny)
         while True:
             try:
@@ -234,7 +234,7 @@ def run(state: State, params: Params, control: StepControl, observers=(),
                 if dt < tiny:
                     raise RuntimeError(f"positivity unrecoverable at t={state.t:.8g}: "
                                        f"{exc.field} at cell {exc.cell}") from None
-        ledger.add(state, dt, rhs)
+        ledger.add(state, dt)
         del rhs  # observers and monitor rows run without the rhs arrays alive
         for obs in observers:
             obs(state, new, dt)

@@ -108,7 +108,7 @@ def test_residual_v_energy_constant_is_zero():
 
 def _vq_row(prev, nxt, q, params):
     """The v^q balance: the u^p v^q law at p = 0 divided through by q, as the v_pow_2 row."""
-    return _identity(prev, nxt, params, _upvq(0.0, q, params, f"v_pow_{q:g}", per=q))
+    return _identity(prev, nxt, _upvq(0.0, q, params, f"v_pow_{q:g}", per=q))
 
 
 def _heat_flow_worst(n, dtmax, t_w=2e-3):
@@ -369,7 +369,7 @@ def test_v_pow_2_row_is_finite_on_exact_vacuum():
     u[5] = 0.0
     s = State(grid=g, t=0.0, u=u, v=1.0 + 0.2 * np.cos(2.0 * np.pi * g.centers(0)))
     s2 = step(s, p, 1e-5)
-    rep = _identity(s, s2, p, _upvq(0.0, 2.0, p, "v_pow_2", per=2.0))
+    rep = _identity(s, s2, _upvq(0.0, 2.0, p, "v_pow_2", per=2.0))
     assert np.isfinite([rep.lhs, rep.rhs, rep.residual, rep.normalizer]).all()
     assert rep == _vq_by_definition(s, s2, 2.0, p)
 

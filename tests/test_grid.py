@@ -265,6 +265,14 @@ def test_out_forms_bit_equal_the_allocating_forms(cells):
         return [a.tobytes() for a in x] == [a.tobytes() for a in y]
 
     gf, gw = g.face_gradient(f), g.face_gradient(w)
+    # face data with a dirty interior and zero walls, and a row of a stack of face data;
+    # bit-equal to gf, so the walls are still 0
+    dirty = g.faces()
+    for a, fa in enumerate(dirty):
+        fa[g.inner[a]] = np.nan
+    for out in (dirty, [fa[1] for fa in g.faces((3,))]):
+        got = g.face_gradient(f, out=out)
+        assert got is out and same(got, gf)
     assert same([g.div_faces(gf, out=np.full(g.shape, np.nan), cell=np.full(g.shape, np.nan))],
                 [g.div_faces(gf)])
     dirty_faces = [np.full(shape, np.nan) for shape in g.face_shapes]

@@ -35,7 +35,7 @@ def _formula_dt(s, p):
 
 def _limits(s, p):
     """The step limit run takes for s, from the rhs's u v and u^alpha."""
-    return stepper._dt_limits(s, p, *stepper._rhs_core(s, p)[4:6])
+    return stepper._dt_limits(s, p, *stepper._rhs_core(s, p)[2:4])
 
 
 def test_stable_dt_worked_example():
@@ -469,7 +469,7 @@ def test_accepted_steps_keep_the_scheme_guarantees(alpha, chi, ell, cfl_safety, 
     s = State(grid=g, t=0.0, u=u_min + spread * rng.random(g.shape),
               v=v_min + spread * rng.random(g.shape))
     rhs = stepper._rhs_core(s, p)
-    dt = stepper._dt_limits(s, p, *rhs[4:6])
+    dt = stepper._dt_limits(s, p, *rhs[2:4])
     for _ in range(41):
         try:
             new = step(s, p, dt, rhs)
@@ -496,7 +496,7 @@ def test_step_taken_twice_from_one_rhs_is_bit_equal(cells):
     p = Params(alpha=1.25, epsilon=0.01, chi=2.0, ell=1.0)
     s = _cosine_state(cells, p)
     rhs = stepper._rhs_core(s, p)
-    dt = stepper._dt_limits(s, p, *rhs[4:6])
+    dt = stepper._dt_limits(s, p, *rhs[2:4])
     a = step(s, p, dt, rhs)
     first = (a.u.tobytes(), a.v.tobytes())  # before the retake could write into a
     b = step(s, p, dt, rhs)
@@ -526,16 +526,26 @@ def test_observed_steps_recompute_bit_equal_from_scratch(case):
         assert again.t == new.t
 
 
+def _accumulators_of_one_step(s, p, dt):
+    """s.acc advanced by one step of dt, by _advance_accumulators on gu, gv, uv and lap_v
+    formed here from s, in arrays of their own."""
+    g, u, v = s.grid, s.u, s.v
+    gu, gv = g.face_gradient(u), g.face_gradient(v)
+    scratch = g.faces(), (np.empty(g.shape), np.empty(g.shape), np.empty(g.shape))
+    return stepper._advance_accumulators(s.acc, p, g, [dt], u, v, gu, gv, u * v,
+                                         g.div_faces(gv), scratch)
+
+
 def _eager_run(s, p, control, cadence):
-    """run's loop with each step's accumulators evaluated at once, by _advance_accumulators on
-    that step's rhs, and set on every state; dt is the step limit of the step's rhs clipped
-    to dt_max, t_end and the next tick, halved on rejection.  Returns the monitor rows, every
-    dt, the rejection count and the final state."""
+    """run's loop with each step's accumulators evaluated at once, from that step's state,
+    and set on every state; dt is the step limit of the step's rhs clipped to dt_max, t_end
+    and the next tick, halved on rejection.  Returns the monitor rows, every dt, the
+    rejection count and the final state."""
     ticks = Cadence(cadence, control.t_end)
     rows, dts, n_rejected = [diagnostics.monitor_row(s, p)], [], 0
     while s.t < control.t_end - ticks.tol:
         rhs = stepper._rhs_core(s, p)
-        dt = max(min(stepper._dt_limits(s, p, *rhs[4:6]), control.dt_max,
+        dt = max(min(stepper._dt_limits(s, p, *rhs[2:4]), control.dt_max,
                      control.t_end - s.t, ticks.next_tick() - s.t), ticks.tol)
         while True:
             try:
@@ -544,9 +554,7 @@ def _eager_run(s, p, control, cadence):
             except StepRejected:
                 n_rejected += 1
                 dt *= 0.5
-        _, _, gu, gv, uv, _, lap_v, scratch = rhs
-        new.acc = stepper._advance_accumulators(s.acc, p, s.grid, [dt], s.u, s.v, gu, gv, uv,
-                                                lap_v, scratch)
+        new.acc = _accumulators_of_one_step(s, p, dt)
         s = new
         dts.append(dt)
         if ticks.due(s.t) is not None:
@@ -582,7 +590,7 @@ def _assert_run_is_eager_bit_for_bit(s, p, control, cadence, observers=()):
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.75])
 @pytest.mark.parametrize("cells", [37, 64, 256, (9, 7), (5, 4, 6), (64, 64)])
 def test_block_accumulators_equal_eager_steps_bit_for_bit(cells, alpha, avg_mode):
-    # (64, 64) has BLOCK_CELLS cells, so each of its steps evaluates its own
+    # (64, 64) has BLOCK_CELLS cells, so each of its blocks holds one step
     s, p, control, cadence = _block_case(cells, alpha, avg_mode)
     traj = _assert_run_is_eager_bit_for_bit(s, p, control, cadence)
     assert traj.n_steps > stepper.BLOCK_CELLS // s.u.size or s.u.size >= stepper.BLOCK_CELLS
@@ -601,7 +609,7 @@ def test_block_accumulators_bit_for_bit_without_taxis_and_with_rejections(case):
 
 def test_observer_writes_leave_the_accumulators_eager():
     # writing into prev.u after its step changes no accumulator: a block keeps its own
-    # copy of what each step saw, and a step without one is evaluated before the observers
+    # copy of what each step saw, also at one step per block, as on (64, 64)
     def scribbler(prev, new, dt):
         prev.u[...] = 7.0
         prev.v[...] = 7.0
@@ -636,13 +644,16 @@ def test_accumulators_equal_a_vdot_per_integral_bit_for_bit(cells, alpha):
 
 
 _ACCUMULATORS_OF_ONE_STEP = """
+import numpy as np
 from dtaxis import Grid, InitialData, Params, build_initial, stepper
-from dtaxis.model import _rhs_core
 p = Params(alpha=1.25, epsilon=0.01, chi=2.0, ell=1.0)
 s = build_initial(Grid((24, 24, 24)), InitialData(kind="cosine_mix", u_base=1.0,
                                                   u_amplitude=-0.5, v_amplitude=0.2), p)
-rhs = _rhs_core(s, p)
-acc = stepper._advance_accumulators(s.acc, p, s.grid, [1e-3], s.u, s.v, *rhs[2:5], *rhs[6:])
+g, u, v = s.grid, s.u, s.v
+gu, gv = g.face_gradient(u), g.face_gradient(v)
+scratch = g.faces(), (np.empty(g.shape), np.empty(g.shape), np.empty(g.shape))
+acc = stepper._advance_accumulators(s.acc, p, g, [1e-3], u, v, gu, gv, u * v, g.div_faces(gv),
+                                    scratch)
 print(*(x.hex() for x in acc.values()))
 """
 
