@@ -483,7 +483,7 @@ def evaluate_cosine_fields(grid: Grid, term_lists: list) -> np.ndarray:
     coef = np.array([[c for _, c in terms] for terms in term_lists])
     modes = np.array([[k for k, _ in terms] for terms in term_lists])
     s = np.zeros((len(term_lists),) + grid.shape)
-    for j in range(coef.shape[1]):
+    for j in range(coef.shape[-1]):  # an empty list gives coef of shape (0,): no terms
         term = coef[:, j].reshape((-1,) + (1,) * grid.dim)
         for a, table in enumerate(tables):
             term = term * table[modes[:, j, a]]

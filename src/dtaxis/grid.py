@@ -112,7 +112,7 @@ class Grid:
     def integrals(self, stack: np.ndarray) -> list[float]:
         """The integral of every row of a (k, *shape) stack, in any memory layout, by one
         reduction in C order; the check names the first row whose sum is not finite."""
-        sums = stack.reshape(len(stack), -1).sum(axis=1).tolist()
+        sums = stack.reshape(len(stack), math.prod(stack.shape[1:])).sum(axis=1).tolist()
         for i, s in enumerate(sums):
             if not math.isfinite(s):
                 raise ValueError(f"non-finite field in row {i}")

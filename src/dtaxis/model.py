@@ -5,9 +5,10 @@ The simulated system couples a cell density u and a nutrient density v:
     du/dt = div(u v grad u) - chi * div(u^alpha v grad v) + ell * u v
     dv/dt = lap v - u v
 
-with no-flux walls.  Both equations are discretized in divergence form so that
-each flux term integrates to exactly zero and only the reaction terms move
-total mass.  The initial cell density is lifted by the regularization shift
+with no-flux walls.  Both equations are discretized in divergence form, each
+with one face flux: u v grad u - chi u^alpha v grad v for u, grad v for v.
+Each flux integrates to exactly zero, so only the reaction terms move total
+mass.  The initial cell density is lifted by the regularization shift
 ``epsilon`` so u starts strictly positive.
 """
 
@@ -205,48 +206,47 @@ def face_average(grid: Grid, w: np.ndarray, mode: str, out: FaceData | None = No
 
 
 def _rhs_core(state: State, params: Params, into=None):
-    """Right-hand side du, dv and the u v and u^alpha that set dt.  The intermediates that
-    ``stepper``'s accumulators share go into ``into`` = (gu, gv, uv, lap_v) if given (face
-    data with zero walls, two cell arrays), and else into new arrays.  Every buffer is written
-    in place, and nothing returned is overwritten later, so one rhs can serve any number of
-    step attempts."""
+    """du, dv and the D* = max(u v + m) that sets dt, where m = (u^alpha chi) v is the taxis
+    mobility of the one u flux (u v)_f grad u - m_f grad v.  The intermediates that
+    ``stepper``'s accumulators share go into ``into`` = (gu, gv, uv, lap_v) if given (face data
+    with zero walls, two cell arrays), and else into new arrays.  Nothing returned is
+    overwritten later, so one rhs can serve any number of step attempts."""
     g, u, v = state.grid, state.u, state.v
     gu, gv, uv, lap_v = into or (g.faces(), g.faces(), *np.empty((2,) + g.shape))
-    flux, (c0, c1, c2) = g.faces(), np.empty((3,) + g.shape)
+    flux, mf = g.faces(), g.faces()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         np.multiply(u, v, out=uv)
-        ua = _power(u, params.alpha)
+        m = _power(u, params.alpha)
+        m *= params.chi
+        m *= v
         g.face_gradient(u, out=gu)
         g.face_gradient(v, out=gv)
         face_average(g, uv, params.avg_mode, out=flux)
+        face_average(g, m, params.avg_mode, out=mf)
+        dstar = float(np.add(m, uv, out=m).max())  # m serves as cell scratch from here
         for a in range(g.dim):
             flux[a] *= gu[a]
-        du = g.div_faces(flux, cell=c2)
-        g.div_faces(gv, out=lap_v, cell=c2)
-        if params.chi != 0.0:
-            face_average(g, np.multiply(ua, v, out=c0), params.avg_mode, out=flux)
-            for a in range(g.dim):
-                flux[a] *= gv[a]
-            taxis = g.div_faces(flux, out=c1, cell=c2)
-            taxis *= params.chi
-            du -= taxis
+            mf[a] *= gv[a]
+            flux[a] -= mf[a]
+        du = g.div_faces(flux, cell=m)
+        g.div_faces(gv, out=lap_v, cell=m)
         if params.ell != 0.0:
-            du += np.multiply(uv, params.ell, out=c0)
+            du += np.multiply(uv, params.ell, out=m)
         dv = lap_v - uv
         # a non-finite entry of du or dv makes the sum of du + dv non-finite, and a sum
         # that overflows takes the slow path; numpy's own reduction, not a BLAS dot, whose
         # threads would spin between steps on large grids
-        finite = math.isfinite(np.add.reduce(np.add(du, dv, out=c0), None))
+        finite = math.isfinite(np.add.reduce(np.add(du, dv, out=m), None))
     if not finite and not (np.isfinite(du).all() and np.isfinite(dv).all()):
         raise FloatingPointError(
             f"rhs overflow at cell {first_cell(~(np.isfinite(du) & np.isfinite(dv)))}")
-    return du, dv, uv, ua
+    return du, dv, dstar
 
 
 def assemble_rhs(state: State, params: Params) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (du/dt, dv/dt) of the flux-form semi-discretization.
 
-    Both flux divergences integrate to zero by telescoping, so
+    The divergences of the u flux and of the v flux integrate to zero by telescoping, so
     integrate(du) == ell * integrate(u v) and integrate(dv) == -integrate(u v)
     up to rounding; the stepper's exact discrete mass law rests on this.
     """

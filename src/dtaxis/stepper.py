@@ -1,7 +1,7 @@
 """Explicit positivity-protected time stepping with exact mass bookkeeping.
 
-Forward Euler on the flux-form right-hand side, one per state, which sets dt
-(``_dt_limits``: the least of a CFL bound from the degenerate diffusivity, a
+Forward Euler on the flux-form right-hand side, one per state, whose D* sets dt
+(``_dt_limits``: the least of a CFL bound on D* = max(u v + chi u^alpha v), a
 reaction bound, and the maximum-principle cap dt * (2*dim/h^2 + max u) <= 1 that
 keeps sup v nonincreasing even where the CFL bound is loose) and serves every
 attempt.  An update that still produces a negative value is rejected and retried
@@ -95,13 +95,11 @@ class Trajectory:
     n_rejected: int = 0
 
 
-def _dt_limits(state: State, params: Params, uv, ua) -> float:
-    """Step limit from the rhs's u v and u^alpha, with hmin2 = min_axes(h^2): the least of
-    the CFL bound cfl_safety * hmin2 / (2 * dim * D*), D* = max(u v + chi u^alpha v),
-    the reaction bound 1 / (max u + ell * max v) and the cap 1 / (2 * dim / hmin2 + max u)."""
+def _dt_limits(state: State, params: Params, dstar: float) -> float:
+    """Step limit from the rhs's D* = max(u v + chi u^alpha v), with hmin2 = min_axes(h^2):
+    the least of the CFL bound cfl_safety * hmin2 / (2 * dim * D*), the reaction bound
+    1 / (max u + ell * max v) and the cap 1 / (2 * dim / hmin2 + max u)."""
     g, u_max, hmin2 = state.grid, float(state.u.max()), state.grid.hmin2
-    d = params.chi * ua  # D* = u v + (chi u^alpha) v, formed in this one buffer
-    dstar = float(np.add(np.multiply(d, state.v, out=d), uv, out=d).max())
     if not math.isfinite(dstar):
         raise RuntimeError("state blew up")
     dt = params.cfl_safety * hmin2 / (2.0 * g.dim * dstar) if dstar > 0.0 else math.inf
@@ -112,16 +110,16 @@ def _dt_limits(state: State, params: Params, uv, ua) -> float:
 
 
 def _advance_accumulators(acc: Accumulators, params: Params, grid, dts: list[float],
-                          u, v, gu, gv, uv, lap_v, scratch) -> Accumulators:
+                          u, v, gu, gv, uv, lap_v) -> Accumulators:
     """The running integrals after k accepted steps from ``acc``, added step by step:
     row i of each (k, *shape) stack (or unstacked, at k = 1) is what step i saw.  Each integral
     is a cell quadrature (see ``grid``), its row sums bit for bit those of each row alone
-    and, being numpy's pairwise sums, free of any BLAS thread count; each product goes into
-    ``scratch`` once its last reader is done."""
+    and, being numpy's pairwise sums, free of any BLAS thread count.  gu is face scratch once
+    read, and each product goes into one of three cell temporaries after its last reader."""
     k, vol = len(dts), grid.cell_volume
-    flux, (c0, c1, c2) = scratch
-    cgu2 = grid.cell_dot(gu, gu, out=c0, faces=flux, cell=c2)
-    cgv2 = grid.cell_dot(gv, gv, out=c1, faces=flux, cell=c2)
+    c0, c1, c2 = np.empty((3,) + u.shape)
+    cgu2 = grid.cell_dot(gu, gu, out=c0, faces=gu, cell=c2)
+    cgv2 = grid.cell_dot(gv, gv, out=c1, faces=gu, cell=c2)
     # the rest is cell by cell, so it runs on (k, cells) views, reduced row by row
     u, v, uv, lap_v, cgu2, cgv2, c2 = (x.reshape(k, -1) for x in (u, v, uv, lap_v, cgu2, cgv2, c2))
     prod = np.empty_like(u)
@@ -156,8 +154,8 @@ class _Ledger:
 
     def rows(self) -> tuple:
         """The next step's rows of gu, gv, uv and lap_v, for its ``_rhs_core`` to write into."""
-        if self.block is None:  # faces: gu, gv; cells: u, v, uv, lap_v, 3 scratch
-            self.block = self.grid.faces((2, self.k)), np.empty((7, self.k) + self.grid.shape)
+        if self.block is None:  # faces: gu, gv; cells: u, v, uv, lap_v
+            self.block = self.grid.faces((2, self.k)), np.empty((4, self.k) + self.grid.shape)
         i, (faces, cells) = len(self.dts), self.block
         return [f[0, i] for f in faces], [f[1, i] for f in faces], cells[2, i], cells[3, i]
 
@@ -168,13 +166,13 @@ class _Ledger:
             self.evaluate()
 
     def evaluate(self) -> Accumulators:
-        """The accumulators after every step added; gu is read before it serves as scratch."""
+        """The accumulators after every step added."""
         if self.dts:
             (faces, cells), k = self.block, len(self.dts)
             gu, gv = ([f[j, :k] for f in faces] for j in (0, 1))
-            u, v, uv, lap_v, *scratch = cells[:, :k]
+            u, v, uv, lap_v = cells[:, :k]
             self.acc = _advance_accumulators(self.acc, self.params, self.grid, self.dts,
-                                             u, v, gu, gv, uv, lap_v, (gu, scratch))
+                                             u, v, gu, gv, uv, lap_v)
             self.dts, self.block = [], None
         return self.acc
 
@@ -222,7 +220,7 @@ def run(state: State, params: Params, control: StepControl, observers=(),
     ledger = _Ledger(state, params)
     while state.t < t_end - tiny:
         rhs = _rhs_core(state, params, ledger.rows())
-        dt = max(min(_dt_limits(state, params, *rhs[2:]),  # uv, u^alpha
+        dt = max(min(_dt_limits(state, params, rhs[2]),
                      control.dt_max, t_end - state.t, ticks.next_tick() - state.t), tiny)
         while True:
             try:

@@ -205,6 +205,14 @@ def test_cosine_field_sampler_properties():
             assert np.all(np.take(ga, [0, -1], axis=a) == 0.0)
 
 
+@pytest.mark.parametrize("cells", [16, (6, 5), (4, 3, 5)])
+def test_no_cosine_fields_make_an_empty_stack(cells):
+    g = Grid(cells)
+    fields = evaluate_cosine_fields(g, [])
+    assert fields.shape == (0, *g.shape)
+    assert g.integrals(fields) == []
+
+
 def _window_pairs(alpha, n=48, sigma=0.1, t_w=2e-3):
     g = Grid(n)
     p = Params(alpha=alpha, epsilon=0.01, ell=1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dtaxis import Grid, InitialData, Params, assemble_rhs, build_initial
-from dtaxis.model import (State, _power, build_initial_from_fields, face_average,
+from dtaxis.model import (State, _power, _rhs_core, build_initial_from_fields, face_average,
                           initial_profiles)
 
 
@@ -273,3 +273,35 @@ def test_power_writes_into_out_at_every_exponent(a):
     one = _power(u, 1.0)
     assert one is not u and one.tobytes() == u.tobytes()
     assert _power(u, 0.0).tobytes() == np.ones(u.shape).tobytes()
+
+
+def _two_divergence_rhs(s, p):
+    """The u equation's terms as the model states them, each flux with its own divergence:
+    div((u v)_f grad u), chi div((u^alpha v)_f grad v) and ell u v."""
+    g, u, v = s.grid, s.u, s.v
+
+    def div_of(coefficient, grad):
+        return g.div_faces([c * d for c, d in zip(face_average(g, coefficient, p.avg_mode), grad)])
+    return (div_of(u * v, g.face_gradient(u)), p.chi * div_of(u ** p.alpha * v, g.face_gradient(v)),
+            p.ell * (u * v))
+
+
+@pytest.mark.parametrize("chi", [0.0, 1.0, 5.0])
+@pytest.mark.parametrize("mode", ["arithmetic", "geometric"])
+@pytest.mark.parametrize("cells", [32, (9, 7), (5, 4, 6)])
+def test_rhs_one_flux_equals_the_two_divergence_definition(cells, mode, chi):
+    rng = np.random.default_rng(11)
+    g = Grid(cells)
+    p = Params(alpha=1.25, epsilon=0.01, chi=chi, ell=1.0, avg_mode=mode)
+    s = State(grid=g, t=0.0, u=rng.uniform(0.1, 2.0, g.shape), v=rng.uniform(0.2, 1.0, g.shape))
+    du, _ = assemble_rhs(s, p)
+    diffusion, taxis, reaction = _two_divergence_rhs(s, p)
+    reference = diffusion - taxis + reaction
+    largest = max(float(np.abs(t).max()) for t in (diffusion, taxis, reaction))
+    assert float(np.abs(du - reference).max()) <= 1e-13 * largest
+    if chi == 0.0:
+        assert du.tobytes() == reference.tobytes()
+    uv = g.integrate(s.u * s.v)
+    assert abs(g.integrate(du) - p.ell * uv) <= 1e-12 * max(g.integrate(np.abs(du)), 1.0)
+    # the D* of the step limit, as the README rule writes it
+    assert _rhs_core(s, p)[2] == np.max(s.u * s.v + p.chi * s.u ** p.alpha * s.v)
