@@ -12,23 +12,21 @@ regimes.
 """
 
 from .diagnostics import (MonitorRow, ResidualReport, check_first_energy,
-                          check_log_hessian, check_sobolev_product,
-                          check_struc2_balance, monitor_row, residual_rows,
-                          residual_upvq_identity, residual_v_energy)
+                          check_log_hessian, check_sobolev_product, monitor_row,
+                          residual_rows, residual_upvq_identity, residual_v_energy)
 from .exponents import (ExponentTriple, moderate_seq, moderate_seq_hat, p0_sup,
                         strong_seq, verify_regime_lemmas, weak_feedback_p)
 from .grid import FaceData, Grid
-from .model import Accumulators, InitialData, Params, State, assemble_rhs, build_initial
+from .model import Accumulators, InitialData, Params, State, build_initial
 from .stepper import StepControl, StepRejected, Trajectory, run, step
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Accumulators", "ExponentTriple", "FaceData", "Grid", "InitialData",
-    "MonitorRow", "Params", "ResidualReport", "State", "StepControl",
-    "StepRejected", "Trajectory", "assemble_rhs", "build_initial",
-    "check_first_energy", "check_log_hessian", "check_sobolev_product",
-    "check_struc2_balance", "moderate_seq", "moderate_seq_hat", "monitor_row",
-    "p0_sup", "residual_rows", "residual_upvq_identity", "residual_v_energy",
-    "run", "step", "strong_seq", "verify_regime_lemmas", "weak_feedback_p",
+    "Accumulators", "ExponentTriple", "FaceData", "Grid", "InitialData", "MonitorRow",
+    "Params", "ResidualReport", "State", "StepControl", "StepRejected", "Trajectory",
+    "build_initial", "check_first_energy", "check_log_hessian", "check_sobolev_product",
+    "moderate_seq", "moderate_seq_hat", "monitor_row", "p0_sup", "residual_rows",
+    "residual_upvq_identity", "residual_v_energy", "run", "step", "strong_seq",
+    "verify_regime_lemmas", "weak_feedback_p",
 ]

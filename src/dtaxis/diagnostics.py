@@ -9,10 +9,9 @@ of checks live in this module:
   well one accepted step satisfies the exact balance laws of the semi-discrete
   system (O(dt + h^2) on smooth runs): the product laws are specs of one
   kernel, ``_identity``, and the first energy is one direct function;
-* ``check_sobolev_product``, ``check_log_hessian`` and
-  ``check_struc2_balance`` probe standalone integral inequalities on given
-  positive fields or trajectory windows; ``sobolev_batch`` and
-  ``log_hessian_batch`` run the first two on random fields, stacked by sample,
+* ``check_sobolev_product`` and ``check_log_hessian`` probe standalone
+  integral inequalities on given positive fields; ``sobolev_batch`` and
+  ``log_hessian_batch`` run them on random fields, stacked by sample,
   with each field's gradients and Hessians formed once for every q.
 
 Every gradient integral is the grid's one cell quadrature (see ``grid``), and
@@ -27,7 +26,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .exponents import regime
 from .grid import BLOCK_CELLS, Grid, _power, first_cell, lp_power, lp_root
 from .model import Accumulators, Params, State
 
@@ -169,9 +167,6 @@ class FirstEnergyReport(ResidualReport):
     dissipation: float
     rhs_inequality: float
     slack: float
-
-    def passes(self) -> bool:
-        return self.slack >= -1e-8
 
 
 class _Factors(dict):
@@ -531,63 +526,3 @@ def sobolev_batch(grid: Grid, samples: int, seed: int) -> BatchReport:
                    _sobolev_reports(grid, _sampled_fields(grid, samples, seed, 2), 1.0, 3.0))
     violations = 0 if all(math.isfinite(r) for r in ratios) else 1
     return BatchReport("sobolev_product", samples, violations, max(ratios), ratios)
-
-
-# ---------------------------------------------------------------------------
-# two-functional balance with nonconstructive constants: tracked, not gated
-
-C0_VALUES = tuple(2.0 ** k for k in range(-6, 7))  # the candidate c0 of check_struc2_balance
-
-
-@dataclass(frozen=True)
-class Struc2Report:
-    """Empirical constants for the coupled log-entropy / gradient-quartic balance.
-
-    For each candidate c0 in C0_VALUES the report records the smallest C with
-    4 c0 dA + dB + c0 P + Q <= C R on every step of the window, where
-    A = int(u log u - u), B = int |grad v|^4 / v^3, P = int v |grad u|^2,
-    Q = 2 int (|grad v|^2 / v)|D2 log v|^2 + int u |grad v|^4 / v^3 and
-    R = int u^(2 alpha - 2) v |grad v|^2 + int u v log u.  The constants are
-    nonconstructive in the underlying estimate, so this is a tracked report,
-    never a pass/fail gate.
-    """
-
-    c_required: tuple[float, ...]
-    best_c0: float
-    best_c: float
-    n_steps: int
-
-    def c_for(self, c0: float) -> float:
-        return self.c_required[C0_VALUES.index(c0)]
-
-
-def check_struc2_balance(pairs, params: Params) -> Struc2Report:
-    if regime(params.alpha) not in ("moderate", "strong"):
-        raise ValueError("the balance is tracked only for alpha > 1")
-    rows = []
-    for prev, nxt in pairs:
-        g, u, v, dt = prev.grid, prev.u, prev.v, _window(prev, nxt)
-        f, f1 = _Factors(prev), _Factors(nxt)
-        cgv2 = f["gv.gv"]
-        quartic, xlu = cgv2 * cgv2 / v ** 3, _xlogx(u)
-        a1, a0, b1, b0, p_term, q1, q2, r1, r2 = g.integrals(np.stack([
-            _xlogx(nxt.u) - nxt.u, xlu - u, f1["gv.gv"] * f1["gv.gv"] / nxt.v ** 3, quartic,
-            v * f["gu.gu"], cgv2 / v * hessian_sq(g, np.log(v)), u * quartic,
-            f["u", 2.0 * params.alpha - 2.0] * v * cgv2, v * xlu]))
-        rows.append(((a1 - a0) / dt, (b1 - b0) / dt, p_term, 2.0 * q1 + q2, r1 + r2))
-
-    c_req = []
-    for c0 in C0_VALUES:
-        worst = 0.0
-        for da, db, p_term, q_term, r_term in rows:
-            lhs = 4.0 * c0 * da + db + c0 * p_term + q_term
-            if lhs <= 0.0:
-                continue
-            if r_term <= 0.0:
-                worst = math.inf
-                break
-            worst = max(worst, lhs / r_term)
-        c_req.append(worst)
-    best = min(range(len(C0_VALUES)), key=lambda i: (c_req[i], C0_VALUES[i]))
-    return Struc2Report(c_required=tuple(c_req), best_c0=C0_VALUES[best], best_c=c_req[best],
-                        n_steps=len(rows))

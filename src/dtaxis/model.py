@@ -89,8 +89,8 @@ _ACC_NAMES = tuple(f.name for f in fields(Accumulators))
 class State:
     """One snapshot of the coupled fields plus the running accumulators, or None.
 
-    Invariants (maintained by ``build_initial`` and the stepper, not rechecked
-    here): u >= 0 and v > 0 everywhere, t nondecreasing along a trajectory.
+    Invariants (kept by ``build_initial`` and the stepper, and checked on the fields ``run``
+    starts from): u >= 0 and v > 0 everywhere, t nondecreasing along a trajectory.
     """
 
     grid: Grid
@@ -154,20 +154,26 @@ def initial_profiles(grid: Grid, data: InitialData) -> tuple[np.ndarray, np.ndar
     return u0, v0
 
 
+def check_fields(grid: Grid, u: np.ndarray, v: np.ndarray, names=("u", "v", "state fields")):
+    """Refuse (u, v) unless both have the grid's shape, are finite, and u >= 0; a refusal
+    names the pair (``names[2]``) and both shapes, or the field and its first bad cell."""
+    if u.shape != grid.shape or v.shape != grid.shape:
+        raise ValueError(f"{names[2]} of shape {u.shape}/{v.shape} do not fit grid {grid.shape}")
+    for name, f in zip(names, (u, v)):
+        if not np.isfinite(f).all():
+            raise ValueError(f"{name} is not finite at cell {first_cell(~np.isfinite(f))}")
+    if bool((u < 0.0).any()):
+        raise ValueError(f"{names[0]} must be nonnegative, first negative at cell "
+                         f"{first_cell(u < 0.0)}")
+
+
 def build_initial_from_fields(grid: Grid, u0: np.ndarray, v0: np.ndarray,
                               params: Params, v_floor: float = InitialData.v_floor) -> State:
     """Validate (u0, v0), apply the epsilon shift, zero the accumulators."""
     if not v_floor > 0.0:
         raise ValueError("initial v must be strictly positive")
-    u0 = np.asarray(u0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    if u0.shape != grid.shape or v0.shape != grid.shape:
-        raise ValueError(f"initial fields of shape {u0.shape}/{v0.shape} do not fit grid {grid.shape}")
-    for name, f in (("u0", u0), ("v0", v0)):
-        if not np.isfinite(f).all():
-            raise ValueError(f"{name} is not finite at cell {first_cell(~np.isfinite(f))}")
-    if bool((u0 < 0.0).any()):
-        raise ValueError(f"u0 must be nonnegative, first negative at cell {first_cell(u0 < 0.0)}")
+    u0, v0 = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
+    check_fields(grid, u0, v0, ("u0", "v0", "initial fields"))
     if float(u0.max()) == 0.0:
         raise ValueError("u0 must not vanish identically")
     if float(v0.min()) < v_floor:
@@ -242,12 +248,3 @@ def _rhs_core(state: State, params: Params, into=None):
             f"rhs overflow at cell {first_cell(~(np.isfinite(du) & np.isfinite(dv)))}")
     return du, dv, dstar
 
-
-def assemble_rhs(state: State, params: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives (du/dt, dv/dt) of the flux-form semi-discretization.
-
-    The divergences of the u flux and of the v flux integrate to zero by telescoping, so
-    integrate(du) == ell * integrate(u v) and integrate(dv) == -integrate(u v)
-    up to rounding; the stepper's exact discrete mass law rests on this.
-    """
-    return _rhs_core(state, params)[:2]

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import diagnostics
 from .grid import BLOCK_CELLS, _power, first_cell
-from .model import Accumulators, Params, State, _rhs_core
+from .model import Accumulators, Params, State, _rhs_core, check_fields
 
 RESOLUTION = 1e-12  # a run's time resolution, its dt floor and tick tolerance, per unit t_end
 
@@ -208,10 +208,14 @@ def run(state: State, params: Params, control: StepControl, observers=(),
     with immutable snapshots; new.acc is None then.  Monitor rows are recorded at
     t=0, at every multiple of monitor_cadence (steps land on the ticks exactly because
     dt is clipped to them), and at t_end; their states and the final one get their
-    accumulators once the observers are done.  The starting state must have them.
+    accumulators once the observers are done.  The starting state must have them and
+    finite fields that fit its grid with u >= 0 and v > 0; ValueError names a bad cell.
     """
     if state.acc is None:
         raise ValueError("run needs a starting state with accumulators, got acc=None")
+    check_fields(state.grid, state.u, state.v)
+    if bool((state.v <= 0.0).any()):
+        raise ValueError(f"v is not positive at cell {first_cell(state.v <= 0.0)}")
     t_end = control.t_end
     ticks = Cadence(monitor_cadence, t_end)
     tiny = ticks.tol

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dtaxis import Grid, InitialData, Params, assemble_rhs, build_initial
+from dtaxis import Grid, InitialData, Params, build_initial
 from dtaxis.model import (State, _power, _rhs_core, build_initial_from_fields, face_average,
                           initial_profiles)
 
@@ -145,7 +145,7 @@ def test_rhs_constant_state_is_pure_reaction():
     g = Grid((12, 12))
     p = Params(alpha=0.7, epsilon=0.01, ell=0.7)
     s = State(grid=g, t=0.0, u=np.full(g.shape, 1.2), v=np.full(g.shape, 0.8))
-    du, dv = assemble_rhs(s, p)
+    du, dv = _rhs_core(s, p)[:2]
     assert np.allclose(du, 0.7 * 1.2 * 0.8, rtol=1e-14)
     assert np.allclose(dv, -1.2 * 0.8, rtol=1e-14)
 
@@ -158,7 +158,7 @@ def test_rhs_porous_medium_reduction():
         p = Params(alpha=1.0, epsilon=0.01, ell=0.0, chi=0.0, avg_mode=mode)
         u = 1.0 + 0.5 * np.cos(np.pi * g.centers(0))
         s = State(grid=g, t=0.0, u=u, v=np.ones(g.shape))
-        du, _ = assemble_rhs(s, p)
+        du, _ = _rhs_core(s, p)[:2]
         return float(np.max(np.abs(du - 0.5 * g.laplacian_neumann(u * u))))
 
     assert residual("arithmetic", 64) < 1e-11
@@ -174,7 +174,7 @@ def test_rhs_conservation_contract():
         p = Params(alpha=1.3, epsilon=0.01, ell=0.6)
         s = State(grid=g, t=0.0, u=rng.uniform(0.1, 2.0, g.shape),
                   v=rng.uniform(0.2, 1.0, g.shape))
-        du, dv = assemble_rhs(s, p)
+        du, dv = _rhs_core(s, p)[:2]
         uv = g.integrate(s.u * s.v)
         du_l1 = g.integrate(np.abs(du))
         assert abs(g.integrate(du) - p.ell * uv) <= 1e-12 * max(du_l1, 1.0)
@@ -188,7 +188,7 @@ def test_rhs_degenerate_off_switch():
     u = np.ones(g.shape)
     u[10:21] = 0.0
     v = 1.0 + 0.3 * np.cos(np.pi * g.centers(0))
-    du, _ = assemble_rhs(State(grid=g, t=0.0, u=u, v=v), p)
+    du, _ = _rhs_core(State(grid=g, t=0.0, u=u, v=v), p)[:2]
     assert np.all(du[10:21] == 0.0)
 
 
@@ -202,11 +202,11 @@ def test_vacuum_insulates_tactic_flux_only_for_positive_alpha():
     v = 1.0 + 0.5 * np.cos(2 * np.pi * g.centers(0))
     s = State(grid=g, t=0.0, u=u, v=v)
     for alpha in (0.5, 1.0, 1.25, 1.75):
-        du, _ = assemble_rhs(s, Params(alpha=alpha, epsilon=0.01, chi=5.0))
+        du, _ = _rhs_core(s, Params(alpha=alpha, epsilon=0.01, chi=5.0))[:2]
         assert du[16] == 0.0
-    du, _ = assemble_rhs(s, Params(alpha=0.0, epsilon=0.01, chi=0.0))
+    du, _ = _rhs_core(s, Params(alpha=0.0, epsilon=0.01, chi=0.0))[:2]
     assert du[16] == 0.0
-    du, _ = assemble_rhs(s, Params(alpha=0.0, epsilon=0.01, chi=5.0))
+    du, _ = _rhs_core(s, Params(alpha=0.0, epsilon=0.01, chi=5.0))[:2]
     gv = g.face_gradient(v)
     taxis = g.div_faces([face_average(g, v, "geometric")[0] * gv[0]])
     assert du[16] == pytest.approx(-5.0 * taxis[16], rel=1e-14)
@@ -219,8 +219,8 @@ def test_rhs_mirror_symmetry():
     x = g.centers(0)
     u = 1.0 + 0.4 * np.cos(2 * np.pi * x)
     v = 1.0 + 0.2 * np.cos(2 * np.pi * x)
-    du, dv = assemble_rhs(State(grid=g, t=0.0, u=u, v=v), p)
-    du_m, dv_m = assemble_rhs(State(grid=g, t=0.0, u=u[::-1].copy(), v=v[::-1].copy()), p)
+    du, dv = _rhs_core(State(grid=g, t=0.0, u=u, v=v), p)[:2]
+    du_m, dv_m = _rhs_core(State(grid=g, t=0.0, u=u[::-1].copy(), v=v[::-1].copy()), p)[:2]
     assert np.max(np.abs(du_m[::-1] - du)) <= 1e-13 * max(1.0, np.max(np.abs(du)))
     assert np.max(np.abs(dv_m[::-1] - dv)) <= 1e-13 * max(1.0, np.max(np.abs(dv)))
 
@@ -231,8 +231,8 @@ def test_rhs_alpha_continuity():
     u = rng.uniform(0.5, 2.0, g.shape)
     v = rng.uniform(0.5, 1.0, g.shape)
     s = State(grid=g, t=0.0, u=u, v=v)
-    du1, _ = assemble_rhs(s, Params(alpha=1.25, epsilon=0.01))
-    du2, _ = assemble_rhs(s, Params(alpha=1.25 + 1e-9, epsilon=0.01))
+    du1, _ = _rhs_core(s, Params(alpha=1.25, epsilon=0.01))[:2]
+    du2, _ = _rhs_core(s, Params(alpha=1.25 + 1e-9, epsilon=0.01))[:2]
     rel = np.max(np.abs(du1 - du2)) / max(np.max(np.abs(du1)), 1.0)
     assert rel <= 1e-6
 
@@ -244,7 +244,7 @@ def test_rhs_overflow_reports_cell():
     u[5] = 1e308
     v = np.full(g.shape, 1e308)
     with pytest.raises(FloatingPointError, match="rhs overflow at cell"):
-        assemble_rhs(State(grid=g, t=0.0, u=u, v=v), p)
+        _rhs_core(State(grid=g, t=0.0, u=u, v=v), p)[:2]
 
 
 def test_from_snapshot_initial_data_needs_a_path():
@@ -294,7 +294,7 @@ def test_rhs_one_flux_equals_the_two_divergence_definition(cells, mode, chi):
     g = Grid(cells)
     p = Params(alpha=1.25, epsilon=0.01, chi=chi, ell=1.0, avg_mode=mode)
     s = State(grid=g, t=0.0, u=rng.uniform(0.1, 2.0, g.shape), v=rng.uniform(0.2, 1.0, g.shape))
-    du, _ = assemble_rhs(s, p)
+    du, _ = _rhs_core(s, p)[:2]
     diffusion, taxis, reaction = _two_divergence_rhs(s, p)
     reference = diffusion - taxis + reaction
     largest = max(float(np.abs(t).max()) for t in (diffusion, taxis, reaction))

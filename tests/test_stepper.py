@@ -289,7 +289,7 @@ def test_run_blowup_errors(value, avg_mode, error, match):
         run(_const_state(g), p, StepControl(t_end=0.1), observers=[poison])
     s = _const_state(g)
     s.u[2] = np.inf
-    with pytest.raises(ValueError, match="non-finite field"), np.errstate(invalid="ignore"):
+    with pytest.raises(ValueError, match=r"^u is not finite at cell \(2,\)$"):
         run(s, p, StepControl(t_end=0.1))
 
 
@@ -687,6 +687,39 @@ def test_run_refuses_a_start_state_without_accumulators(monkeypatch):
     with pytest.raises(ValueError, match=r"\bacc\b"):
         run(s, p, StepControl(t_end=1e-3), observers=[lambda *args: calls.append("observer")])
     assert calls == [] and s.acc is None and s.t == 1e-4
+
+
+def _set_cell(name, value, cell=(5, 3)):
+    def probe(s):
+        getattr(s, name)[cell] = value
+    return probe
+
+
+@pytest.mark.parametrize("probe, match", [
+    (lambda s: setattr(s, "u", s.u[:, :1]),
+     r"^state fields of shape \(32, 1\)/\(32, 32\) do not fit grid \(32, 32\)$"),
+    (_set_cell("v", np.nan), r"^v is not finite at cell \(5, 3\)$"),
+    (_set_cell("u", -1.0), r"^u must be nonnegative, first negative at cell \(5, 3\)$"),
+    (_set_cell("v", 0.0), r"^v is not positive at cell \(5, 3\)$"),
+], ids=["shape", "nan-v", "negative-u", "zero-v"])
+def test_run_refuses_a_start_state_that_does_not_fit_its_grid(monkeypatch, probe, match):
+    # the check comes before the first monitor row, rhs or observer, and names the field
+    # and its cell (or both shapes)
+    s, calls = _const_state(Grid((32, 32))), []
+    probe(s)
+    monkeypatch.setattr(diagnostics, "monitor_row", lambda *args: calls.append("monitor"))
+    monkeypatch.setattr(stepper, "_rhs_core", lambda *args: calls.append("rhs"))
+    with pytest.raises(ValueError, match=match):
+        run(s, Params(alpha=1.0, epsilon=0.01), StepControl(t_end=1e-3),
+            observers=[lambda *args: calls.append("observer")])
+    assert calls == []
+
+
+def test_every_exported_name_resolves():
+    names = {}
+    exec("from dtaxis import *", names)
+    assert set(dtaxis.__all__) <= names.keys()
+    assert all(names[n] is getattr(dtaxis, n) for n in dtaxis.__all__)
 
 
 def test_trajectory_from_run_pickles_without_a_ledger():
