@@ -23,7 +23,8 @@ an ``--out`` file could not be written once the work ran; a failed member is
 reported and marked failed while the others run.
 
 Config files are line-oriented ``key = value`` with ``#`` comments; unknown
-keys are rejected, and a key whose record field has no default is required.
+keys and a key given twice are rejected, and a key whose record field has no
+default is required.
 A snapshot file is the magic, one ``_SNAPSHOT_HEADERS`` struct, then u and v.
 """
 
@@ -136,6 +137,8 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         if key not in _SCHEMA:
             raise ValueError(f"unknown key {key}")
+        if key in raw:
+            raise ValueError(f"duplicate key {key} at line {lineno}")
         raw[key] = value.strip()
 
     kw: dict = {record: {} for _, record, _ in _SCHEMA.values()}
@@ -164,8 +167,7 @@ def parse_config_file(path) -> RunConfig:
 # snapshot persistence
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     """A loaded field snapshot: the state plus the model constants it ran with."""
 
     state: State
@@ -358,8 +360,8 @@ class EpsRow(NamedTuple):
 
 
 def run_eps_study(config: RunConfig, eps_list) -> list[EpsRow] | None:
-    """Rerun one config over a decreasing list of regularization shifts, each distinct one
-    once in ``epsilon_{eps!r}`` and with no monitor tick to clip its steps, and write the L2
+    """Rerun one config over a strictly decreasing list of regularization shifts, each in
+    ``epsilon_{eps!r}`` and with no monitor tick to clip its steps, and write the L2
     distances between final fields of consecutive runs to eps_study.csv; None, reported like
     a failed member, if computing or writing them fails.  Only finiteness is asserted: the
     underlying limit comes with no rate, so monotonicity of the differences is not a contract.
@@ -367,7 +369,7 @@ def run_eps_study(config: RunConfig, eps_list) -> list[EpsRow] | None:
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2:
         raise ValueError("eps-study needs at least two epsilons")
-    if any(b > a for a, b in zip(eps_list, eps_list[1:])):
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be decreasing")
     finals = {eps: traj and traj.final for eps, traj in
               _study(replace(config, monitor_cadence=None), "epsilon", eps_list).items()}
@@ -505,7 +507,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("eps-study", "convergence study in the shift epsilon",
                 lambda a: _all_ok(run_eps_study(_config(a), a.eps), -1), configured)
-    p.add_argument("--eps", type=_float_list, required=True, help="decreasing comma list in (0, 1)")
+    p.add_argument("--eps", type=_float_list, required=True,
+                   help="strictly decreasing comma list in (0, 1)")
 
     p = command("verify-inequalities", "randomized inequality batches", cmd_verify_inequalities)
     p.add_argument("--cells", type=int, default=64)

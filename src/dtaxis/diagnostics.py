@@ -22,7 +22,8 @@ integrands in one call: the rows of one buffer, summed by ``Grid.integrals``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +73,7 @@ def hessian_sq(grid: Grid, f: np.ndarray) -> np.ndarray:
 # monitor catalog
 
 
-@dataclass(frozen=True)
-class MonitorRow:
+class MonitorRow(NamedTuple):
     """One timestamped record of every catalogued functional and accumulator."""
 
     t: float
@@ -92,15 +92,13 @@ class MonitorRow:
 
     @staticmethod
     def csv_header(p_list: tuple[float, ...]) -> list[str]:
-        return (list(_ROW_SCALARS) + [f"lp_{p:g}_u" for p in p_list]
+        """The scalar fields (all but lp_norms and acc), then one column per moment and
+        one per accumulator."""
+        return (list(MonitorRow._fields[:-2]) + [f"lp_{p:g}_u" for p in p_list]
                 + [f"acc_{n}" for n in Accumulators.names()])
 
     def csv_values(self) -> list[float]:
-        return ([getattr(self, n) for n in _ROW_SCALARS] + list(self.lp_norms)
-                + list(self.acc.values()))
-
-
-_ROW_SCALARS = tuple(f.name for f in fields(MonitorRow) if f.name not in ("lp_norms", "acc"))
+        return [*self[:-2], *self.lp_norms, *self.acc.values()]
 
 
 def monitor_row(state: State, params: Params,
@@ -329,8 +327,7 @@ def residual_rows(prev: State, nxt: State, params: Params) -> list[ResidualRepor
 # standalone functional inequalities
 
 
-@dataclass(frozen=True)
-class SobolevReport:
+class SobolevReport(NamedTuple):
     """One evaluation of the amended product-embedding inequality.
 
     lhs = || phi^(p+1) psi ||_(L^mu) against
@@ -374,8 +371,7 @@ def _sobolev_reports(grid: Grid, stacks, p: float, mu: float) -> list[SobolevRep
     return reports
 
 
-@dataclass(frozen=True)
-class LogHessianReport:
+class LogHessianReport(NamedTuple):
     """Both log-Hessian gradient-power inequalities on one positive field.
 
     lhs_grad  = int phi^(-q-1) |grad phi|^(q+2)
@@ -486,8 +482,7 @@ def evaluate_cosine_fields(grid: Grid, term_lists: list) -> np.ndarray:
     return np.exp(s)
 
 
-@dataclass(frozen=True)
-class BatchReport:
+class BatchReport(NamedTuple):
     check: str
     samples: int
     violations: int

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ def regime(alpha: float) -> str | None:
     return "weak" if alpha <= 1.0 else "moderate" if alpha <= 1.5 else "strong"
 
 
-@dataclass(frozen=True)
-class ExponentTriple:
+class ExponentTriple(NamedTuple):
     """One entry of a bootstrap sequence: (m_k or q_k, p_k, r_k) at index k."""
 
     k: int
@@ -164,8 +163,7 @@ def _require_steps(name: str, n: int):
 # programmatic verification
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     regime: str
     samples: int
     iterations: int
@@ -177,11 +175,10 @@ class RegimeReport:
         return not self.violations
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        return {**self._asdict(), "ok": self.ok}
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     moderate: RegimeReport
     moderate_hat: RegimeReport
     strong: RegimeReport

@@ -15,7 +15,8 @@ mass.  The initial cell density is lifted by the regularization shift
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +53,7 @@ class Params:
             raise ValueError(f"avg_mode must be one of {AVG_MODES}, got {self.avg_mode!r}")
 
 
-@dataclass(frozen=True)
-class Accumulators:
+class Accumulators(NamedTuple):
     """Running time integrals of the catalogued dissipation/consumption terms.
 
     Advanced by left-endpoint quadrature, one entry per monitored space-time
@@ -76,13 +76,10 @@ class Accumulators:
 
     @staticmethod
     def names() -> tuple[str, ...]:
-        return _ACC_NAMES
+        return Accumulators._fields
 
     def values(self) -> tuple[float, ...]:
-        return tuple(getattr(self, n) for n in _ACC_NAMES)
-
-
-_ACC_NAMES = tuple(f.name for f in fields(Accumulators))
+        return tuple(self)
 
 
 @dataclass
@@ -97,7 +94,7 @@ class State:
     t: float
     u: np.ndarray
     v: np.ndarray
-    acc: Accumulators | None = field(default_factory=Accumulators)
+    acc: Accumulators | None = Accumulators()
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +86,7 @@ class Cadence:
         return first
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Monitor rows in time order plus the final state and step counters."""
 
     rows: list

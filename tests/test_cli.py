@@ -13,12 +13,20 @@ from dtaxis import Grid, InitialData, Params, StepControl
 from dtaxis import cli
 from dtaxis.cli import (EpsRow, RunConfig, build_state, cmd_run, load_snapshot, parse_config,
                         run_eps_study, run_sweep, save_snapshot)
-from dtaxis.diagnostics import P_LIST, monitor_row
-from dtaxis.exponents import regime
+from dtaxis.diagnostics import (P_LIST, check_log_hessian, check_sobolev_product, monitor_row,
+                                sobolev_batch)
+from dtaxis.exponents import moderate_seq, regime, verify_regime_lemmas
 from dtaxis.model import State
 from dtaxis.stepper import run
 
 MINIMAL = "alpha = 1.25\nepsilon = 0.01\ncells = 256\nt_end = 0.1\n"
+
+
+def _set(text: str, key: str, value: str) -> str:
+    """The config text with key's line set to value (appended if it has none): a key given
+    twice is refused."""
+    lines = [ln for ln in text.splitlines() if ln.partition("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
 
 
 def test_parse_minimal_config():
@@ -63,7 +71,7 @@ def test_each_key_lands_on_its_record_field(key):
 
     value = parser(_SAMPLE[key])
     assert getattr(owner(parse_config(MINIMAL)), name) != value
-    assert getattr(owner(parse_config(MINIMAL + f"{key} = {_SAMPLE[key]}\n")), name) == value
+    assert getattr(owner(parse_config(_set(MINIMAL, key, _SAMPLE[key]))), name) == value
 
 
 def test_readme_example_config_parses():
@@ -106,6 +114,7 @@ def test_parse_unknown_key():
     ("epsilon 0.01", "invalid value for line 2: 'epsilon 0.01' (expected key = value)"),
     ("dim = 2", "unknown key dim"),  # cells alone sets the dimension
     ("max_rejects = 5", "unknown key max_rejects"),  # 1e-12 * t_end ends reject-and-halve
+    ("alpha = 1.5", "duplicate key alpha at line 2"),  # refused, not overridden
 ])
 def test_parse_refuses_a_line_it_cannot_place(line, message):
     with pytest.raises(ValueError) as exc:
@@ -333,7 +342,7 @@ def test_main_run_rejects_bad_cadence(tmp_path, capsys, key, value):
                                  "v0_floor", "lengths", "p_list"])
 def test_parse_rejects_nan(key):
     with pytest.raises(ValueError, match=f"invalid value for {key}"):
-        parse_config(MINIMAL + f"{key} = nan\n")  # a repeated key overrides
+        parse_config(_set(MINIMAL, key, "nan"))
 
 
 def test_main_run_t_end_nan_exit_code(tmp_path, capsys):
@@ -474,11 +483,17 @@ def test_eps_study_constant_closed_form(tmp_path):
 
 
 def test_eps_study_identical_values_deterministic(tmp_path):
+    # a repeated epsilon would compare a run with itself, so it is refused; the same list
+    # studied twice gives the same rows and the same eps_study.csv, bit for bit
     cfg = _small_config(tmp_path, t_end=0.02,
                         initial=InitialData(kind="gaussian_bump", u_amplitude=1.0))
-    rows = run_eps_study(cfg, [1e-2, 1e-2])
-    assert rows[0].l2_diff_u <= 1e-14
-    assert rows[0].l2_diff_v <= 1e-14
+    with pytest.raises(ValueError, match="epsilon list must be decreasing"):
+        run_eps_study(cfg, [1e-2, 1e-2])
+    rows = [run_eps_study(replace(cfg, output_dir=str(tmp_path / d)), [1e-1, 1e-2])
+            for d in ("a", "b")]
+    assert rows[0] == rows[1] and rows[0][0].status == "ok"
+    assert (tmp_path / "a" / "eps_study.csv").read_bytes() == \
+        (tmp_path / "b" / "eps_study.csv").read_bytes()
 
 
 def test_eps_study_validation(tmp_path):
@@ -502,7 +517,7 @@ def test_eps_study_members_are_library_runs_without_ticks(tmp_path):
     # clipped: eps_study.csv holds the distances of those finals byte for byte, and
     # each member directory the monitor rows at t = 0 and t_end
     cfg = _small_config(tmp_path, t_end=0.02, initial=InitialData(kind="gaussian_bump"))
-    eps_list = [1e-1, 1e-2, 1e-2, 1e-3]
+    eps_list = [1e-1, 1e-2, 1e-3]
     params = {eps: replace(cfg.params, epsilon=eps) for eps in eps_list}
     finals = {eps: run(build_state(replace(cfg, params=p)), p, cfg.control,
                        monitor_cadence=None, p_list=cfg.p_list).final
@@ -546,6 +561,9 @@ def test_main_run_and_tables(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     recs = [json.loads(x) for x in lines]
     assert all(r["ok"] for r in recs)
+    # RegimeReport.as_dict: the record's fields in order, then ok
+    assert [list(r) for r in recs] == \
+        [["regime", "samples", "iterations", "violations", "boundary_cases", "ok"]] * 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -670,15 +688,15 @@ def test_main_sweep_reports_a_failing_member_and_runs_the_rest(tmp_path, capsys)
 
 
 def test_main_eps_study_reports_a_failing_member_and_runs_the_rest(tmp_path, capsys):
-    argv = ["eps-study", "--config", _vacuum_cfg(tmp_path), "--eps", "0.1,0.01,0.001,0.001"]
+    argv = ["eps-study", "--config", _vacuum_cfg(tmp_path), "--eps", "0.1,0.01,0.001"]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: epsilon=0.001: positivity unrecoverable")
-    assert err.count("\n") == 1  # the repeated epsilon runs once
+    assert err.count("\n") == 1
     out = tmp_path / "out"
     _, rows = _read_csv(out / "eps_study.csv")
-    assert [r[-1] for r in rows] == ["ok", "failed", "failed"]
-    assert rows[1][2:4] == rows[2][2:4] == ["nan", "nan"]
+    assert [r[-1] for r in rows] == ["ok", "failed"]
+    assert rows[1][2:4] == ["nan", "nan"]
     for eps in ("0.1", "0.01"):
         assert (out / f"epsilon_{eps}" / "monitors.csv").exists()
     assert not (out / "epsilon_0.001" / "monitors.csv").exists()
@@ -887,7 +905,8 @@ def test_main_rejects_inadmissible_initial_data_before_any_output(tmp_path, caps
 
 @pytest.mark.parametrize("eps, message", [("1e-3,1e-2", "epsilon list must be decreasing"),
                                           ("1.0,0.5", "epsilon must lie in (0, 1)"),
-                                          ("0.1", "eps-study needs at least two epsilons")])
+                                          ("0.1", "eps-study needs at least two epsilons"),
+                                          ("1e-1,1e-1", "epsilon list must be decreasing")])
 def test_main_eps_study_rejects_bad_lists_before_any_run(tmp_path, capsys, eps, message):
     assert cli.main(["eps-study", "--config", _write_cfg(tmp_path), "--eps", eps]) == 2
     assert message in capsys.readouterr().err
@@ -897,3 +916,33 @@ def test_main_eps_study_rejects_bad_lists_before_any_run(tmp_path, capsys, eps, 
 def test_main_bad_u0_width_exit_code(tmp_path, capsys):
     assert cli.main(["run", "--config", _write_cfg(tmp_path, "u0_width = 0\n")]) == 2
     assert "u_width must be positive and finite, got 0.0" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def result_records(tmp_path_factory):
+    """One of each immutable result record, as the code that returns it makes it."""
+    cfg = parse_config(MINIMAL.replace("cells = 256", "cells = 8")
+                       .replace("t_end = 0.1", "t_end = 1e-4"))
+    traj = run(build_state(cfg), cfg.params, cfg.control)
+    path = tmp_path_factory.mktemp("snap") / "final.dtxs"
+    save_snapshot(traj.final, cfg.params, path)
+    g, ones, verify = cfg.grid, np.ones(cfg.grid.shape), verify_regime_lemmas(2, 0, 3)
+    return {"Accumulators": traj.final.acc, "MonitorRow": traj.rows[-1], "Trajectory": traj,
+            "Snapshot": load_snapshot(path), "ExponentTriple": moderate_seq(2.0, 1.25, 1)[0],
+            "RegimeReport": verify.strong, "VerifyReport": verify,
+            "SobolevReport": check_sobolev_product(g, ones, ones, 1.0, 3.0),
+            "LogHessianReport": check_log_hessian(g, ones, 2.0),
+            "BatchReport": sobolev_batch(g, 1, 0)}
+
+
+@pytest.mark.parametrize("name", ["Accumulators", "MonitorRow", "Trajectory", "Snapshot",
+                                  "ExponentTriple", "RegimeReport", "VerifyReport",
+                                  "SobolevReport", "LogHessianReport", "BatchReport"])
+def test_result_records_refuse_assignment(result_records, name):
+    record = result_records[name]
+    assert type(record).__name__ == name
+    field = record._fields[0]
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) is before
