@@ -37,7 +37,6 @@ import json
 import math
 import struct
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -328,6 +327,7 @@ def _study(config: RunConfig, key: str, values, workers: int = 1) -> dict:
     jobs = (functools.partial(_started, _write_run), [f"{key}={v}: " for v in values],
             configs, [build_state(cfg) for cfg in configs])
     if workers > 1 and len(values) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # at the top, every command would pay
         with ProcessPoolExecutor(max_workers=min(workers, len(values))) as pool:
             return dict(zip(values, pool.map(*jobs)))
     return dict(zip(values, map(*jobs)))
@@ -393,18 +393,14 @@ def run_eps_study(config: RunConfig, eps_list) -> list[EpsRow] | None:
 def cmd_verify_inequalities(args) -> int:
     cells, samples, seed, qs = args.cells, args.samples, args.seed, args.qs
     lines = []
-    for dim in (1, 2):
-        grid = Grid(cells) if dim == 1 else Grid((max(16, cells // 2),) * 2)
+    for dim, grid in ((1, Grid(cells)), (2, Grid((max(16, cells // 2),) * 2))):
         for q, rep in zip(qs, diagnostics.log_hessian_batch(grid, qs, samples, seed)):
-            lines.append({"check": "log_hessian", "dim": dim, "q": q,
-                          "samples": rep.samples, "violations": rep.violations,
-                          "max_ratio": rep.max_ratio})
-    coarse = diagnostics.sobolev_batch(Grid(cells), samples, seed)
-    fine = diagnostics.sobolev_batch(Grid(2 * cells), samples, seed)
+            lines.append({"check": "log_hessian", "dim": dim, "q": q, "samples": rep.samples,
+                          "violations": rep.violations, "max_ratio": rep.max_ratio})
+    coarse, fine = diagnostics.sobolev_batch((Grid(cells), Grid(2 * cells)), samples, seed)
     rel_change = abs(fine.max_ratio - coarse.max_ratio) / coarse.max_ratio
     lines.append({"check": "sobolev_product", "dim": 1, "samples": samples,
-                  "max_ratio": coarse.max_ratio,
-                  "max_ratio_refined": fine.max_ratio,
+                  "max_ratio": coarse.max_ratio, "max_ratio_refined": fine.max_ratio,
                   "rel_change_on_refinement": rel_change})
     return _write_jsonl(lines, args.out, ok=not any(r.get("violations") for r in lines))
 

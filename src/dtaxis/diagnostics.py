@@ -11,8 +11,8 @@ of checks live in this module:
   kernel, ``_identity``, and the first energy is one direct function;
 * ``check_sobolev_product`` and ``check_log_hessian`` probe standalone
   integral inequalities on given positive fields; ``sobolev_batch`` and
-  ``log_hessian_batch`` run them on random fields, stacked by sample,
-  with each field's gradients and Hessians formed once for every q.
+  ``log_hessian_batch`` run them on random fields, stacked by sample, each
+  drawn once for every grid, its gradients and Hessians formed once for every q.
 
 Every gradient integral is the grid's one cell quadrature (see ``grid``), and
 each function forms each gradient product once per state and reduces its
@@ -348,26 +348,24 @@ class SobolevReport(NamedTuple):
 
 def check_sobolev_product(grid: Grid, phi: np.ndarray, psi: np.ndarray,
                           p: float, mu: float) -> SobolevReport:
-    [report] = _sobolev_reports(grid, [(phi[None], psi[None])], p, mu)
-    return report
+    return _sobolev_reports(grid, phi[None], psi[None], p, mu)[0]
 
 
-def _sobolev_reports(grid: Grid, stacks, p: float, mu: float) -> list[SobolevReport]:
-    """One report per field pair of the (k, *shape) stacks (phi, psi), in order."""
+def _sobolev_reports(grid: Grid, phi, psi, p: float, mu: float) -> list[SobolevReport]:
+    """One report per field pair of the (k, *shape) stacks phi and psi, in order."""
     if not 1.0 <= mu <= 3.0:
         raise ValueError(f"mu must lie in [1, N/(N-2)] = [1, 3] in N = 3 dimensions, got {mu}")
+    if bool((phi <= 0.0).any()) or bool((psi <= 0.0).any()):
+        raise ValueError("nonpositive field")
+    gphi, gpsi = grid.face_gradient(phi), grid.face_gradient(psi)
+    w = _power(phi, p + 1.0) * psi
+    rows = np.stack([w ** mu, _power(phi, p - 1.0) * psi * grid.cell_dot(gphi, gphi),
+                     _power(phi, p + 1.0) / psi * grid.cell_dot(gpsi, gpsi), w], 1)
+    sums = iter(grid.integrals(rows.reshape(-1, *grid.shape)))  # each field's 4 in turn
     reports = []
-    for phi, psi in stacks:
-        if bool((phi <= 0.0).any()) or bool((psi <= 0.0).any()):
-            raise ValueError("nonpositive field")
-        gphi, gpsi = grid.face_gradient(phi), grid.face_gradient(psi)
-        w = _power(phi, p + 1.0) * psi
-        rows = np.stack([w ** mu, _power(phi, p - 1.0) * psi * grid.cell_dot(gphi, gphi),
-                         _power(phi, p + 1.0) / psi * grid.cell_dot(gpsi, gpsi), w], 1)
-        sums = iter(grid.integrals(rows.reshape(-1, *grid.shape)))  # each field's 4 in turn
-        for s_mu, t_phi, t_psi, t_zero in zip(sums, sums, sums, sums):
-            lhs, rhs = s_mu ** (1.0 / mu), t_phi + t_psi + t_zero
-            reports.append(SobolevReport(p, mu, lhs, t_phi, t_psi, t_zero, lhs / rhs))
+    for s_mu, t_phi, t_psi, t_zero in zip(sums, sums, sums, sums):
+        lhs, rhs = s_mu ** (1.0 / mu), t_phi + t_psi + t_zero
+        reports.append(SobolevReport(p, mu, lhs, t_phi, t_psi, t_zero, lhs / rhs))
     return reports
 
 
@@ -403,8 +401,7 @@ class LogHessianReport(NamedTuple):
 
 
 def check_log_hessian(grid: Grid, phi: np.ndarray, q: float) -> LogHessianReport:
-    [[report]] = _log_hessian_reports(grid, [phi[None]], (q,))
-    return report
+    return _log_hessian_reports(grid, [phi[None]], (q,))[0][0]
 
 
 def _log_hessian_reports(grid: Grid, stacks, qs) -> list[list[LogHessianReport]]:
@@ -446,31 +443,31 @@ MODES = 7  # a sampled field uses the cosine modes 0 <= k < MODES along each axi
 def sample_cosine_field(rng: np.random.Generator, dim: int) -> list:
     """Coefficients of a random eight-term cosine series; the field is exp(series).
 
-    The series uses axis products of cos(k pi x / L), 0 <= k <= 6 per axis, so the
-    continuous field has zero normal derivative on every wall, and the coefficients
-    are scaled so the exponent stays within +-0.8 (the field is strictly positive
-    and uniformly bounded).  The returned coefficient list can be evaluated on
-    any grid, which is what makes refinement comparisons meaningful.
-    """
-    terms = []
-    total = 0.0
+    The series uses axis products of cos(k pi x / L), 0 <= k <= 6 per axis, so the continuous
+    field has zero normal derivative on every wall, and the coefficients are scaled so the
+    exponent stays within +-0.8 (the field is strictly positive and uniformly bounded).  The
+    list can be evaluated on any grid, which is what makes refinement comparisons meaningful."""
+    integers, normal, terms, total = rng.integers, rng.normal, [], 0.0
     while len(terms) < 8:
-        k = tuple(int(rng.integers(0, MODES)) for _ in range(dim))
-        if all(ki == 0 for ki in k):
-            continue
-        c = float(rng.normal()) / (1.0 + float(sum(ki * ki for ki in k)))
-        terms.append((k, c))
-        total += abs(c)
+        k = tuple([int(integers(0, MODES)) for _ in range(dim)])
+        if any(k):
+            terms.append((k, normal() / (1.0 + sum([ki * ki for ki in k]))))
+            total += abs(terms[-1][1])
     scale = 0.8 / total if total > 0.0 else 0.0
     return [(k, c * scale) for k, c in terms]
 
 
-def evaluate_cosine_fields(grid: Grid, term_lists: list) -> np.ndarray:
+def _cosine_tables(grid: Grid) -> list[np.ndarray]:
+    return [np.stack([np.cos(ka * np.pi * x / grid.lengths[a]) for ka in range(MODES)])
+            for a, x in enumerate(grid.mesh())]
+
+
+def evaluate_cosine_fields(grid: Grid, term_lists: list, tables=None) -> np.ndarray:
     """The fields of coefficient lists of one length, as a (k, *shape) stack.  A term is c
     times one factor cos(k pi x / L) per axis, in axis order, and the terms add in order;
-    each axis has one table of factors, whose k = 0 row is exactly 1."""
-    tables = [np.stack([np.cos(ka * np.pi * x / grid.lengths[a]) for ka in range(MODES)])
-              for a, x in enumerate(grid.mesh())]
+    each axis has one table of them, whose k = 0 row is exactly 1: ``_cosine_tables(grid)``,
+    or ``tables`` if given, built once for the calls of a batch."""
+    tables = _cosine_tables(grid) if tables is None else tables
     coef = np.array([[c for _, c in terms] for terms in term_lists])
     modes = np.array([[k for k, _ in terms] for terms in term_lists])
     s = np.zeros((len(term_lists),) + grid.shape)
@@ -490,24 +487,28 @@ class BatchReport(NamedTuple):
     ratios: tuple[float, ...]
 
 
-def _sampled_fields(grid: Grid, samples: int, seed: int, per_sample: int):
-    """The random fields of samples, drawn in order, per_sample to a sample, as stacks
-    (per_sample, k, *shape) of k samples with at most BLOCK_CELLS cells (or of one sample)."""
+def _sampled_fields(grids, samples: int, seed: int, per_sample: int):
+    """Per chunk of k samples (at most BLOCK_CELLS cells on the finest grid, or one sample),
+    drawn once in order, per_sample to a sample: one (per_sample, k, *shape) stack per grid."""
+    if not grids or len({g.dim for g in grids}) > 1:
+        raise ValueError(f"a batch needs one or more grids of one dimension, got {list(grids)}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    rng, per = np.random.default_rng(seed), max(1, BLOCK_CELLS // math.prod(grid.shape))
+    rng, tables = np.random.default_rng(seed), [_cosine_tables(g) for g in grids]
+    per = max(1, BLOCK_CELLS // max(math.prod(g.shape) for g in grids))
     for i in range(0, samples, per):
-        drawn = [sample_cosine_field(rng, grid.dim)
+        drawn = [sample_cosine_field(rng, grids[0].dim)
                  for _ in range(per_sample * min(per, samples - i))]
         by_role = [terms for j in range(per_sample) for terms in drawn[j::per_sample]]
-        yield evaluate_cosine_fields(grid, by_role).reshape(per_sample, -1, *grid.shape)
+        yield [evaluate_cosine_fields(g, by_role, t).reshape(per_sample, -1, *g.shape)
+               for g, t in zip(grids, tables)]
 
 
 def log_hessian_batch(grid: Grid, qs, samples: int, seed: int) -> list[BatchReport]:
     """Both log-Hessian inequalities over random fields, each judged by ``passes()``: one
     report per q, in the order of qs.  Each field is sampled and evaluated once for all q."""
     batches = []
-    fields = (phi for [phi] in _sampled_fields(grid, samples, seed, 1))
+    fields = (phi for [[phi]] in _sampled_fields((grid,), samples, seed, 1))
     for reps in _log_hessian_reports(grid, fields, qs):
         ratios = tuple(max(r.ratio_grad(), r.ratio_hess()) for r in reps)
         batches.append(BatchReport("log_hessian", samples, sum(not r.passes() for r in reps),
@@ -515,9 +516,12 @@ def log_hessian_batch(grid: Grid, qs, samples: int, seed: int) -> list[BatchRepo
     return batches
 
 
-def sobolev_batch(grid: Grid, samples: int, seed: int) -> BatchReport:
-    """Empirical constant for the amended product embedding (p = 1, mu = 3) over random fields."""
-    ratios = tuple(r.ratio for r in
-                   _sobolev_reports(grid, _sampled_fields(grid, samples, seed, 2), 1.0, 3.0))
-    violations = 0 if all(math.isfinite(r) for r in ratios) else 1
-    return BatchReport("sobolev_product", samples, violations, max(ratios), ratios)
+def sobolev_batch(grids, samples: int, seed: int) -> list[BatchReport]:
+    """Empirical constant for the amended product embedding (p = 1, mu = 3) over random fields:
+    one report per grid, in the order of grids, each field pair drawn once for all of them."""
+    ratios = [[] for _ in grids]
+    for stacks in _sampled_fields(grids, samples, seed, 2):
+        for grid, (phi, psi), out in zip(grids, stacks, ratios):
+            out += [r.ratio for r in _sobolev_reports(grid, phi, psi, 1.0, 3.0)]
+    return [BatchReport("sobolev_product", samples, 0 if all(map(math.isfinite, r)) else 1,
+                        max(r), tuple(r)) for r in ratios]

@@ -174,8 +174,7 @@ def test_criterion_5_inequality_suite():
     for grid in (Grid(64), Grid((32, 32))):
         reps = log_hessian_batch(grid, (2.0, 3.0, 4.0), samples=100, seed=7)
         violations += sum(rep.violations for rep in reps)
-    coarse = sobolev_batch(Grid(64), samples=100, seed=11)
-    fine = sobolev_batch(Grid(128), samples=100, seed=11)
+    coarse, fine = sobolev_batch((Grid(64), Grid(128)), samples=100, seed=11)
     rel_change = abs(fine.max_ratio - coarse.max_ratio) / coarse.max_ratio
     elapsed = time.perf_counter() - t0
     ok = (violations == 0 and math.isfinite(coarse.max_ratio)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import re
@@ -851,7 +852,7 @@ def test_sweep_pool_is_capped_at_the_member_count(tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     argv = ["sweep", "--config", _write_cfg(tmp_path), "--alphas", "0.5,1.25,0.5", "--workers", "64"]
     assert cli.main(argv) == 0
     assert sizes == [2]
@@ -932,7 +933,7 @@ def result_records(tmp_path_factory):
             "RegimeReport": verify.strong, "VerifyReport": verify,
             "SobolevReport": check_sobolev_product(g, ones, ones, 1.0, 3.0),
             "LogHessianReport": check_log_hessian(g, ones, 2.0),
-            "BatchReport": sobolev_batch(g, 1, 0)}
+            "BatchReport": sobolev_batch((g,), 1, 0)[0]}
 
 
 @pytest.mark.parametrize("name", ["Accumulators", "MonitorRow", "Trajectory", "Snapshot",

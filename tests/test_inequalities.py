@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,8 +42,7 @@ def test_sobolev_exp_cosine_refinement_stable():
 
 
 def test_sobolev_batch_bounded():
-    g = Grid(64)
-    rep = sobolev_batch(g, samples=100, seed=3)
+    [rep] = sobolev_batch((Grid(64),), samples=100, seed=3)
     assert rep.violations == 0
     assert math.isfinite(rep.max_ratio)
     assert rep.max_ratio < 5.0
@@ -145,7 +145,9 @@ def _reference_sobolev_ratio(grid, phi, psi):
 
 @pytest.mark.parametrize("cells", [64, (32, 32)])
 def test_batches_equal_a_field_by_field_loop_bit_for_bit(cells):
-    # 37 samples: one partial chunk of 64 fields in 1D-64, nine of 4 and one of 1 in 2D-32^2
+    # 37 samples: one partial chunk of 64 fields in 1D-64, nine of 4 and one of 1 in 2D-32^2;
+    # the Sobolev pairs on the grid and its refinement come in chunks sized by the finer one:
+    # 32 and a partial 5 in 1D (64 and 128 cells), 37 of one in 2D (32^2 and 64^2)
     g, qs, samples = Grid(cells), (2.0, 3.0, 4.0), 37
     rng = np.random.default_rng(17)
     fields = [_reference_field(g, sample_cosine_field(rng, g.dim)) for _ in range(samples)]
@@ -156,11 +158,16 @@ def test_batches_equal_a_field_by_field_loop_bit_for_bit(cells):
         assert rep.violations == passes.count(False)
 
     rng = np.random.default_rng(11)
-    pairs = [(_reference_field(g, sample_cosine_field(rng, g.dim)),
-              _reference_field(g, sample_cosine_field(rng, g.dim))) for _ in range(samples)]
-    ratios = tuple(_reference_sobolev_ratio(g, phi, psi) for phi, psi in pairs)
-    rep = sobolev_batch(g, samples, seed=11)
-    assert (rep.ratios, rep.max_ratio, rep.violations) == (ratios, max(ratios), 0)
+    drawn = [(sample_cosine_field(rng, g.dim), sample_cosine_field(rng, g.dim))
+             for _ in range(samples)]
+    grids = (g, Grid(tuple(2 * n for n in g.cells)))
+    reps = sobolev_batch(grids, samples, seed=11)
+    assert len(reps) == 2
+    for grid, rep in zip(grids, reps):
+        ratios = tuple(_reference_sobolev_ratio(grid, _reference_field(grid, phi),
+                                                _reference_field(grid, psi)) for phi, psi in drawn)
+        assert (rep.check, rep.samples) == ("sobolev_product", samples)
+        assert (rep.ratios, rep.max_ratio, rep.violations) == (ratios, max(ratios), 0)
 
 
 def test_batches_refuse_bad_arguments_before_sampling(monkeypatch):
@@ -172,7 +179,11 @@ def test_batches_refuse_bad_arguments_before_sampling(monkeypatch):
         with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
             log_hessian_batch(g, (2.0,), samples, seed=1)
         with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
-            sobolev_batch(g, samples, seed=1)
+            sobolev_batch((g, Grid(32)), samples, seed=1)
+    for grids in ((), (g, Grid((16, 16)))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a batch needs one or more grids of one dimension, got {list(grids)}")):
+            sobolev_batch(grids, 4, seed=1)
     for bad in (1.5, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"q must be at least 2 and finite, got {bad}"):
             log_hessian_batch(g, (2.0, 3.0, bad), 4, seed=1)
@@ -186,6 +197,32 @@ def test_batch_reports_follow_the_order_of_qs():
     for q, rep in zip((4.0, 2.0, 3.0), reps):
         assert rep == log_hessian_batch(g, (q,), 5, seed=2)[0]
     assert len(reps) == 3 and reps[0] != reps[1]
+
+
+def test_cosine_field_sampler_draws_a_fixed_stream():
+    # the first two lists per dimension from default_rng(0): every batch ratio depends on them
+    expected = {1: [[((5,), -0.009003172116546347), ((4,), 0.06675254942805632),
+                     ((1,), 0.32036316946655585), ((5,), 0.08886983078285983),
+                     ((6,), -0.03370215466129834), ((5,), -0.08624063505276729),
+                     ((1,), 0.03661366920049967), ((5,), -0.1584548192914164)],
+                    [((3,), -0.11113190418362569), ((5,), -0.01867170648460687),
+                     ((1,), -0.14106561447422192), ((2,), 0.18597877502960897),
+                     ((2,), 0.24376972979387024), ((4,), 0.018443383800840533),
+                     ((1,), 0.04192822003000623), ((4,), -0.03901066620321963)]],
+                2: [[((5, 4), -0.01749372395364537), ((2, 0), 0.1166859919481085),
+                     ((1, 5), 0.07448545447900644), ((3, 4), 0.20259396901537954),
+                     ((4, 3), -0.27069149130549597), ((1, 5), 0.008512794386084764),
+                     ((2, 6), -0.029679711018607394), ((5, 5), -0.07985686389367215)],
+                    [((0, 6), -0.01239502517913619), ((0, 2), 0.3023161579494338),
+                     ((2, 0), 0.3962577349158348), ((0, 4), 0.029980479919653434),
+                     ((1, 4), 0.0075728942647783), ((3, 6), -0.029053164521786988),
+                     ((2, 4), 0.015203309360653169), ((5, 4), -0.007221233888723434)]]}
+    for dim, lists in expected.items():
+        rng = np.random.default_rng(0)
+        drawn = [sample_cosine_field(rng, dim) for _ in lists]
+        assert drawn == lists
+        assert all(type(ki) is int and type(c) is float
+                   for terms in drawn for k, c in terms for ki in k)
 
 
 def test_cosine_field_sampler_properties():
