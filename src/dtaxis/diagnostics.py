@@ -61,7 +61,7 @@ def hessian_sq(grid: Grid, f: np.ndarray) -> np.ndarray:
     gf = grid.face_gradient(f)
     out = np.zeros(f.shape)
     for b in range(grid.dim):
-        out += ((gf[b][grid.hi[b]] - gf[b][grid.lo[b]]) / grid.h[b]) ** 2
+        out += ((gf[b][grid.hi[b]] - gf[b][grid.lo[b]]) * grid.inv_h[b]) ** 2
         if b:
             gfirst = grid.face_gradient(mean(gf[b], b))
             for a in range(b):
@@ -205,13 +205,15 @@ def _window(prev: State, nxt: State) -> float:
     return nxt.t - prev.t
 
 
-def _integrals(name: str, grid: Grid, rows: np.ndarray) -> list[float]:
-    """``grid.integrals(rows)``, refusing a non-finite sum by law, row and first bad cell."""
+def _integrals(name: str, grid: Grid, rows: np.ndarray, terms=None) -> list[float]:
+    """``grid.integrals(rows)``, refusing a non-finite sum by law, row and first bad cell; a
+    term row is named by its index in ``terms`` (default: the rows after the two densities)."""
     try:
         return grid.integrals(rows)
     except ValueError:
         [i] = first_cell(~np.isfinite(rows.reshape(len(rows), -1).sum(axis=1)))
-        row = ("density at t1", "density at t0")[i] if i < 2 else f"term {i - 1}"
+        row = ("density at t1", "density at t0")[i] if i < 2 else \
+            f"term {terms[i - 2] if terms else i - 1}"
         bad = ~np.isfinite(rows[i])
         where = f"at cell {first_cell(bad)}" if bad.any() else "in its sum"
         raise ValueError(f"{name}: non-finite {row} {where}") from None
@@ -221,23 +223,25 @@ def _identity(prev: State, nxt: State, spec) -> ResidualReport:
     """The residual over one step of spec = (name, density, terms, per): d/dt int density =
     sum of c int integrand over the (c, integrand) terms, divided through by per.  Each is a
     product of ``_Factors`` keys, left to right, in a row of one buffer (next density, current
-    density, integrands) that one call reduces; a term with c = 0 leaves its row 0."""
+    density, integrands) that one call reduces; a term with c = 0 gets no row and adds 0."""
     name, density, terms, per = spec
     dt = _window(prev, nxt)
-    rows = np.zeros((2 + len(terms),) + prev.grid.shape)
+    live = [i for i, (c, _) in enumerate(terms, 1) if c != 0.0]
+    rows = np.empty((2 + len(live),) + prev.grid.shape)
     _Factors(nxt).product(density, rows[0])  # the next state's factors go at once
-    live = [(keys, out) for (c, keys), out in zip([(1.0, density)] + terms, rows[1:]) if c != 0.0]
+    jobs = list(zip([density] + [terms[i - 1][1] for i in live], rows[1:]))
     at = _Factors(prev)
-    for keys, _ in live:  # every gradient product first, so no face gradient meets a power
+    for keys, _ in jobs:  # every gradient product first, so no face gradient meets a power
         for key in {"gu.gu", "gu.gv", "gv.gv", "lap"}.intersection(keys):
             at[key]
     at.pop("gu", None)
     at.pop("gv", None)
-    for keys, out in live:
+    for keys, out in jobs:
         at.product(keys, out)
-    e1, e0, *sums = _integrals(name, prev.grid, rows)
+    e1, e0, *sums = _integrals(name, prev.grid, rows, live)
     rate = (e1 - e0) / (per * dt)
-    terms = [c * x / per for (c, _), x in zip(terms, sums)]
+    sums = dict(zip(live, sums))
+    terms = [c * sums.get(i, 0.0) / per for i, (c, _) in enumerate(terms, 1)]
     rhs = terms[0]
     for t in terms[1:]:  # left to right, on every Python version
         rhs += t

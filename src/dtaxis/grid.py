@@ -36,7 +36,7 @@ BLOCK_CELLS = 4096  # cells per stack of stepper blocks and inequality samples (
 class Grid:
     """Structured uniform grid in 1, 2 or 3 dimensions."""
 
-    __slots__ = ("dim", "cells", "lengths", "h", "hmin2", "shape", "cell_volume",
+    __slots__ = ("dim", "cells", "lengths", "h", "inv_h", "hmin2", "shape", "cell_volume",
                  "face_shapes", "lo", "hi", "inner")
 
     def __init__(self, cells, lengths=None):
@@ -58,6 +58,7 @@ class Grid:
         if any(not 0.0 < L < math.inf for L in self.lengths):
             raise ValueError(f"domain lengths must be positive and finite, got {self.lengths}")
         self.h = tuple(L / n for L, n in zip(self.lengths, self.cells))
+        self.inv_h = tuple(1.0 / h for h in self.h)  # kernels scale by it: exact on dyadic h
         self.hmin2 = min(h * h for h in self.h)
         self.shape = self.cells
         self.cell_volume = math.prod(self.h)
@@ -128,7 +129,7 @@ class Grid:
         out = self.faces(f.shape[:-self.dim]) if out is None else out
         for a in range(self.dim):
             np.subtract(f[self.hi[a]], f[self.lo[a]], out=out[a][self.inner[a]])
-            out[a] /= self.h[a]  # whole and contiguous: the zero walls stay zero
+            out[a] *= self.inv_h[a]  # whole and contiguous: the zero walls stay zero
         return out
 
     def div_faces(self, flux: FaceData, out: np.ndarray | None = None,
@@ -136,10 +137,10 @@ class Grid:
         """Discrete divergence of face fluxes; integrates to zero by telescoping.
         ``out`` receives it in place, and ``cell`` is scratch from 2D on."""
         out = np.subtract(flux[0][self.hi[0]], flux[0][self.lo[0]], out=out)
-        out /= self.h[0]
+        out *= self.inv_h[0]
         for a in range(1, self.dim):
             d = np.subtract(flux[a][self.hi[a]], flux[a][self.lo[a]], out=cell)
-            d /= self.h[a]
+            d *= self.inv_h[a]
             out += d
         return out
 
@@ -154,12 +155,13 @@ class Grid:
     def cell_dot(self, ga: FaceData, gb: FaceData, out: np.ndarray | None = None,
                  faces: FaceData | None = None, cell: np.ndarray | None = None) -> np.ndarray:
         """grad a . grad b at cell centers: per axis, ga * gb averaged over the cell's two
-        faces.  ``out`` receives it in place; ``faces`` and ``cell`` are scratch."""
+        faces.  ``out`` receives it in place; ``faces`` and ``cell`` are scratch.  The face
+        pairs are summed over the axes and halved once, which is exact."""
         for a in range(self.dim):
             prod = np.multiply(ga[a], gb[a], faces[a] if faces else None)
-            mean = np.add(prod[self.lo[a]], prod[self.hi[a]], cell if a else out)
-            mean *= 0.5
-            out = np.add(out, mean, out=out) if a else mean
+            pair = np.add(prod[self.lo[a]], prod[self.hi[a]], cell if a else out)
+            out = np.add(out, pair, out=out) if a else pair
+        out *= 0.5
         return out
 
 

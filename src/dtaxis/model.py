@@ -185,26 +185,27 @@ def build_initial(grid: Grid, data: InitialData, params: Params) -> State:
     return build_initial_from_fields(grid, u0, v0, params, v_floor=data.v_floor)
 
 
-def face_average(grid: Grid, w: np.ndarray, mode: str, out: FaceData | None = None) -> FaceData:
+def face_average(grid: Grid, w: np.ndarray, mode: str, out: FaceData | None = None,
+                 cell: np.ndarray | None = None) -> FaceData:
     """Average a cell field onto interior faces; wall faces stay zero.  ``out``, face data
-    with zero walls, receives it in place.
-
-    Geometric averaging keeps a face coefficient at exactly zero whenever one
-    adjacent cell carries zero.  So vacuum (u = 0) cells exchange no diffusive
-    flux, and for alpha > 0 no tactic flux; at alpha = 0 the taxis flux
-    chi v grad v does not depend on u, and a vacuum cell is not insulated from it.
+    with zero walls, receives it in place; ``cell`` is scratch for the geometric mean
+    sqrt(w_lo) * sqrt(w_hi), which is 0 next to an empty cell and finite and positive between
+    positive ones.  So vacuum (u = 0) cells exchange no diffusive flux, and for alpha > 0 no
+    tactic flux; at alpha = 0 the taxis flux chi v grad v does not depend on u, and a vacuum
+    cell is not insulated from it.
     """
     if mode not in AVG_MODES:
         raise ValueError(f"avg_mode must be one of {AVG_MODES}, got {mode!r}")
     out = grid.faces() if out is None else out
-    for a, f in enumerate(out):  # each f is scaled whole; its zero walls stay zero
+    if mode == "geometric":
+        w = np.sqrt(w, out=cell)
+    for a, f in enumerate(out):
         lo, hi = w[grid.lo[a]], w[grid.hi[a]]
         if mode == "arithmetic":
             np.add(lo, hi, out=f[grid.inner[a]])
-            f *= 0.5
+            f *= 0.5  # scaled whole: its zero walls stay zero
         else:
             np.multiply(lo, hi, out=f[grid.inner[a]])
-            np.sqrt(f, out=f)
     return out
 
 
@@ -224,8 +225,8 @@ def _rhs_core(state: State, params: Params, into=None):
         m *= v
         g.face_gradient(u, out=gu)
         g.face_gradient(v, out=gv)
-        face_average(g, uv, params.avg_mode, out=flux)
-        face_average(g, m, params.avg_mode, out=mf)
+        face_average(g, uv, params.avg_mode, out=flux, cell=lap_v)  # lap_v is written last
+        face_average(g, m, params.avg_mode, out=mf, cell=lap_v)
         dstar = float(np.add(m, uv, out=m).max())  # m serves as cell scratch from here
         for a in range(g.dim):
             flux[a] *= gu[a]

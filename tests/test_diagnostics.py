@@ -428,6 +428,10 @@ def test_non_finite_integrand_is_named_by_law_row_and_cell():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=r"^u0\.5_v1: non-finite term 1 at cell \(5,\)$"):
             residual_upvq_identity(s, s2, 0.5, 1.0, p)
+    # at p = 0 only T7 and T8 have rows; the one that fails is named by its place in the law
+    inf_u = State(grid=g, t=0.0, u=np.where(np.arange(16) == 5, np.inf, u), v=s.v)
+    with pytest.raises(ValueError, match=r"^u0_v2: non-finite term 8 at cell \(5,\)$"):
+        residual_upvq_identity(inf_u, s2, 0.0, 2.0, p)
     v = s2.v.copy()
     v[3] = np.nan
     with pytest.raises(ValueError) as err:

@@ -298,3 +298,39 @@ def test_operators_act_on_a_stack_row_by_row(cells):
         assert [fa[i].tobytes() for fa in grads] == [fa.tobytes() for fa in gf]
         assert div[i].tobytes() == g.div_faces(gf).tobytes()
         assert dot[i].tobytes() == g.cell_dot(gf, gf).tobytes()
+
+
+def _kernels_dividing_by_h(g, f, flux, ga, gb):
+    """face_gradient, div_faces and cell_dot written with a division by h and a halving
+    per axis; also the magnitude scale of each divergence, the sum of its |axis terms|."""
+    grad = g.faces()
+    for a in range(g.dim):
+        grad[a][g.inner[a]] = (f[g.hi[a]] - f[g.lo[a]]) / g.h[a]
+    terms = [(flux[a][g.hi[a]] - flux[a][g.lo[a]]) / g.h[a] for a in range(g.dim)]
+    means = [0.5 * ((ga[a] * gb[a])[g.lo[a]] + (ga[a] * gb[a])[g.hi[a]]) for a in range(g.dim)]
+    div, dot, scale = terms[0], means[0], np.abs(terms[0])
+    for a in range(1, g.dim):
+        div, dot, scale = div + terms[a], dot + means[a], scale + np.abs(terms[a])
+    return grad, div, dot, scale
+
+
+@pytest.mark.parametrize("cells, dyadic", [(64, True), ((16, 32), True), ((8, 4, 16), True),
+                                           (12, False), ((10, 7), False), ((6, 5, 3), False)])
+def test_kernels_scaled_by_inv_h_match_the_division_by_h(cells, dyadic):
+    # on dyadic h, 1/h is exact and so is x * (1/h) == x / h; elsewhere one rounding apart
+    rng = np.random.default_rng(23)
+    g = Grid(cells)
+    f, w = rng.uniform(-1.0, 1.0, g.shape), rng.uniform(-1.0, 1.0, g.shape)
+    flux, ga, gb = g.face_gradient(w), g.face_gradient(f), g.face_gradient(w)
+    grad, div, dot, scale = _kernels_dividing_by_h(g, f, flux, ga, gb)
+    got_grad, got_div = g.face_gradient(f), g.div_faces(flux)
+    assert g.inv_h == tuple(1.0 / h for h in g.h)
+    # halving once after the axis sum is exact on every grid
+    assert g.cell_dot(ga, gb).tobytes() == dot.tobytes()
+    if dyadic:
+        assert [x.tobytes() for x in got_grad] == [x.tobytes() for x in grad]
+        assert got_div.tobytes() == div.tobytes()
+    else:
+        for x, ref in zip(got_grad, grad):
+            assert (np.abs(x - ref) <= 4 * np.spacing(np.abs(ref))).all()
+        assert (np.abs(got_div - div) <= 4 * np.spacing(scale)).all()

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtaxis import Grid, InitialData, Params, build_initial
 from dtaxis.model import (State, _power, _rhs_core, build_initial_from_fields, face_average,
@@ -123,8 +127,28 @@ def test_face_diffusivity_degenerate_and_means():
     u = np.array([2.0, 8.0])
     assert face_average(g, u * v, "arithmetic")[0][1] == pytest.approx(5.0)
     assert face_average(g, u * v, "geometric")[0][1] == pytest.approx(4.0)
+    # the root of the product would give 0 and inf here
+    for w in (1e-200, 1e160):
+        assert face_average(g, np.array([w, w]), "geometric")[0][1] == pytest.approx(w)
     with pytest.raises(ValueError):
         face_average(g, u, "median")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(cells=st.lists(st.integers(2, 4), min_size=1, max_size=3), data=st.data())
+def test_geometric_face_mean_is_zero_only_at_vacuum_and_lies_between_its_cells(cells, data):
+    g = Grid(cells)
+    cell_value = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
+    w = np.array(data.draw(st.lists(cell_value, min_size=math.prod(cells),
+                                    max_size=math.prod(cells)))).reshape(g.shape)
+    for a, f in enumerate(face_average(g, w, "geometric")):
+        lo, hi, f = w[g.lo[a]], w[g.hi[a]], f[g.inner[a]]
+        vacuum = (lo == 0.0) | (hi == 0.0)
+        assert np.array_equal(f == 0.0, vacuum)
+        assert np.isfinite(f).all() and (f[~vacuum] > 0.0).all()
+        # sqrt(lo) * sqrt(hi) is three roundings from the exact mean, which lies between
+        assert (f >= np.minimum(lo, hi) * (1.0 - 2.0 ** -51)).all()
+        assert (f <= np.maximum(lo, hi) * (1.0 + 2.0 ** -51)).all()
 
 
 @pytest.mark.parametrize("mode", ["arithmetic", "geometric"])
@@ -136,7 +160,7 @@ def test_face_average_out_form_bit_equals_the_allocating_form(cells, mode):
     out = g.faces()
     for a, fa in enumerate(out):
         fa[g.inner[a]] = np.nan  # a reused destination: only its zero walls are kept
-    got = face_average(g, w, mode, out=out)
+    got = face_average(g, w, mode, out=out, cell=np.full(g.shape, np.nan))
     assert got is out
     assert [fa.tobytes() for fa in got] == [fa.tobytes() for fa in face_average(g, w, mode)]
 
