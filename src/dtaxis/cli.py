@@ -240,11 +240,8 @@ def _write_csv(path, header: list[str], rows: list[list]) -> list[list]:
     return rows
 
 
-# residuals.csv: (column, report attribute); only the first-energy report has a slack
-_RESIDUAL_COLUMNS = (("identity", "name"), ("t0", "t0"), ("t1", "t1"), ("lhs", "lhs"),
-                     ("rhs", "rhs"), ("residual", "residual"), ("normalizer", "normalizer"),
-                     ("rel_residual", "rel"), ("first_energy_slack", "slack"))
-RESIDCOLS = [column for column, _ in _RESIDUAL_COLUMNS]
+RESIDCOLS = ["identity", "t0", "t1", "lhs", "rhs", "residual", "normalizer", "rel_residual",
+             "first_energy_slack"]
 
 
 class _ResidualObserver:
@@ -258,7 +255,7 @@ class _ResidualObserver:
     def __call__(self, prev: State, new: State, dt: float):
         if self.ticks.due(new.t) is None:
             return
-        self.rows += [[getattr(rep, attr, "") for _, attr in _RESIDUAL_COLUMNS]
+        self.rows += [[*rep[:7], rep.rel, "" if rep.slack is None else rep.slack]
                       for rep in diagnostics.residual_rows(prev, new, self.params)]
 
 

@@ -8,7 +8,7 @@ of checks live in this module:
 * ``residual_rows`` and the functions it calls measure, in residual form, how
   well one accepted step satisfies the exact balance laws of the semi-discrete
   system (O(dt + h^2) on smooth runs): the product laws are specs of one
-  kernel, ``_identity``, and the first energy is one direct function;
+  kernel, ``_identities``, and the first energy is one direct function;
 * ``check_sobolev_product`` and ``check_log_hessian`` probe standalone
   integral inequalities on given positive fields; ``sobolev_batch`` and
   ``log_hessian_batch`` run them on random fields, stacked by sample, each
@@ -22,7 +22,6 @@ integrands in one call: the rows of one buffer, summed by ``Grid.integrals``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -119,7 +118,11 @@ def monitor_row(state: State, params: Params,
     _energy(state, params, rows[5])
     for p, row in zip(p_list, rows[6:]):
         lp_power(u, p, out=row)
-    mass_u, mass_v, *sums = g.integrals(rows)  # then log_energy .. combined_flux_energy
+    try:
+        sums = g.integrals(rows)
+    except ValueError:  # a non-finite sum leaves its entry non-finite, named below
+        sums = rows.reshape(len(rows), -1).sum(axis=1).tolist()
+    mass_u, mass_v, *sums = sums  # then log_energy .. combined_flux_energy, the moments
     row = MonitorRow(state.t, mass_u, mass_v, mass_u + params.ell * mass_v, float(u.max()),
                      float(v.max()), inf_v, *sums[:4], tuple(map(lp_root, sums[4:], p_list)),
                      state.acc)
@@ -133,9 +136,10 @@ def monitor_row(state: State, params: Params,
 # balance-law residuals over one accepted step: one kernel, one spec per law
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """lhs - rhs of one discrete balance law over the window [t0, t1]."""
+class ResidualReport(NamedTuple):
+    """lhs - rhs of one discrete balance law over the window [t0, t1].  Only
+    ``check_first_energy`` sets the last four fields: lhs = rate + dissipation there, and the
+    slack of the one-sided bound rate <= rhs_inequality."""
 
     name: str
     t0: float
@@ -144,37 +148,30 @@ class ResidualReport:
     rhs: float
     residual: float
     normalizer: float
+    rate: float | None = None
+    dissipation: float | None = None
+    rhs_inequality: float | None = None
+    slack: float | None = None
 
     @property
     def rel(self) -> float:
         return abs(self.residual) / self.normalizer
 
 
-@dataclass(frozen=True)
-class FirstEnergyReport(ResidualReport):
-    """Equality residual and inequality slack of the combined flux energy.
-
-    The energy E_chi = int( u^(3-alpha)/((2-alpha)(3-alpha)) - chi u v ) dissipates the
-    flux-weighted square int u^alpha v |grad w_chi|^2, w_chi = u^(2-alpha)/(2-alpha) - chi v,
-    so lhs = rate + dissipation balances the equality right side rhs; dropping the
-    dissipation and the nonpositive -ell chi int u v^2 yields the one-sided bound
-    rate <= rhs_inequality, whose slack is reported here.
-    """
-
-    rate: float
-    dissipation: float
-    rhs_inequality: float
-    slack: float
-
-
 class _Factors(dict):
     """One state's integrand factors, each formed on first use and then shared: "u", "v",
     the powers ("u", e) and ("v", e), the face gradients "gu" and "gv", their cell dot
-    products "gu.gu", "gu.gv" and "gv.gv", and "lap", the Laplacian of v."""
+    products "gu.gu", "gu.gv" and "gv.gv", and "lap", the Laplacian of v.  Every gradient
+    product named in the key tuples ``products`` is formed at once, then the face gradients go."""
 
-    def __init__(self, state: State):
+    def __init__(self, state: State, products=()):
         super().__init__(u=state.u, v=state.v)
         self.grid = state.grid
+        for key in ("gu.gu", "gu.gv", "gv.gv", "lap"):
+            if any(key in keys for keys in products):
+                self[key]
+        self.pop("gu", None)
+        self.pop("gv", None)
 
     def __missing__(self, key):
         if isinstance(key, tuple):  # the power 0 is 1, and the power 1 the field itself
@@ -219,40 +216,46 @@ def _integrals(name: str, grid: Grid, rows: np.ndarray, terms=None) -> list[floa
         raise ValueError(f"{name}: non-finite {row} {where}") from None
 
 
-def _identity(prev: State, nxt: State, spec) -> ResidualReport:
-    """The residual over one step of spec = (name, density, terms, per): d/dt int density =
-    sum of c int integrand over the (c, integrand) terms, divided through by per.  Each is a
-    product of ``_Factors`` keys, left to right, in a row of one buffer (next density, current
-    density, integrands) that one call reduces; a term with c = 0 gets no row and adds 0."""
-    name, density, terms, per = spec
+def _identities(prev: State, nxt: State, specs) -> list[ResidualReport]:
+    """The residual over one step of each spec = (name, density, terms, per): d/dt int density
+    = sum of c int integrand over the (c, integrand) terms, divided through by per.  Each is a
+    product of ``_Factors`` keys, left to right, in a row of one buffer per law (next density,
+    current density, integrands) that one call reduces; a term with c = 0 gets no row and adds
+    0.  The laws share one table per state, and each law's powers go before the next runs."""
     dt = _window(prev, nxt)
-    live = [i for i, (c, _) in enumerate(terms, 1) if c != 0.0]
-    rows = np.empty((2 + len(live),) + prev.grid.shape)
-    _Factors(nxt).product(density, rows[0])  # the next state's factors go at once
-    jobs = list(zip([density] + [terms[i - 1][1] for i in live], rows[1:]))
-    at = _Factors(prev)
-    for keys, _ in jobs:  # every gradient product first, so no face gradient meets a power
-        for key in {"gu.gu", "gu.gv", "gv.gv", "lap"}.intersection(keys):
-            at[key]
-    at.pop("gu", None)
-    at.pop("gv", None)
-    for keys, out in jobs:
-        at.product(keys, out)
-    e1, e0, *sums = _integrals(name, prev.grid, rows, live)
-    rate = (e1 - e0) / (per * dt)
-    sums = dict(zip(live, sums))
-    terms = [c * sums.get(i, 0.0) / per for i, (c, _) in enumerate(terms, 1)]
-    rhs = terms[0]
-    for t in terms[1:]:  # left to right, on every Python version
-        rhs += t
-    return ResidualReport(name, prev.t, nxt.t, rate, rhs, rate - rhs, _normalizer(rate, *terms))
+    then = _Factors(nxt, [density for _, density, _, _ in specs])
+    at = _Factors(prev, [keys for _, density, terms, _ in specs
+                         for keys in (density, *(keys for c, keys in terms if c != 0.0))])
+    reports = []
+    for name, density, terms, per in specs:
+        live = [i for i, (c, _) in enumerate(terms, 1) if c != 0.0]
+        rows = np.empty((2 + len(live),) + prev.grid.shape)
+        then.product(density, rows[0])
+        for keys, out in zip([density] + [terms[i - 1][1] for i in live], rows[1:]):
+            at.product(keys, out)
+        for table in (then, at):
+            for key in [key for key in table if isinstance(key, tuple)]:
+                del table[key]
+        e1, e0, *sums = _integrals(name, prev.grid, rows, live)
+        rate = (e1 - e0) / (per * dt)
+        sums = dict(zip(live, sums))
+        terms = [c * sums.get(i, 0.0) / per for i, (c, _) in enumerate(terms, 1)]
+        rhs = terms[0]
+        for t in terms[1:]:  # left to right, on every Python version
+            rhs += t
+        reports.append(ResidualReport(name, prev.t, nxt.t, rate, rhs, rate - rhs,
+                                      _normalizer(rate, *terms)))
+    return reports
+
+
+_V_ENERGY = ("v_energy", ("gv.gv",), [
+    (-2.0, ("lap", "lap")), (-2.0, ("u", "gv.gv")), (-2.0, ("v", "gu.gv"))], 2.0)
 
 
 def residual_v_energy(prev: State, nxt: State, params: Params) -> ResidualReport:
     """Residual of the signal gradient-energy balance over one step: (1/2) d/dt int |grad v|^2
     = -int |lap v|^2 - int u |grad v|^2 - int v grad(u) . grad(v), doubled and halved."""
-    return _identity(prev, nxt, ("v_energy", ("gv.gv",), [
-        (-2.0, ("lap", "lap")), (-2.0, ("u", "gv.gv")), (-2.0, ("v", "gu.gv"))], 2.0))
+    return _identities(prev, nxt, [_V_ENERGY])[0]
 
 
 def _upvq(p: float, q: float, params: Params, name: str, per: float = 1.0):
@@ -275,7 +278,7 @@ def residual_upvq_identity(prev: State, nxt: State, p: float, q: float,
                            params: Params) -> ResidualReport:
     """Residual of the mixed-moment balance d/dt int u^p v^q = T1 + ... + T8 (see ``_upvq``);
     p = 0 divided through by q is the v^q balance, and p = 1, q = 0 the mass law."""
-    return _identity(prev, nxt, _upvq(p, q, params, f"u{p:g}_v{q:g}"))
+    return _identities(prev, nxt, [_upvq(p, q, params, f"u{p:g}_v{q:g}")])[0]
 
 
 def _energy(state: State, params: Params, out: np.ndarray) -> None:
@@ -286,11 +289,13 @@ def _energy(state: State, params: Params, out: np.ndarray) -> None:
     out -= uv
 
 
-def check_first_energy(prev: State, nxt: State, params: Params) -> FirstEnergyReport:
-    """d/dt E_chi + dissipation = ell int w_chi u v + chi int grad u . grad v + chi int u^2 v;
-    the bound takes (ell / (2-alpha)) int u^(3-alpha) v for the growth term.  One call reduces
-    the rows: the next and the current density of E_chi (sharing u^(3-alpha) and chi u v),
-    u^alpha v |grad w_chi|^2, w_chi u v, grad u . grad v, u^2 v and u^(3-alpha) v."""
+def check_first_energy(prev: State, nxt: State, params: Params) -> ResidualReport:
+    """d/dt E_chi + dissipation = ell int w_chi u v + chi int grad u . grad v + chi int u^2 v
+    for E_chi of density ``_energy``, dissipation int u^alpha v |grad w_chi|^2 and w_chi =
+    u^(2-alpha)/(2-alpha) - chi v.  The bound drops the dissipation and the nonpositive
+    -ell chi int u v^2, and so takes (ell / (2-alpha)) int u^(3-alpha) v for the growth term.
+    One call reduces the rows: the next and the current density of E_chi (sharing u^(3-alpha)
+    and chi u v), u^alpha v |grad w_chi|^2, w_chi u v, grad u . grad v, u^2 v, u^(3-alpha) v."""
     dt = _window(prev, nxt)
     g, u, v, a, chi, ell = prev.grid, prev.u, prev.v, params.alpha, params.chi, params.ell
     r = np.empty((7,) + g.shape)
@@ -312,18 +317,17 @@ def check_first_energy(prev: State, nxt: State, params: Params) -> FirstEnergyRe
     t_grow, t_mix, t_quad = ell * grow, chi * mix, chi * quad
     lhs, rhs = rate + dissipation, t_grow + t_mix + t_quad
     rhs_ineq = ell / (2.0 - a) * bound + t_mix + t_quad
-    return FirstEnergyReport("first_energy", prev.t, nxt.t, lhs, rhs, lhs - rhs,
-                             _normalizer(rate, dissipation, t_mix, t_quad, t_grow), rate=rate,
-                             dissipation=dissipation, rhs_inequality=rhs_ineq,
-                             slack=rhs_ineq - rate)
+    return ResidualReport("first_energy", prev.t, nxt.t, lhs, rhs, lhs - rhs,
+                          _normalizer(rate, dissipation, t_mix, t_quad, t_grow), rate=rate,
+                          dissipation=dissipation, rhs_inequality=rhs_ineq,
+                          slack=rhs_ineq - rate)
 
 
 def residual_rows(prev: State, nxt: State, params: Params) -> list[ResidualReport]:
     """The rows of residuals.csv for one step, in order: v_energy, v_pow_2 (the u^p v^q law
     at p = 0, divided through by q = 2), u0.5_v1 and first_energy."""
-    return [residual_v_energy(prev, nxt, params),
-            _identity(prev, nxt, _upvq(0.0, 2.0, params, "v_pow_2", per=2.0)),
-            residual_upvq_identity(prev, nxt, 0.5, 1.0, params),
+    return [*_identities(prev, nxt, [_V_ENERGY, _upvq(0.0, 2.0, params, "v_pow_2", per=2.0),
+                                     _upvq(0.5, 1.0, params, "u0.5_v1")]),
             check_first_energy(prev, nxt, params)]
 
 

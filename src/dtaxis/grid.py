@@ -40,8 +40,10 @@ class Grid:
                  "face_shapes", "lo", "hi", "inner")
 
     def __init__(self, cells, lengths=None):
-        if isinstance(cells, (int, np.integer)):
-            cells = (int(cells),)
+        cells = np.atleast_1d(cells)  # one count, or one per axis
+        for n in cells:
+            if not float(n).is_integer():
+                raise ValueError(f"cell counts must be integers, got {n}")
         self.cells = tuple(int(n) for n in cells)
         self.dim = len(self.cells)
         if self.dim not in (1, 2, 3):

@@ -125,6 +125,9 @@ class InitialData:
             raise ValueError("from_snapshot initial data needs a snapshot_path")
         if not 0.0 < self.u_width < math.inf:
             raise ValueError(f"u_width must be positive and finite, got {self.u_width}")
+        for name, k in (("u_mode", self.u_mode), ("v_mode", self.v_mode)):
+            if not float(k).is_integer():  # a fractional mode breaks the no-flux walls
+                raise ValueError(f"{name} must be an integer, got {k}")
 
 
 def initial_profiles(grid: Grid, data: InitialData) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dtaxis import Grid, InitialData, Params, StepControl, build_initial
-from dtaxis.diagnostics import (FirstEnergyReport, MonitorRow, ResidualReport, _identity,
+from dtaxis.diagnostics import (MonitorRow, ResidualReport, _identities,
                                 _normalizer, _upvq, check_first_energy, hessian_sq, monitor_row,
                                 residual_rows, residual_upvq_identity, residual_v_energy)
 from dtaxis.model import Accumulators, State, _power
@@ -58,6 +58,15 @@ def test_monitor_row_refuses_a_non_finite_accumulator():
         monitor_row(state, Params(alpha=1.0, epsilon=0.01))
 
 
+def test_monitor_row_names_a_non_finite_integral():
+    # 5^500 overflows in every cell: the lp_500_u integral is named like any other entry
+    g = Grid(16)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^non-finite monitor entry lp_500_u at t=0$"):
+            monitor_row(_const_state(g, u=5.0), Params(alpha=1.0, epsilon=0.01),
+                        p_list=(1.0, 500.0))
+
+
 def test_monitor_lp_list_and_header():
     g = Grid(16)
     p = Params(alpha=1.0, epsilon=0.01)
@@ -107,7 +116,7 @@ def test_residual_v_energy_constant_is_zero():
 
 def _vq_row(prev, nxt, q, params):
     """The v^q balance: the u^p v^q law at p = 0 divided through by q, as the v_pow_2 row."""
-    return _identity(prev, nxt, _upvq(0.0, q, params, f"v_pow_{q:g}", per=q))
+    return _identities(prev, nxt, [_upvq(0.0, q, params, f"v_pow_{q:g}", per=q)])[0]
 
 
 def _heat_flow_worst(n, dtmax, t_w=2e-3):
@@ -245,6 +254,8 @@ def test_first_energy_report_is_a_residual_report():
     assert rep.lhs == rep.rate + rep.dissipation
     assert rep.residual == rep.lhs - rep.rhs
     assert rep.slack == rep.rhs_inequality - rep.rate
+    for law in residual_rows(s, step(s, p, 1e-5), p)[:3]:  # the product laws set none of them
+        assert law.rate is law.dissipation is law.rhs_inequality is law.slack is None
 
 
 def _first_energy_by_definition(prev, nxt, params):
@@ -268,7 +279,7 @@ def _first_energy_by_definition(prev, nxt, params):
     t_grow = params.ell * g.integrate(u3av / (2.0 - a) - uv * chi * v)
     lhs, rhs = rate + dissipation, t_grow + t_mix + t_quad
     rhs_ineq = (params.ell / (2.0 - a)) * g.integrate(u3av) + t_mix + t_quad
-    return FirstEnergyReport(
+    return ResidualReport(
         "first_energy", prev.t, nxt.t, lhs, rhs, lhs - rhs,
         _normalizer(rate, dissipation, t_mix, t_quad, t_grow),
         rate=rate, dissipation=dissipation, rhs_inequality=rhs_ineq,
@@ -367,7 +378,7 @@ def test_v_pow_2_row_is_finite_on_exact_vacuum():
     u[5] = 0.0
     s = State(grid=g, t=0.0, u=u, v=1.0 + 0.2 * np.cos(2.0 * np.pi * g.centers(0)))
     s2 = step(s, p, 1e-5)
-    rep = _identity(s, s2, _upvq(0.0, 2.0, p, "v_pow_2", per=2.0))
+    rep = _identities(s, s2, [_upvq(0.0, 2.0, p, "v_pow_2", per=2.0)])[0]
     assert np.isfinite([rep.lhs, rep.rhs, rep.residual, rep.normalizer]).all()
     assert rep == _vq_by_definition(s, s2, 2.0, p)
 
@@ -460,6 +471,23 @@ def test_residual_rows_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 26 * s.u.nbytes, peak / s.u.nbytes
+
+
+def test_residual_rows_shares_its_gradient_kernels(monkeypatch):
+    # one factor table per state serves the three product laws: the next state's v gradient,
+    # the current state's u and v gradients and first_energy's three, and as many dots
+    g = Grid((8, 6, 5))
+    p = Params(alpha=1.25, epsilon=0.01, chi=1.0, ell=1.0)
+    s = build_initial(g, InitialData(kind="cosine_mix", u_base=1.0, u_amplitude=-0.5), p)
+    s2 = step(s, p, 1e-6)
+    calls = {"face_gradient": 0, "cell_dot": 0}
+    for name in calls:
+        def counted(*args, _kernel=getattr(Grid, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(Grid, name, counted)
+    residual_rows(s, s2, p)
+    assert calls["face_gradient"] <= 6 and calls["cell_dot"] <= 6, calls
 
 
 def _interior_hessian_sq(cells, lengths, f):

@@ -17,6 +17,19 @@ def test_grid_validation():
         Grid((8, 8), (1.0,))
 
 
+@pytest.mark.parametrize("cells, bad", [((16.5,), "16.5"), (16.5, "16.5"), ((8, 7.25), "7.25"),
+                                        ((float("nan"),), "nan")])
+def test_grid_refuses_a_non_integral_cell_count(cells, bad):
+    with pytest.raises(ValueError, match=f"^cell counts must be integers, got {bad}$"):
+        Grid(cells)
+
+
+def test_grid_accepts_numpy_integer_cell_counts():
+    assert Grid(np.int64(16)) == Grid(16)
+    assert Grid((np.int32(8), np.uint8(6))).cells == (8, 6)
+    assert Grid(np.array([4, 5])).cells == (4, 5)
+
+
 def test_integrate_constant_exact():
     g = Grid((16, 16))
     assert g.integrate(np.full(g.shape, 2.0)) == pytest.approx(2.0, abs=0.0)

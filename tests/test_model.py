@@ -49,6 +49,14 @@ def test_initial_data_rejects_bad_u_width(width):
         InitialData(kind="gaussian_bump", u_width=width)
 
 
+@pytest.mark.parametrize("mode", ["u_mode", "v_mode"])
+def test_initial_data_refuses_a_non_integral_mode(mode):
+    # cos(2.5 pi x / L) has a nonzero slope at x = L: the no-flux compatibility fails
+    with pytest.raises(ValueError, match=f"^{mode} must be an integer, got 2.5$"):
+        InitialData(kind="cosine_mix", **{mode: 2.5})
+    assert getattr(InitialData(kind="cosine_mix", **{mode: np.int64(3)}), mode) == 3
+
+
 def test_build_initial_constant_shift():
     g = Grid(32)
     p = Params(alpha=1.0, epsilon=0.01)
