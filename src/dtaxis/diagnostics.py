@@ -55,12 +55,13 @@ def hessian_sq(grid: Grid, f: np.ndarray) -> np.ndarray:
     that need clean second-order behavior exclude them from quadratures.
     """
     def mean(g: np.ndarray, a: int) -> np.ndarray:
-        return 0.5 * (g[grid.lo[a]] + g[grid.hi[a]])
+        return 0.5 * (grid.face_view(g, a, below=True) + grid.face_view(g, a))
 
     gf = grid.face_gradient(f)
     out = np.zeros(f.shape)
     for b in range(grid.dim):
-        out += ((gf[b][grid.hi[b]] - gf[b][grid.lo[b]]) * grid.inv_h[b]) ** 2
+        out += ((grid.face_view(gf[b], b) - grid.face_view(gf[b], b, below=True))
+                * grid.inv_h[b]) ** 2
         if b:
             gfirst = grid.face_gradient(mean(gf[b], b))
             for a in range(b):
@@ -435,7 +436,7 @@ def _log_hessian_reports(grid: Grid, stacks, qs) -> list[list[LogHessianReport]]
             rows = np.stack([_power(ph, -q - 1.0) * g2 ** ((q + 2.0) / 2.0),
                              _power(ph, -q + 1.0) * g2q * hess_phi,
                              _power(ph, -q + 3.0) * g2q * hess_log], 1)
-            sums = iter(grid.integrals(rows.reshape(3 * len(ph), -1)))  # each field's 3 in turn
+            sums = iter(grid.row_integrals(rows.reshape(3 * len(ph), -1)))  # each field's 3 in turn
             c_grad, c_hess = (q + math.sqrt(grid.dim)) ** 2, (q + math.sqrt(grid.dim) + 1.0) ** 2
             per_q += [LogHessianReport(q, lhs_grad, c_grad * base, lhs_hess, c_hess * base)
                       for lhs_grad, lhs_hess, base in zip(sums, sums, sums)]

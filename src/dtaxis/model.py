@@ -202,14 +202,12 @@ def face_average(grid: Grid, w: np.ndarray, mode: str, out: FaceData | None = No
     out = grid.faces() if out is None else out
     if mode == "geometric":
         w = np.sqrt(w, out=cell)
-    for a, f in enumerate(out):
-        lo, hi = w[grid.lo[a]], w[grid.hi[a]]
+    w = w if grid.dim == 1 else grid.flat(w)
+    for a, (hi, lo) in enumerate(grid.diff):
+        (np.multiply if mode == "geometric" else np.add)(w[lo], w[hi], out=out[a][hi])
         if mode == "arithmetic":
-            np.add(lo, hi, out=f[grid.inner[a]])
-            f *= 0.5  # scaled whole: its zero walls stay zero
-        else:
-            np.multiply(lo, hi, out=f[grid.inner[a]])
-    return out
+            out[a] *= 0.5  # scaled whole: its zero walls stay zero
+    return out if grid.dim == 1 else grid.zero_wraps(out)
 
 
 def _rhs_core(state: State, params: Params, into=None):

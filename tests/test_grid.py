@@ -2,8 +2,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtaxis import Grid
+from dtaxis.model import face_average
+
+LO, HI = slice(0, -1), slice(1, None)  # along an axis: all cells but the last, but the first
+
+
+def along(g, a, sl):
+    """Index tuple taking sl along axis a of a (..., *shape) cell array."""
+    return (..., *(sl if b == a else slice(None) for b in range(g.dim)))
 
 
 def test_grid_validation():
@@ -28,6 +38,21 @@ def test_grid_accepts_numpy_integer_cell_counts():
     assert Grid(np.int64(16)) == Grid(16)
     assert Grid((np.int32(8), np.uint8(6))).cells == (8, 6)
     assert Grid(np.array([4, 5])).cells == (4, 5)
+
+
+@pytest.mark.parametrize("length", [np.int64(2), np.int32(2), np.float32(2.0), np.float64(2.0),
+                                    np.array(2.0), np.array(2)])
+def test_grid_applies_a_numpy_scalar_length_to_every_axis(length):
+    assert Grid(8, length) == Grid(8, 2.0)
+    assert Grid((8, 6, 4), length).lengths == (2.0, 2.0, 2.0)
+
+
+def test_integrals_refuse_a_stack_of_another_shape():
+    # each row once summed to 5/4
+    with pytest.raises(ValueError, match=r"^field of shape \(5,\) does not fit grid \(4,\)$"):
+        Grid(4).integrals(np.ones((2, 5)))
+    with pytest.raises(ValueError, match=r"^field of shape \(8, 8\) does not fit grid \(4, 16\)$"):
+        Grid((4, 16)).integrals(np.ones((3, 8, 8)))
 
 
 def test_integrate_constant_exact():
@@ -163,10 +188,9 @@ def test_div_faces_telescoping():
         flux = g.faces()
         n_faces = 0
         for a, fa in enumerate(flux):
-            it = [slice(None)] * g.dim
-            it[a] = slice(1, -1)
-            fa[tuple(it)] = rng.uniform(-1, 1, fa[tuple(it)].shape)
-            n_faces += fa.size
+            inner = g.face_view(fa, a)[along(g, a, LO)]  # the faces above all but last cells
+            inner[...] = rng.uniform(-1, 1, inner.shape)
+            n_faces += g.size + g.size // g.cells[a]  # n_a + 1 faces on each line along a
         fmax = max(np.max(np.abs(fa)) for fa in flux)
         total = g.integrate(g.div_faces(flux))
         assert abs(total) <= 1e-12 * fmax * n_faces
@@ -282,7 +306,7 @@ def test_out_forms_bit_equal_the_allocating_forms(cells):
     # bit-equal to gf, so the walls are still 0
     dirty = g.faces()
     for a, fa in enumerate(dirty):
-        fa[g.inner[a]] = np.nan
+        g.face_view(fa, a)[along(g, a, LO)] = np.nan
     for out in (dirty, [fa[1] for fa in g.faces((3,))]):
         got = g.face_gradient(f, out=out)
         assert got is out and same(got, gf)
@@ -316,11 +340,15 @@ def test_operators_act_on_a_stack_row_by_row(cells):
 def _kernels_dividing_by_h(g, f, flux, ga, gb):
     """face_gradient, div_faces and cell_dot written with a division by h and a halving
     per axis; also the magnitude scale of each divergence, the sum of its |axis terms|."""
+    def below_above(face, a):
+        return g.face_view(face, a, below=True), g.face_view(face, a)
+
     grad = g.faces()
     for a in range(g.dim):
-        grad[a][g.inner[a]] = (f[g.hi[a]] - f[g.lo[a]]) / g.h[a]
-    terms = [(flux[a][g.hi[a]] - flux[a][g.lo[a]]) / g.h[a] for a in range(g.dim)]
-    means = [0.5 * ((ga[a] * gb[a])[g.lo[a]] + (ga[a] * gb[a])[g.hi[a]]) for a in range(g.dim)]
+        lo, hi = along(g, a, LO), along(g, a, HI)
+        g.face_view(grad[a], a)[lo] = (f[hi] - f[lo]) / g.h[a]
+    terms = [(hi - lo) / g.h[a] for a in range(g.dim) for lo, hi in [below_above(flux[a], a)]]
+    means = [0.5 * (lo + hi) for a in range(g.dim) for lo, hi in [below_above(ga[a] * gb[a], a)]]
     div, dot, scale = terms[0], means[0], np.abs(terms[0])
     for a in range(1, g.dim):
         div, dot, scale = div + terms[a], dot + means[a], scale + np.abs(terms[a])
@@ -347,3 +375,93 @@ def test_kernels_scaled_by_inv_h_match_the_division_by_h(cells, dyadic):
         for x, ref in zip(got_grad, grad):
             assert (np.abs(x - ref) <= 4 * np.spacing(np.abs(ref))).all()
         assert (np.abs(got_div - div) <= 4 * np.spacing(scale)).all()
+
+
+def _wall_mask(g, a):
+    """True on the walls of axis a's face buffer: all but the faces above all but last cells."""
+    inner = np.zeros(g.face_shapes[a], dtype=bool)
+    g.face_view(inner, a)[along(g, a, LO)] = True
+    return ~inner
+
+
+def _padded(x, axis):
+    """x with one zero appended along its axis ``axis``."""
+    return np.pad(x, [(0, int(b == axis)) for b in range(x.ndim)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cells=st.lists(st.integers(2, 5), min_size=1, max_size=3),
+       lead=st.lists(st.integers(1, 3), max_size=2), seed=st.integers(0, 2 ** 32 - 1))
+def test_kernels_bit_equal_their_cell_shaped_oracles(cells, lead, seed):
+    # plain numpy on cell-shaped arrays: the face above each cell is np.diff along the axis,
+    # zero-padded past the last cell; every destination and scratch array starts dirty
+    g, lead = Grid(cells), tuple(lead)
+    rng = np.random.default_rng(seed)
+    f, w = rng.uniform(-1.0, 1.0, lead + g.shape), rng.uniform(0.0, 2.0, lead + g.shape)
+    axis = [len(lead) + a for a in range(g.dim)]
+
+    def dirty_faces():
+        faces = g.faces(lead)
+        for a, fa in enumerate(faces):
+            g.face_view(fa, a)[along(g, a, LO)] = np.nan
+        return faces
+
+    def dirty_cells():
+        return np.full(lead + g.shape, np.nan)
+
+    def bytes_of(faces):  # cell-shaped views of the faces above each cell
+        return [g.face_view(fa, a).tobytes() for a, fa in enumerate(faces)]
+
+    def walls_zero(faces):
+        return all(not fa[..., _wall_mask(g, a)].any() for a, fa in enumerate(faces))
+
+    grad = [_padded(np.diff(f, axis=axis[a]) * g.inv_h[a], axis[a]) for a in range(g.dim)]
+    got = g.face_gradient(f, out=dirty_faces())
+    assert bytes_of(got) == [x.tobytes() for x in grad] and walls_zero(got)
+    assert bytes_of(g.face_gradient(f)) == bytes_of(got)
+
+    root = np.sqrt(w)
+    means = {"arithmetic": [(w[along(g, a, LO)] + w[along(g, a, HI)]) * 0.5 for a in range(g.dim)],
+             "geometric": [root[along(g, a, LO)] * root[along(g, a, HI)] for a in range(g.dim)]}
+    for mode, mean in means.items():
+        got = face_average(g, w, mode, out=dirty_faces(), cell=dirty_cells())
+        assert bytes_of(got) == [_padded(x, axis[a]).tobytes() for a, x in enumerate(mean)]
+        assert walls_zero(got)
+
+    def below(x, a):  # the face below each cell: the one above its lower neighbour, or a wall
+        return np.roll(x, 1, axis=axis[a]) * (np.arange(g.cells[a]) > 0).reshape(
+            (-1,) + (1,) * (g.dim - 1 - a))
+
+    flux = g.face_gradient(w)
+    above = [g.face_view(fa, a).copy() for a, fa in enumerate(flux)]
+    div = (above[0] - below(above[0], 0)) * g.inv_h[0]
+    dot = below(above[0] ** 2, 0) + above[0] ** 2
+    for a in range(1, g.dim):
+        div += (above[a] - below(above[a], a)) * g.inv_h[a]
+        dot = dot + (below(above[a] ** 2, a) + above[a] ** 2)
+    dot *= 0.5
+    assert g.div_faces(flux, out=dirty_cells(), cell=dirty_cells()).tobytes() == div.tobytes()
+    assert g.div_faces(flux).tobytes() == div.tobytes()
+    got = g.cell_dot(flux, flux, out=dirty_cells(), faces=dirty_faces(), cell=dirty_cells())
+    assert got.tobytes() == dot.tobytes() and g.cell_dot(flux, flux).tobytes() == dot.tobytes()
+
+    # a field whose trailing shape is not the grid's is refused, even one of the grid's size
+    for shape in {g.shape[:-1] + (g.cells[-1] + 1,), g.shape[::-1], (g.size,)} - {g.shape}:
+        bad = np.ones(lead + shape)
+        for call in (lambda: g.face_gradient(bad), lambda: face_average(g, bad, "arithmetic"),
+                     lambda: g.div_faces(flux, out=bad), lambda: g.cell_dot(flux, flux, out=bad)):
+            with pytest.raises(ValueError):
+                call()
+    # from 2D on, a non-contiguous destination is refused, as writing to a copy would be lost;
+    # in 1D it is written in place
+    strided = np.full(lead + g.shape[:-1] + (2 * g.cells[-1],), np.nan)[..., ::2]
+    if g.dim == 1:
+        assert g.div_faces(flux, out=strided).tobytes() == div.tobytes()
+        assert g.cell_dot(flux, flux, out=strided).tobytes() == dot.tobytes()
+    else:
+        for call in (lambda: g.div_faces(flux, out=strided),
+                     lambda: g.div_faces(flux, cell=strided),
+                     lambda: g.cell_dot(flux, flux, out=strided),
+                     lambda: g.cell_dot(flux, flux, cell=strided)):
+            with pytest.raises(ValueError, match=r"^field of shape .* is not C-contiguous"):
+                call()

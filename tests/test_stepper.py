@@ -378,12 +378,18 @@ def test_accumulator_increments_match_their_definitions(cells, lengths):
     lap_v = g.laplacian_neumann(v)
     vol = g.cell_volume
 
-    def face_sum(w, grad):
-        # sum over interior faces of (w_lo + w_hi) / 2 * grad^2 * cell volume
-        return vol * sum(np.sum(0.5 * (w[g.lo[a]] + w[g.hi[a]]) * grad[a][g.inner[a]] ** 2)
-                         for a in range(g.dim))
+    def along(a, sl):
+        return (..., *(sl if b == a else slice(None) for b in range(g.dim)))
 
-    cgv2 = sum(0.5 * (gv[a][g.lo[a]] ** 2 + gv[a][g.hi[a]] ** 2) for a in range(g.dim))
+    def face_sum(w, grad):
+        # sum over interior faces of (w_lo + w_hi) / 2 * grad^2 * cell volume; the interior
+        # faces along a are those above every cell but the last
+        return vol * sum(np.sum(0.5 * (w[lo] + w[hi]) * g.face_view(grad[a], a)[lo] ** 2)
+                         for a in range(g.dim)
+                         for lo, hi in [(along(a, slice(0, -1)), along(a, slice(1, None)))])
+
+    cgv2 = sum(0.5 * (g.face_view(gv[a], a, below=True) ** 2 + g.face_view(gv[a], a) ** 2)
+               for a in range(g.dim))
     want = Accumulators(
         uv=np.sum(u * v) * vol,
         v_gradu_sq=face_sum(v, gu),
