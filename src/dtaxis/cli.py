@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
+import itertools
 import json
 import math
 import struct
@@ -389,12 +390,14 @@ def run_eps_study(config: RunConfig, eps_list) -> list[EpsRow] | None:
 
 def cmd_verify_inequalities(args) -> int:
     cells, samples, seed, qs = args.cells, args.samples, args.seed, args.qs
+    # the 1D log-Hessian fields are the first samples of the Sobolev batch's 2 samples draws
+    d1 = itertools.tee(diagnostics.cosine_field_draws(seed, 1, 2 * samples))
     lines = []
-    for dim, grid in ((1, Grid(cells)), (2, Grid((max(16, cells // 2),) * 2))):
-        for q, rep in zip(qs, diagnostics.log_hessian_batch(grid, qs, samples, seed)):
+    for dim, grid, drawn in ((1, Grid(cells), d1[0]), (2, Grid([max(16, cells // 2)] * 2), None)):
+        for q, rep in zip(qs, diagnostics.log_hessian_batch(grid, qs, samples, seed, drawn)):
             lines.append({"check": "log_hessian", "dim": dim, "q": q, "samples": rep.samples,
                           "violations": rep.violations, "max_ratio": rep.max_ratio})
-    coarse, fine = diagnostics.sobolev_batch((Grid(cells), Grid(2 * cells)), samples, seed)
+    coarse, fine = diagnostics.sobolev_batch((Grid(cells), Grid(2 * cells)), samples, seed, d1[1])
     rel_change = abs(fine.max_ratio - coarse.max_ratio) / coarse.max_ratio
     lines.append({"check": "sobolev_product", "dim": 1, "samples": samples,
                   "max_ratio": coarse.max_ratio, "max_ratio_refined": fine.max_ratio,

@@ -466,6 +466,12 @@ def sample_cosine_field(rng: np.random.Generator, dim: int) -> list:
     return [(k, c * scale) for k, c in terms]
 
 
+def cosine_field_draws(seed: int, dim: int, count: int):
+    """The first count coefficient lists ``sample_cosine_field`` draws from seed, lazily."""
+    rng = np.random.default_rng(seed)
+    return (sample_cosine_field(rng, dim) for _ in range(count))
+
+
 def _cosine_tables(grid: Grid) -> list[np.ndarray]:
     return [np.stack([np.cos(ka * np.pi * x / grid.lengths[a]) for ka in range(MODES)])
             for a, x in enumerate(grid.mesh())]
@@ -496,28 +502,30 @@ class BatchReport(NamedTuple):
     ratios: tuple[float, ...]
 
 
-def _sampled_fields(grids, samples: int, seed: int, per_sample: int):
+def _sampled_fields(grids, samples: int, seed: int, per_sample: int, drawn=None):
     """Per chunk of k samples (at most BLOCK_CELLS cells on the finest grid, or one sample),
-    drawn once in order, per_sample to a sample: one (per_sample, k, *shape) stack per grid."""
+    per_sample to a sample, drawn once in order from seed, or else taken in order from the
+    coefficient lists drawn: one (per_sample, k, *shape) stack per grid."""
     if not grids or len({g.dim for g in grids}) > 1:
         raise ValueError(f"a batch needs one or more grids of one dimension, got {list(grids)}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    rng, tables = np.random.default_rng(seed), [_cosine_tables(g) for g in grids]
+    tables = [_cosine_tables(g) for g in grids]
+    draws = iter(drawn or cosine_field_draws(seed, grids[0].dim, per_sample * samples))
     per = max(1, BLOCK_CELLS // max(math.prod(g.shape) for g in grids))
     for i in range(0, samples, per):
-        drawn = [sample_cosine_field(rng, grids[0].dim)
-                 for _ in range(per_sample * min(per, samples - i))]
-        by_role = [terms for j in range(per_sample) for terms in drawn[j::per_sample]]
+        chunk = [next(draws) for _ in range(per_sample * min(per, samples - i))]
+        by_role = [terms for j in range(per_sample) for terms in chunk[j::per_sample]]
         yield [evaluate_cosine_fields(g, by_role, t).reshape(per_sample, -1, *g.shape)
                for g, t in zip(grids, tables)]
 
 
-def log_hessian_batch(grid: Grid, qs, samples: int, seed: int) -> list[BatchReport]:
+def log_hessian_batch(grid: Grid, qs, samples: int, seed: int, drawn=None) -> list[BatchReport]:
     """Both log-Hessian inequalities over random fields, each judged by ``passes()``: one
-    report per q, in the order of qs.  Each field is sampled and evaluated once for all q."""
+    report per q, in the order of qs.  Each field is drawn from seed (or taken in order from
+    the coefficient lists drawn, if given) and evaluated once for all q."""
     batches = []
-    fields = (phi for [[phi]] in _sampled_fields((grid,), samples, seed, 1))
+    fields = (phi for [[phi]] in _sampled_fields((grid,), samples, seed, 1, drawn))
     for reps in _log_hessian_reports(grid, fields, qs):
         ratios = tuple(max(r.ratio_grad(), r.ratio_hess()) for r in reps)
         batches.append(BatchReport("log_hessian", samples, sum(not r.passes() for r in reps),
@@ -525,11 +533,12 @@ def log_hessian_batch(grid: Grid, qs, samples: int, seed: int) -> list[BatchRepo
     return batches
 
 
-def sobolev_batch(grids, samples: int, seed: int) -> list[BatchReport]:
-    """Empirical constant for the amended product embedding (p = 1, mu = 3) over random fields:
-    one report per grid, in the order of grids, each field pair drawn once for all of them."""
+def sobolev_batch(grids, samples: int, seed: int, drawn=None) -> list[BatchReport]:
+    """Empirical constant for the amended product embedding (p = 1, mu = 3) over random fields
+    drawn as in ``log_hessian_batch``: one report per grid, in the order of grids, each field
+    pair drawn once for all of them."""
     ratios = [[] for _ in grids]
-    for stacks in _sampled_fields(grids, samples, seed, 2):
+    for stacks in _sampled_fields(grids, samples, seed, 2, drawn):
         for grid, (phi, psi), out in zip(grids, stacks, ratios):
             out += [r.ratio for r in _sobolev_reports(grid, phi, psi, 1.0, 3.0)]
     return [BatchReport("sobolev_product", samples, 0 if all(map(math.isfinite, r)) else 1,

@@ -12,11 +12,11 @@ three recursions that upgrade moment exponents step by step:
   grows by the exact factor 7/6 each step.
 
 All recursions are deterministic float arithmetic and bit-reproducible.  The
-moderate, hat and strong ones run on vectors of lanes, one lane per (seed,
-alpha) pair, so the verifier takes each step for all its samples in one
-operation.  Every operation is elementwise IEEE arithmetic, so each lane is
-bit-equal to the one-lane sequence that ``moderate_seq``, ``moderate_seq_hat``
-and ``strong_seq`` return.
+moderate, hat and strong ones fill tables of a lane per (seed, alpha) pair and a
+row per iterate, a block of rows at a time: the verifier takes each step for all
+its samples in one operation, and each check once per block.  Each operation is
+elementwise IEEE arithmetic, so a lane is bit-equal to the one-lane sequence of
+``moderate_seq``, ``moderate_seq_hat`` and ``strong_seq``.
 """
 
 from __future__ import annotations
@@ -107,41 +107,45 @@ def strong_seq(q0: float, alpha: float, K: int) -> list[ExponentTriple]:
     return _one_lane("strong", q0, alpha, K)
 
 
-def _recursion(kind: str, first, alpha, K: int):
-    """Yield (first_k, p_k, r_k, first_(k+1)) for k < K, each a vector over lanes
-    (one lane per (seed, alpha) pair), where first is m, m_hat or q by kind."""
-    first, two_alpha = np.asarray(first, dtype=float), 2.0 * np.asarray(alpha, dtype=float)
-    if kind == "strong":
-        shift = 5.0 - two_alpha
-        p = first + shift
-        for _ in range(K):
-            p_next = 7.0 * p / 6.0
-            first_next = p_next - shift
-            yield first, p, p - 1.0, first_next
-            first, p = first_next, p_next
-        return
-    for _ in range(K):
-        if kind == "moderate":
-            p = first / 2.0 + 3.5 - two_alpha
-            r = np.minimum((4.0 * p - 6.0) / 3.0, p - 1.0)
-        else:
-            p = first + 3.0 - two_alpha
-            r = p - 1.0
-        first_next = (2.0 * p) / 3.0 + r + 2.0
-        yield first, p, r, first_next
-        first = first_next
-
-
 # a lane that overflows goes on in inf and nan, silently, as Python floats do
 _AS_PYTHON_FLOATS = dict(over="ignore", invalid="ignore")
+BLOCK_ENTRIES = 16384  # table entries per block of iterates (see _recursion)
+
+
+def _recursion(kind: str, first, alpha, K: int):
+    """Yield (k, first, p, r, first_next) for blocks of b = max(1, BLOCK_ENTRIES // lanes)
+    iterates (the last may be shorter), each a (rows, lanes) table whose row j is iterate k + j;
+    first is m, m_hat or q by kind.  The tables are reused: a block changes with the next one."""
+    first, two_alpha = np.asarray(first, dtype=float), 2.0 * np.asarray(alpha, dtype=float)
+    b, shift = min(K, max(1, BLOCK_ENTRIES // first.size)), 5.0 - two_alpha
+    F, P, R = (np.empty((rows, first.size)) for rows in (b + 1, b + 1, b))
+    for k in range(0, K, b):  # a block starts from the row after the last, which is full
+        n, F[0] = min(b, K - k), F[b] if k else first
+        if kind == "strong":
+            P[0] = P[b] if k else first + shift
+            for p, p_next in zip(P[:n], P[1:n + 1]):
+                np.divide(7.0 * p, 6.0, out=p_next)
+            np.subtract(P[1:n + 1], shift, out=F[1:n + 1])
+            np.subtract(P[:n], 1.0, out=R[:n])
+        else:
+            for f, p, r, f_next in zip(F[:n], P[:n], R[:n], F[1:n + 1]):
+                if kind == "moderate":
+                    np.subtract(f / 2.0 + 3.5, two_alpha, out=p)
+                    np.minimum((4.0 * p - 6.0) / 3.0, p - 1.0, out=r)
+                else:
+                    np.subtract(f + 3.0, two_alpha, out=p)
+                    np.subtract(p, 1.0, out=r)
+                np.add((2.0 * p) / 3.0 + r, 2.0, out=f_next)
+        yield k, F[:n], P[:n], R[:n], F[1:n + 1]
 
 
 def _one_lane(kind: str, first0: float, alpha: float, K: int) -> list[ExponentTriple]:
     _require_regime(kind.removesuffix("_hat"), alpha)
-    _require_steps("K", K)
+    K = _require_int("K", K)
     with np.errstate(**_AS_PYTHON_FLOATS):
-        return [ExponentTriple(k=k, first=float(m[0]), p=float(p[0]), r=float(r[0]))
-                for k, (m, p, r, _) in enumerate(_recursion(kind, [first0], [alpha], K))]
+        return [ExponentTriple(k + j, *row)
+                for k, *tables, _ in _recursion(kind, [first0], [alpha], K)
+                for j, row in enumerate(zip(*(t[:, 0].tolist() for t in tables)))]
 
 
 _OUTSIDE = {"weak": "alpha must lie in [0, 1]",
@@ -154,9 +158,12 @@ def _require_regime(name: str, alpha: float):
         raise ValueError(f"{_OUTSIDE[name]}, got {alpha}")
 
 
-def _require_steps(name: str, n: int):
-    if n < 1:
-        raise ValueError(f"{name} must be at least 1, got {n}")
+def _require_int(name: str, n, least: int = 1) -> int:
+    if not float(n).is_integer():
+        raise ValueError(f"{name} must be an integer, got {n}")
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}, got {n}")
+    return int(n)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +205,21 @@ _MAX_ITERATIONS = int(_P_TOL / (1.5 * sys.float_info.epsilon))
 
 
 def _flag(flags: list, k: int, pos: int, *checks):
-    """Record (lane, k, position, text) for every lane flagged by each (mask, text) check,
-    the first at position ``pos``."""
+    """Record (lane, k + row, position, text) for every entry flagged by each (mask, text)
+    check of a (rows, lanes) block whose row 0 is iterate k, the first at position ``pos``."""
     for j, (mask, text) in enumerate(zip(checks[::2], checks[1::2]), start=pos):
         if mask.any():
-            flags += [(i, k, j, text) for i in np.flatnonzero(mask).tolist()]
+            rows, lanes = np.nonzero(mask)
+            flags += [(i, k + row, j, text) for row, i in zip(rows.tolist(), lanes.tolist())]
+
+
+def _firsts(mask, k: int, first):
+    """The first true entry in each lane i of a block mask with first[i] < 0, as a mask; first[i]
+    becomes its iterate k + row."""
+    lanes = np.flatnonzero(mask.any(0) & (first < 0))
+    rows, out = mask[:, lanes].argmax(0), np.zeros_like(mask)
+    out[rows, lanes], first[lanes] = True, k + rows
+    return out
 
 
 def _messages(flags: list, alpha, seed, name: str) -> tuple[str, ...]:
@@ -212,50 +229,52 @@ def _messages(flags: list, alpha, seed, name: str) -> tuple[str, ...]:
 
 
 def _verify_moderate(alpha, m0, K: int) -> tuple[str, ...]:
-    flags, found = [], np.zeros(alpha.size, dtype=bool)
+    flags, k0 = [], np.full(alpha.size, -1)  # each lane's first k with p_k > 3, if any
     threshold = 24.0 - 12.0 * alpha + _EPS
-    for k, (m, p, r, m_next) in enumerate(_recursion("moderate", m0, alpha, K)):
-        k0 = ~found & (p > 3.0 + 1e-12)
-        found |= k0
+    for k, m, p, r, m_next in _recursion("moderate", m0, alpha, K):
         _flag(flags, k, 0,
               ~(p > 1.0 - 1e-12), "moderate a) p_k <= 1 at k={k}",
               1.5 * (r + 2.0) > m_next + _EPS, "moderate a) 3/2 (r_k+2) > m_k+1 at k={k}",
-              k0 & ~(m_next > 6.0), "moderate b) m_k0+1 <= 6 at k0={k}",
+              _firsts(p > 3.0 + 1e-12, k, k0) & ~(m_next > 6.0),
+              "moderate b) m_k0+1 <= 6 at k0={k}",
               (p > threshold) & (m_next >= m + 1e-12 * np.maximum(1.0, np.abs(m))),
               "moderate c) m increased past threshold at k={k}")
-    _flag(flags, K, 0, ~found, f"moderate b) no k0 with p_k0 > 3 within {K} steps")
+    _flag(flags, K, 0, k0[None] < 0, f"moderate b) no k0 with p_k0 > 3 within {K} steps")
     return _messages(flags, alpha, m0, "m0")
 
 
 def _verify_moderate_hat(alpha, m0, K: int) -> tuple[str, ...]:
     flags, floor = [], 6.0 - 2.0 * alpha
-    for k, (m, p, r, m_next) in enumerate(_recursion("moderate_hat", m0, alpha, K)):
+    for k, m, p, r, m_next in _recursion("moderate_hat", m0, alpha, K):
         _flag(flags, k, 0,
               ~(p > 3.0 - 1e-12), "hat a) p_k <= 3 at k={k}",
               1.5 * (r + 2.0) > m_next + _EPS, "hat a) 3/2 (r_k+2) > m_k+1 at k={k}",
               m_next - m <= floor - _EPS, "hat c) increment below 6 - 2 alpha at k={k}")
-    _flag(flags, K, 0, m < m0 + (K - 1) * floor - 1e-6, "hat c) sequence not diverging")
+    _flag(flags, K, 0, m[-1:] < m0 + (K - 1) * floor - 1e-6, "hat c) sequence not diverging")
     return _messages(flags, alpha, m0, "mhat0")
 
 
 def _verify_strong(alpha, q0, K: int) -> tuple[tuple[str, ...], int]:
     """The strong checks and the number of (lane, k) with r_k = 0 to 1e-12."""
-    flags, boundary, above = [], 0, np.full(alpha.size, -1)
-    for k, (q, p, r, _) in enumerate(_recursion("strong", q0, alpha, K)):
+    flags, boundary, above = [], 0, np.full(alpha.size, -1)  # the first k with p_k > 100
+    powers = np.array([(7.0 / 6.0) ** k for k in range(K)])[:, None]  # Python float powers
+    for k, q, p, r, _ in _recursion("strong", q0, alpha, K):
         if k == 0:
-            p0 = p
-        else:  # the step from k - 1, checked after the rest of k - 1
-            _flag(flags, k - 1, 3, ~(q > q_prev), "strong q not increasing at k={k}",
-                  ~(p > p_prev), "strong p not increasing at k={k}")
-        exact = (7.0 / 6.0) ** k * p0  # a Python float power, as one lane takes it
+            p0 = p[0].copy()
+        else:  # the step from the previous block's last row
+            _flag(flags, k - 1, 3, ~(q[:1] > q_prev), "strong q not increasing at k={k}",
+                  ~(p[:1] > p_prev), "strong p not increasing at k={k}")
+        exact = powers[k:k + len(p)] * p0
         _flag(flags, k, 0,
               np.abs(p - exact) > _P_TOL * np.maximum(1.0, np.abs(exact)),
               "strong p_k != (7/6)^k p_0 at k={k}",
               ~(q > -1.0), "strong q_k <= -1 at k={k}",
-              (p > 1.0 + 1e-12) & ~(r > 0.0), "strong r_k <= 0 with p_k > 1 at k={k}")
+              (p > 1.0 + 1e-12) & ~(r > 0.0), "strong r_k <= 0 with p_k > 1 at k={k}",
+              ~(q[1:] > q[:-1]), "strong q not increasing at k={k}",
+              ~(p[1:] > p[:-1]), "strong p not increasing at k={k}")
         boundary += int(np.count_nonzero(np.abs(r) <= 1e-12))
-        above[(above < 0) & (p > 100.0)] = k
-        q_prev, p_prev = q, p
+        _firsts(p > 100.0, k, above)
+        q_prev, p_prev = q[-1:].copy(), p[-1:].copy()
     # geometric growth: p exceeds 100 within ceil(log_(7/6)(100/p0)) steps
     for i, (target, start) in enumerate(zip(above.tolist(), p0.tolist())):
         if target >= 0 and target > max(math.ceil(math.log(100.0 / start)
@@ -272,11 +291,10 @@ def verify_regime_lemmas(samples: int, seed: int, iterations: int) -> VerifyRepo
     Each regime runs one recursion over all its pairs at once, the drawn ones
     followed by fixed edge cases.  More than ``_MAX_ITERATIONS`` iterations are refused:
     past them rounding alone could fail the strong check, and 7 p_k overflows later still."""
-    _require_steps("samples", samples)
-    _require_steps("iterations", iterations)
+    samples, iterations = _require_int("samples", samples), _require_int("iterations", iterations)
     if iterations > _MAX_ITERATIONS:
         raise ValueError(f"iterations must be at most {_MAX_ITERATIONS}, got {iterations}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_int("seed", seed, 0))
 
     def draw(lo, hi, *edges):
         pairs = np.concatenate([rng.uniform(lo, hi, size=(samples, 2)),

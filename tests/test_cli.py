@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dtaxis import Grid, InitialData, Params, StepControl
-from dtaxis import cli
+from dtaxis import cli, diagnostics
 from dtaxis.cli import (EpsRow, RunConfig, build_state, cmd_run, load_snapshot, parse_config,
                         run_eps_study, run_sweep, save_snapshot)
 from dtaxis.diagnostics import (P_LIST, check_log_hessian, check_sobolev_product, monitor_row,
@@ -609,6 +609,21 @@ def test_main_verify_inequalities(tmp_path):
     checks = {r["check"] for r in recs}
     assert checks == {"log_hessian", "sobolev_product"}
     assert all(r.get("violations", 0) == 0 for r in recs if "violations" in r)
+
+
+def test_verify_inequalities_draws_each_1d_field_once(monkeypatch, tmp_path):
+    # the 1D log-Hessian fields are the first samples of the Sobolev batch's 2 samples draws,
+    # so a run draws 3 samples fields: 2 samples in 1D and samples in 2D
+    real, dims = diagnostics.sample_cosine_field, []
+
+    def counted(rng, dim):
+        dims.append(dim)
+        return real(rng, dim)
+
+    monkeypatch.setattr(diagnostics, "sample_cosine_field", counted)
+    assert cli.main(["verify-inequalities", "--cells", "16", "--samples", "4", "--seed", "3",
+                     "--out", str(tmp_path / "ineq.jsonl")]) == 0
+    assert sorted(dims) == [1] * 8 + [2] * 4
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -213,6 +214,24 @@ def test_verify_refuses_iterations_past_the_strong_checks_range():
         verify_regime_lemmas(samples=3, seed=2, iterations=limit + 1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: moderate_seq(10.0, 1.25, 2.5), "K must be an integer, got 2.5"),
+    (lambda: strong_seq(0.0, 1.75, math.nan), "K must be an integer, got nan"),
+    (lambda: verify_regime_lemmas(2.5, 0, 3), "samples must be an integer, got 2.5"),
+    (lambda: verify_regime_lemmas(3, 0, 3.5), "iterations must be an integer, got 3.5"),
+    (lambda: verify_regime_lemmas(3, 0.5, 3), "seed must be an integer, got 0.5"),
+    (lambda: verify_regime_lemmas(3, -1, 3), "seed must be at least 0, got -1")])
+def test_counts_and_seeds_must_be_integers(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_integral_counts_of_any_type_are_taken():
+    three = strong_seq(0.0, 1.75, 3)
+    assert strong_seq(0.0, 1.75, 3.0) == strong_seq(0.0, 1.75, np.int64(3)) == three
+    assert verify_regime_lemmas(3.0, np.int64(4), 5.0) == verify_regime_lemmas(3, 4, 5)
+
+
 @pytest.mark.parametrize("K", [0, -2])
 @pytest.mark.parametrize("build, seed, alpha", [
     (moderate_seq, 2.0, 1.25), (moderate_seq_hat, 6.5, 1.25), (strong_seq, -0.5, 1.75)])
@@ -308,9 +327,16 @@ def _scalar_verify(samples, seed, K):
             RegimeReport("strong", samples + 2, K, tuple(bad_s), boundary_cases=boundary))
 
 
+# 1000 samples make 1000 to 1002 lanes per regime, all in blocks of _B iterates; 8193 and more
+# lanes take blocks of one iterate
+_B = exponents.BLOCK_ENTRIES // 1002
+
+
 @pytest.mark.parametrize("samples, seed, K", [
-    *((37, 7, K) for K in (1, 2, 3, 4, 6)), (1, 0, 5), (60, 11, 40), (200, 3, 200)])
+    *((37, 7, K) for K in (1, 2, 3, 4, 6)), (1, 0, 5), (60, 11, 40), (200, 3, 200),
+    *((1000, 5, K) for K in (_B - 1, _B, _B + 1, 2 * _B + 1)), (8193, 2, 3)])
 def test_verify_equals_the_scalar_checks_of_one_pair_at_a_time(samples, seed, K):
+    assert exponents.BLOCK_ENTRIES // 1000 == _B > 1 == exponents.BLOCK_ENTRIES // 8193
     assert verify_regime_lemmas(samples, seed, K).reports() == _scalar_verify(samples, seed, K)
 
 
@@ -349,21 +375,38 @@ def test_verify_reports_of_few_steps_are_pinned(K, moderate):
 def test_an_injected_fault_is_reported_in_order(monkeypatch, regime, faults, messages):
     # each (lane, k, value) sets p_k of that lane; the messages are those of the scalar
     # checks with the same p_k set in that pair's sequence
-    real = exponents._recursion
-
-    def faulty(name, first, alpha, K):
-        for k, (m, p, r, m_next) in enumerate(real(name, first, alpha, K)):
-            if name == regime:
-                p = p.copy()
-                for lane, k_fault, value in faults:
-                    if k == k_fault:
-                        p[lane] = value
-            yield m, p, r, m_next
-
-    monkeypatch.setattr(exponents, "_recursion", faulty)
+    _inject(monkeypatch, regime, faults)
     reports = {r.regime: r for r in verify_regime_lemmas(5, 3, 20).reports()}
     assert reports.pop(regime).violations == messages
     assert all(r.ok for r in reports.values())
+
+
+@pytest.mark.parametrize("entries", [1, 7 * 16, 7 * 17])
+def test_an_injected_fault_is_reported_across_block_edges(monkeypatch, entries):
+    # 7 strong lanes in blocks of 1, 16 or 17 iterates: p_17 = 50 is the first row of a block
+    # at 1 and 17, so that the step from p_16 to it crosses a block edge, and the second at 16
+    monkeypatch.setattr(exponents, "BLOCK_ENTRIES", entries)
+    _inject(monkeypatch, "strong", [(0, 17, 50.0)])
+    assert verify_regime_lemmas(5, 3, 20).strong.violations == (
+        "strong p not increasing at k=16 (alpha=1.50075, q0=5.81422)",
+        "strong p_k != (7/6)^k p_0 at k=17 (alpha=1.50075, q0=5.81422)",
+        "strong growth slower than geometric (alpha=1.50075, q0=5.81422)")
+
+
+def _inject(monkeypatch, regime, faults):
+    """Make the recursion of one regime yield p_k = value at each (lane, k, value) fault."""
+    real = exponents._recursion
+
+    def faulty(name, first, alpha, K):
+        for k, m, p, r, m_next in real(name, first, alpha, K):
+            if name == regime:
+                p = p.copy()
+                for lane, k_fault, value in faults:
+                    if k <= k_fault < k + len(p):
+                        p[k_fault - k, lane] = value
+            yield k, m, p, r, m_next
+
+    monkeypatch.setattr(exponents, "_recursion", faulty)
 
 
 def _scalar_triples(regime, first, alpha, K):
@@ -401,11 +444,15 @@ def test_each_lane_of_a_batch_is_its_one_lane_sequence_bit_for_bit(data):
     build, seed_floats, alpha_floats = _REGIMES[regime]
     pairs = data.draw(st.lists(st.tuples(seed_floats, alpha_floats), min_size=1, max_size=40))
     K = data.draw(st.integers(1, 80))
+    entries = data.draw(st.integers(1, 100 * len(pairs)))  # blocks of 1 to 100 iterates
     seeds, alphas = (np.array(x) for x in zip(*pairs))
     lanes = [[] for _ in pairs]
-    for vectors in exponents._recursion(regime, seeds, alphas, K):
-        for i, triple in enumerate(zip(*(v.tolist() for v in vectors[:3]))):
-            lanes[i].append(tuple(map(float.hex, triple)))
+    with mock.patch.object(exponents, "BLOCK_ENTRIES", entries):
+        for k, *tables, _ in exponents._recursion(regime, seeds, alphas, K):
+            assert k == sum(map(len, lanes)) // len(pairs)
+            for row in zip(*(t.tolist() for t in tables)):
+                for i, triple in enumerate(zip(*row)):
+                    lanes[i].append(tuple(map(float.hex, triple)))
     for (seed, alpha), lane in zip(pairs, lanes):
         one = [tuple(map(float.hex, (t.first, t.p, t.r))) for t in build(seed, alpha, K)]
         scalar = [tuple(map(float.hex, t)) for t in _scalar_triples(regime, seed, alpha, K)]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -168,6 +169,14 @@ def test_batches_equal_a_field_by_field_loop_bit_for_bit(cells):
                                                 _reference_field(grid, psi)) for phi, psi in drawn)
         assert (rep.check, rep.samples) == ("sobolev_product", samples)
         assert (rep.ratios, rep.max_ratio, rep.violations) == (ratios, max(ratios), 0)
+
+
+def test_batches_take_given_coefficient_lists_in_order():
+    # one stream of 12 draws: the log-Hessian batch takes the first 6, the Sobolev batch all 12
+    g, grids = Grid(16), (Grid(16), Grid(32))
+    first, second = itertools.tee(diagnostics.cosine_field_draws(5, 1, 12))
+    assert log_hessian_batch(g, (2.0, 3.0), 6, 0, first) == log_hessian_batch(g, (2.0, 3.0), 6, 5)
+    assert sobolev_batch(grids, 6, 0, second) == sobolev_batch(grids, 6, 5)
 
 
 def test_batches_refuse_bad_arguments_before_sampling(monkeypatch):
