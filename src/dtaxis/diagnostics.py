@@ -286,8 +286,7 @@ def _energy(state: State, params: Params, out: np.ndarray) -> None:
     """The density of E_chi, u^(3-alpha)/((2-alpha)(3-alpha)) - chi u v, written into out."""
     a, uv = params.alpha, state.u * state.v
     np.divide(_power(state.u, 3.0 - a, out=out), (2.0 - a) * (3.0 - a), out=out)
-    uv *= params.chi
-    out -= uv
+    out -= uv if params.chi == 1.0 else np.multiply(uv, params.chi, out=uv)
 
 
 def check_first_energy(prev: State, nxt: State, params: Params) -> ResidualReport:
@@ -295,25 +294,28 @@ def check_first_energy(prev: State, nxt: State, params: Params) -> ResidualRepor
     for E_chi of density ``_energy``, dissipation int u^alpha v |grad w_chi|^2 and w_chi =
     u^(2-alpha)/(2-alpha) - chi v.  The bound drops the dissipation and the nonpositive
     -ell chi int u v^2, and so takes (ell / (2-alpha)) int u^(3-alpha) v for the growth term.
-    One call reduces the rows: the next and the current density of E_chi (sharing u^(3-alpha)
-    and chi u v), u^alpha v |grad w_chi|^2, w_chi u v, grad u . grad v, u^2 v, u^(3-alpha) v."""
+    One call reduces the rows: the next and the current density of E_chi (as ``_energy``, both
+    at once from rows 7-10, the next and current u and v), u^alpha v |grad w_chi|^2, w_chi u v,
+    grad u . grad v, u^2 v, u^(3-alpha) v.  A factor chi = 1 is skipped: x * 1.0 == x exactly."""
     dt = _window(prev, nxt)
     g, u, v, a, chi, ell = prev.grid, prev.u, prev.v, params.alpha, params.chi, params.ell
-    r = np.empty((7,) + g.shape)
-    _energy(nxt, params, r[0])
-    chi_uv = np.multiply(np.multiply(u, v, out=r[5]), chi, out=r[5])
-    np.multiply(_power(u, 3.0 - a, out=r[1]), v, out=r[6])
-    r[1] /= (2.0 - a) * (3.0 - a)
-    r[1] -= chi_uv
+    r = np.empty((11,) + g.shape)
+    r[7], r[8], r[9], r[10] = nxt.u, u, nxt.v, v
+    np.multiply(_power(r[7:9], 3.0 - a, out=r[:2])[1], v, out=r[6])
+    r[:2] /= (2.0 - a) * (3.0 - a)
+    chi_uv = np.multiply(r[7:9], r[9:], out=r[4:6])  # rows 4, 5: chi u v at t1, t0
+    r[:2] -= chi_uv if chi == 1.0 else np.multiply(chi_uv, chi, out=chi_uv)
     np.divide(r[6], 2.0 - a, out=r[3])
-    r[3] -= np.multiply(chi_uv, v, out=r[5])
+    r[3] -= np.multiply(r[5], v, out=r[5])
     np.multiply(np.multiply(u, u, out=r[5]), v, out=r[5])
-    gv = g.face_gradient(v)
-    g.cell_dot(g.face_gradient(u), gv, out=r[4])
-    gw = g.face_gradient(np.divide(_power(u, 2.0 - a, out=r[2]), 2.0 - a, out=r[2]))
-    gw = [np.subtract(w, np.multiply(x, chi), out=w) for w, x in zip(gw, gv)]
-    np.multiply(np.multiply(_power(u, a, out=r[2]), v, out=r[2]), g.cell_dot(gw, gw), out=r[2])
-    e1, e0, dissipation, grow, mix, quad, bound = _integrals("first_energy", g, r)
+    gv, gu = g.face_gradient(v), g.face_gradient(u)
+    g.cell_dot(gu, gv, out=r[4], faces=gu, cell=r[9])  # gu, then gv, is scratch once read
+    gw = g.face_gradient(np.divide(_power(u, 2.0 - a, out=r[2]), 2.0 - a, out=r[2]), out=gu)
+    for w, x in zip(gw, gv):
+        w -= x if chi == 1.0 else np.multiply(x, chi, out=x)
+    g.cell_dot(gw, gw, out=r[2], faces=gw, cell=r[9])
+    r[2] *= np.multiply(_power(u, a, out=r[7]), v, out=r[7])
+    e1, e0, dissipation, grow, mix, quad, bound = _integrals("first_energy", g, r[:7])
     rate = (e1 - e0) / dt
     t_grow, t_mix, t_quad = ell * grow, chi * mix, chi * quad
     lhs, rhs = rate + dissipation, t_grow + t_mix + t_quad

@@ -191,9 +191,7 @@ class Grid:
 def _power(u: np.ndarray, a: float, out: np.ndarray | None = None) -> np.ndarray:
     """u ** a, bit for bit, written into and returned as ``out`` if given and else a new
     array: never u itself, so a caller may write into it at every exponent."""
-    out = np.positive(u, out=out, dtype=float)
-    out **= a  # the same scalar-power path as u ** a (a square root at a = 0.5)
-    return out
+    return np.power(u, a, out=out, dtype=float)  # one pass, as u ** a on numpy 2.4
 
 
 def lp_power(f: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:

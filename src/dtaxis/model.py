@@ -155,11 +155,14 @@ def initial_profiles(grid: Grid, data: InitialData) -> tuple[np.ndarray, np.ndar
 
 
 def check_fields(grid: Grid, u: np.ndarray, v: np.ndarray, names=("u", "v", "state fields")):
-    """Refuse (u, v) unless both have the grid's shape, are finite, and u >= 0; a refusal
-    names the pair (``names[2]``) and both shapes, or the field and its first bad cell."""
+    """Refuse (u, v) unless both have the grid's shape, are finite float64, and u >= 0; a
+    refusal names the pair (``names[2]``) and both shapes, or the field and its dtype or first
+    bad cell."""
     if u.shape != grid.shape or v.shape != grid.shape:
         raise ValueError(f"{names[2]} of shape {u.shape}/{v.shape} do not fit grid {grid.shape}")
     for name, f in zip(names, (u, v)):
+        if f.dtype != np.float64:
+            raise ValueError(f"{name} must be float64, got dtype {f.dtype}")
         if not np.isfinite(f).all():
             raise ValueError(f"{name} is not finite at cell {first_cell(~np.isfinite(f))}")
     if bool((u < 0.0).any()):
@@ -222,7 +225,8 @@ def _rhs_core(state: State, params: Params, into=None):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         np.multiply(u, v, out=uv)
         m = _power(u, params.alpha)
-        m *= params.chi
+        if params.chi != 1.0:  # x * 1.0 == x exactly: the product is skipped, not changed
+            m *= params.chi
         m *= v
         g.face_gradient(u, out=gu)
         g.face_gradient(v, out=gv)
@@ -236,7 +240,7 @@ def _rhs_core(state: State, params: Params, into=None):
         du = g.div_faces(flux, cell=m)
         g.div_faces(gv, out=lap_v, cell=m)
         if params.ell != 0.0:
-            du += np.multiply(uv, params.ell, out=m)
+            du += uv if params.ell == 1.0 else np.multiply(uv, params.ell, out=m)
         dv = lap_v - uv
         # a non-finite entry of du or dv makes the sum of du + dv non-finite, and a sum
         # that overflows takes the slow path; numpy's own reduction, not a BLAS dot, whose

@@ -208,17 +208,19 @@ def run(state: State, params: Params, control: StepControl, observers=(),
     with immutable snapshots; new.acc is None then.  Monitor rows are recorded at
     t=0, at every multiple of monitor_cadence (steps land on the ticks exactly because
     dt is clipped to them), and at t_end; their states and the final one get their
-    accumulators once the observers are done.  The starting state must have them and
-    finite fields that fit its grid with u >= 0 and v > 0; ValueError names a bad cell.
+    accumulators once the observers are done.  The starting state must have them, a finite t
+    before t_end - 1e-12 * t_end, and float64 fields that fit its grid, finite with u >= 0 and
+    v > 0; ValueError names a bad cell.
     """
+    t_end, tiny = control.t_end, RESOLUTION * control.t_end
     if state.acc is None:
         raise ValueError("run needs a starting state with accumulators, got acc=None")
+    if not -math.inf < state.t < t_end - tiny:  # nan too
+        raise ValueError(f"run needs a finite start time before t_end={t_end!r}, got t={state.t!r}")
     check_fields(state.grid, state.u, state.v)
     if bool((state.v <= 0.0).any()):
         raise ValueError(f"v is not positive at cell {first_cell(state.v <= 0.0)}")
-    t_end = control.t_end
     ticks = Cadence(monitor_cadence, t_end)
-    tiny = ticks.tol
     rows = [diagnostics.monitor_row(state, params, p_list)]
     n_steps = n_rejected = 0
     ledger = _Ledger(state, params)

@@ -370,6 +370,21 @@ def test_stacked_diagnostics_equal_their_definitions(cells, alpha, kind, avg_mod
                     == _upvq_by_definition(prev, new, pp, qq, p))
 
 
+@pytest.mark.parametrize("ell", [0.0, 1.0])
+@pytest.mark.parametrize("chi", [0.0, 1.0, 5.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("cells", [64, (12, 10)])
+def test_first_energy_equals_its_definition_at_special_exponents(cells, alpha, chi, ell):
+    # 3 - alpha, 2 - alpha and alpha hit numpy's special exponents (0, 1, 2, 3, square roots),
+    # and chi = 1 skips its products: the stacked report stays bit for bit its definition
+    p = Params(alpha=alpha, epsilon=0.01, chi=chi, ell=ell)
+    s = build_initial(Grid(cells), InitialData(**CORPUS_KINDS[2]), p)
+    for dt in (1e-5, 3e-5):
+        new = step(s, p, dt)
+        assert check_first_energy(s, new, p) == _first_energy_by_definition(s, new, p)
+        s = new
+
+
 def test_v_pow_2_row_is_finite_on_exact_vacuum():
     # the row builds no term with coefficient 0, so no u^(p-1) = u^(-1) at p = 0
     g = Grid(16)
@@ -471,6 +486,25 @@ def test_residual_rows_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 26 * s.u.nbytes, peak / s.u.nbytes
+
+
+@pytest.mark.parametrize("chi", [1.0, 3.0])
+def test_first_energy_memory_budget(chi):
+    # both densities are stacked, but not the three face gradients: one call's traced peak at
+    # 3D-16^3 stays within the 17.55 field sizes of the unstacked form
+    g = Grid((16, 16, 16))
+    p = Params(alpha=1.25, epsilon=0.01, chi=chi, ell=1.0)
+    s = build_initial(g, InitialData(kind="cosine_mix", u_base=1.0, u_amplitude=-0.5,
+                                     u_mode=2, v_amplitude=0.2), p)
+    s2 = step(s, p, 1e-6)
+    check_first_energy(s, s2, p)  # warm-up
+    tracemalloc.start()
+    try:
+        check_first_energy(s, s2, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17.56 * s.u.nbytes, peak / s.u.nbytes
 
 
 def test_residual_rows_shares_its_gradient_kernels(monkeypatch):

@@ -313,6 +313,47 @@ def test_power_writes_into_out_at_every_exponent(a):
     assert _power(u, 0.0).tobytes() == np.ones(u.shape).tobytes()
 
 
+@pytest.mark.parametrize("a", [-1.0, -0.5, -0.25, 0.0, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 7.0 / 3.0,
+                               2.5, 3.0, 3.5])
+def test_power_is_u_to_the_a_bit_for_bit(a):
+    # one np.power call takes the scalar-power paths of u ** a (reciprocal, square root,
+    # square, identity ...) on contiguous, strided and integer input, at 0, 1e-300, 1e300 and inf
+    base = np.concatenate([np.random.default_rng(5).uniform(0.0, 3.0, 61),
+                           [0.0, 1e-300, 1e300, np.inf]])
+    with np.errstate(divide="ignore", over="ignore"):
+        for u in (base, base[::3], np.stack([base, base[::-1]])[:, ::2], np.arange(17)):
+            for out in (None, np.full(u.shape, np.nan)):
+                got = _power(u, a, out=out)
+                assert got.dtype == np.float64 and got.tobytes() == (u ** a).tobytes()
+                assert got is not u and not np.shares_memory(got, u)
+
+
+def _rhs_with_every_coefficient(s, p):
+    """du and dv as ``_rhs_core`` forms them, but multiplying by chi and ell even at 1."""
+    g, u, v = s.grid, s.u, s.v
+    uv, m = u * v, u ** p.alpha
+    m *= p.chi
+    m *= v
+    gu, gv = g.face_gradient(u), g.face_gradient(v)
+    flux = [f * d - c * e for f, d, c, e in zip(face_average(g, uv, p.avg_mode), gu,
+                                                face_average(g, m, p.avg_mode), gv)]
+    return g.div_faces(flux) + uv * p.ell, g.div_faces(gv) - uv
+
+
+@pytest.mark.parametrize("chi, ell", [(1.0, 1.0), (2.5, 0.5)])
+@pytest.mark.parametrize("mode", ["arithmetic", "geometric"])
+@pytest.mark.parametrize("cells", [64, (9, 7), (5, 4, 6)])
+def test_rhs_skips_coefficients_of_one_bit_for_bit(cells, mode, chi, ell):
+    # x * 1.0 == x exactly, so skipping m *= chi and ell * uv at 1 changes no bit
+    rng = np.random.default_rng(12)
+    g = Grid(cells)
+    p = Params(alpha=1.25, epsilon=0.01, chi=chi, ell=ell, avg_mode=mode)
+    s = State(grid=g, t=0.0, u=rng.uniform(0.1, 2.0, g.shape), v=rng.uniform(0.2, 1.0, g.shape))
+    du, dv, _ = _rhs_core(s, p)
+    want_du, want_dv = _rhs_with_every_coefficient(s, p)
+    assert du.tobytes() == want_du.tobytes() and dv.tobytes() == want_dv.tobytes()
+
+
 def _two_divergence_rhs(s, p):
     """The u equation's terms as the model states them, each flux with its own divergence:
     div((u v)_f grad u), chi div((u^alpha v)_f grad v) and ell u v."""

@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import dtaxis
 from dtaxis import Grid, InitialData, Params, StepControl, StepRejected, build_initial
 from dtaxis import diagnostics, stepper
-from dtaxis.model import AVG_MODES, Accumulators, State
+from dtaxis.model import AVG_MODES, Accumulators, State, build_initial_from_fields
 from dtaxis.stepper import Cadence, run, step
 
 
@@ -718,6 +719,38 @@ def test_run_refuses_a_start_state_that_does_not_fit_its_grid(monkeypatch, probe
     with pytest.raises(ValueError, match=match):
         run(s, Params(alpha=1.0, epsilon=0.01), StepControl(t_end=1e-3),
             observers=[lambda *args: calls.append("observer")])
+    assert calls == []
+
+
+@pytest.mark.parametrize("chi", [1.0, 2.0])
+@pytest.mark.parametrize("field", ["u", "v"])
+def test_run_refuses_integer_fields_by_name(monkeypatch, field, chi):
+    # at chi = 2 the first monitor row failed to cast chi u v back into an integer field; at
+    # chi = 1 that product is skipped: the dtype is refused up front, by field, at both
+    s, calls = _const_state(Grid(16)), []
+    setattr(s, field, np.ones(16, int))
+    monkeypatch.setattr(diagnostics, "monitor_row", lambda *args: calls.append("monitor"))
+    with pytest.raises(ValueError, match=rf"^{field} must be float64, got dtype int64$"):
+        run(s, Params(alpha=1.0, epsilon=0.01, chi=chi), StepControl(t_end=1e-3))
+    assert calls == []
+    monkeypatch.undo()
+    # initial data is converted before the check, so integer input still builds a state
+    p = Params(alpha=1.0, epsilon=0.01, chi=chi)
+    s = build_initial_from_fields(Grid(16), np.ones(16, int), np.ones(16, int), p)
+    assert run(s, p, StepControl(t_end=1e-3)).n_steps > 0
+
+
+@pytest.mark.parametrize("t", [math.nan, -math.inf, math.inf, 1e-3, 2e-3, 1e-3 * (1.0 - 1e-13)],
+                         ids=["nan", "-inf", "inf", "at-t_end", "after-t_end", "within-resolution"])
+def test_run_refuses_a_start_time_not_before_t_end(monkeypatch, t):
+    # t = nan failed only at the first monitor row, and a start at t_end took no step and
+    # returned two equal rows: both are refused before any work, naming t and t_end
+    s, calls = _const_state(Grid(16)), []
+    s.t = t
+    monkeypatch.setattr(diagnostics, "monitor_row", lambda *args: calls.append("monitor"))
+    with pytest.raises(ValueError, match=rf"^run needs a finite start time before "
+                                         rf"t_end=0\.001, got t={re.escape(repr(t))}$"):
+        run(s, Params(alpha=1.0, epsilon=0.01), StepControl(t_end=1e-3))
     assert calls == []
 
 
