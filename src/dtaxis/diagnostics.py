@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .exponents import _require_int
 from .grid import BLOCK_CELLS, Grid, _power, first_cell, lp_power, lp_root
 from .model import Accumulators, Params, State
 
@@ -470,7 +471,7 @@ def sample_cosine_field(rng: np.random.Generator, dim: int) -> list:
 
 def cosine_field_draws(seed: int, dim: int, count: int):
     """The first count coefficient lists ``sample_cosine_field`` draws from seed, lazily."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_int("seed", seed, 0))
     return (sample_cosine_field(rng, dim) for _ in range(count))
 
 

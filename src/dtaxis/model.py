@@ -232,7 +232,8 @@ def _rhs_core(state: State, params: Params, into=None):
         g.face_gradient(v, out=gv)
         face_average(g, uv, params.avg_mode, out=flux, cell=lap_v)  # lap_v is written last
         face_average(g, m, params.avg_mode, out=mf, cell=lap_v)
-        dstar = float(np.add(m, uv, out=m).max())  # m serves as cell scratch from here
+        # x.item(x.argmax()) is x.max() (NaN too) but for a zero's sign, which no comparison reads
+        dstar = np.add(m, uv, out=m).item(m.argmax())  # m serves as cell scratch from here
         for a in range(g.dim):
             flux[a] *= gu[a]
             mf[a] *= gv[a]

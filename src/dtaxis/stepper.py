@@ -99,11 +99,11 @@ def _dt_limits(state: State, params: Params, dstar: float) -> float:
     """Step limit from the rhs's D* = max(u v + chi u^alpha v), with hmin2 = min_axes(h^2):
     the least of the CFL bound cfl_safety * hmin2 / (2 * dim * D*), the reaction bound
     1 / (max u + ell * max v) and the cap 1 / (2 * dim / hmin2 + max u)."""
-    g, u_max, hmin2 = state.grid, float(state.u.max()), state.grid.hmin2
+    g, u_max, hmin2 = state.grid, state.u.item(state.u.argmax()), state.grid.hmin2
     if not math.isfinite(dstar):
         raise RuntimeError("state blew up")
     dt = params.cfl_safety * hmin2 / (2.0 * g.dim * dstar) if dstar > 0.0 else math.inf
-    reaction = u_max + params.ell * float(state.v.max())
+    reaction = u_max + params.ell * state.v.item(state.v.argmax())
     if reaction > 0.0:
         dt = min(dt, 1.0 / reaction)
     return min(dt, 1.0 / (2.0 * g.dim / hmin2 + u_max))
@@ -137,10 +137,8 @@ def _advance_accumulators(acc: Accumulators, params: Params, grid, dts: list[flo
     q2 = np.multiply(q, q, out=cgu2)
     sums += [dot(u_over_v, q2), dot(q2, np.divide(q, np.multiply(v, v, out=c2), out=c2)),
              dot(_power(u, 7.0 / 3.0, out=c2), v)]
-    out = acc.values()
-    for dt, row in zip(dts, np.array(sums).T.tolist()):
-        out = [a + dt * x * vol for a, x in zip(out, row)]
-    return Accumulators(*out)
+    terms = np.column_stack([acc.values(), np.array(sums) * dts * vol])  # x * dt == dt * x
+    return Accumulators(*np.add.accumulate(terms, axis=1)[:, -1].tolist())  # left to right
 
 
 class _Ledger:
@@ -190,7 +188,7 @@ def step(state: State, params: Params, dt: float, rhs=None) -> State:
     u2 += state.u
     v2 = dv * dt
     v2 += state.v
-    if u2.min() < 0.0 or v2.min() <= 0.0:
+    if u2.item(u2.argmin()) < 0.0 or v2.item(v2.argmin()) <= 0.0:
         for field, bad in (("u", u2 < 0.0), ("v", v2 <= 0.0)):
             if bool(bad.any()):
                 raise StepRejected(state.t, dt, field, first_cell(bad))

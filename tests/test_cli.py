@@ -626,6 +626,14 @@ def test_verify_inequalities_draws_each_1d_field_once(monkeypatch, tmp_path):
     assert sorted(dims) == [1] * 8 + [2] * 4
 
 
+def test_verify_inequalities_refuses_a_negative_seed_by_name(tmp_path, capsys):
+    out = tmp_path / "ineq.jsonl"
+    assert cli.main(["verify-inequalities", "--cells", "16", "--samples", "2", "--seed", "-1",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify-inequalities", "--cells", "16", "--samples", "2", "--qs", "nan"], "got nan"),
     (["verify-inequalities", "--cells", "16", "--samples", "2", "--qs", "2,inf"], "got inf"),

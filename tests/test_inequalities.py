@@ -200,6 +200,22 @@ def test_batches_refuse_bad_arguments_before_sampling(monkeypatch):
         log_hessian_batch(Grid((16, 2)), (2.0,), 4, seed=1)
 
 
+def test_batches_take_integral_seeds_of_any_type_and_refuse_others_by_name():
+    # as verify_regime_lemmas does: 3.0 and np.int64(3) are the seed 3, with its draw stream
+    g, grids = Grid(8), (Grid(8), Grid(16))
+    for seed in (3.0, np.int64(3)):
+        assert log_hessian_batch(g, (2.0,), 2, seed) == log_hessian_batch(g, (2.0,), 2, 3)
+        assert sobolev_batch(grids, 2, seed) == sobolev_batch(grids, 2, 3)
+    for bad, message in ((-1, "seed must be at least 0, got -1"),
+                         (2.5, "seed must be an integer, got 2.5")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            log_hessian_batch(g, (2.0,), 2, bad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sobolev_batch(grids, 2, bad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            diagnostics.cosine_field_draws(bad, 1, 2)
+
+
 def test_batch_reports_follow_the_order_of_qs():
     g = Grid(24)
     reps = log_hessian_batch(g, (4.0, 2.0, 3.0), 5, seed=2)

@@ -72,6 +72,29 @@ def test_stable_dt_quarters_under_refinement():
     assert _limits(s1, p) / _limits(s2, p) == pytest.approx(4.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("bound", ["cfl", "reaction", "cap"])
+@pytest.mark.parametrize("cells", [(12, 10), (8, 7, 6)])
+def test_stable_dt_reads_maxima_off_the_first_row(cells, bound):
+    # the largest u (cell a), v (cell b) and u v + chi u^alpha v (cell c) lie in later rows,
+    # each at its own cell, so a first-axis index f[f.argmax()] cannot stand in for max f
+    g = Grid(cells)
+    a, b, c = ((3, 4, 5), (5, 2, 1), (7, 6, 3)) if g.dim == 3 else ((3, 4), (5, 2), (7, 6))
+    rng = np.random.default_rng(35)
+    u, v = rng.uniform(0.2, 0.4, g.shape), rng.uniform(0.3, 0.5, g.shape)
+    u[a], v[a], u[b], v[b], u[c], v[c] = 1.5, 0.5, 0.4, 1.2, 1.2, 1.0
+    ell, chi, scale = {"cfl": (0.0, 1.0, 1.0), "reaction": (2000.0, 1.0, 1.0),
+                       "cap": (0.0, 0.0, 0.5)}[bound]
+    s = State(grid=g, t=0.0, u=u, v=v * scale)
+    p = Params(alpha=1.25, epsilon=0.01, chi=chi, ell=ell)
+    dstar = s.u * s.v + chi * s.u ** 1.25 * s.v
+    for f, cell in ((s.u, a), (s.v, b), (dstar, c)):
+        assert np.unravel_index(f.argmax(), g.shape) == cell
+    hmin2 = min(h * h for h in g.h)
+    expected = {"cfl": 0.9 * hmin2 / (2 * g.dim * (1.2 + 1.2 ** 1.25)),
+                "reaction": 1 / (1.5 + ell * 1.2), "cap": 1 / (2 * g.dim / hmin2 + 1.5)}[bound]
+    assert _limits(s, p) == _formula_dt(s, p) == pytest.approx(expected, rel=1e-12)
+
+
 def test_stable_dt_blowup():
     # a non-finite D* is refused by the step limit itself
     s, p = _const_state(Grid(8)), Params(alpha=1.0, epsilon=0.01)
@@ -115,6 +138,20 @@ def test_step_v_max_principle_bound():
         dt = 0.99 / (2 * g.dim / min(h * h for h in g.h) + s.u.max())
         s2 = step(s, p, dt)
         assert s2.v.max() <= s.v.max() + 1e-14
+
+
+@pytest.mark.parametrize("field", ["u", "v"])
+def test_step_rejects_a_3d_state_at_its_one_bad_interior_cell(field):
+    # the only negative u' (or nonpositive v') is the interior cell (2, 3, 1), past the first
+    # row; a u' of exactly 0 elsewhere is admissible, a v' of 0 is not
+    g, p, cell = Grid((5, 6, 4)), Params(alpha=1.0, epsilon=0.01), (2, 3, 1)
+    du, dv = np.zeros(g.shape), np.zeros(g.shape)
+    du[4, 0, 3] = -1.0
+    assert step(_const_state(g), p, 1.0, (du, dv, 0.0)).u[4, 0, 3] == 0.0
+    (du if field == "u" else dv)[cell] = -2.0 if field == "u" else -1.0
+    with pytest.raises(StepRejected, match=re.escape(f"{field} at cell {cell}")) as exc:
+        step(_const_state(g), p, 1.0, (du, dv, 0.0))
+    assert (exc.value.field, exc.value.cell) == (field, cell)
 
 
 def test_step_rejection_is_pure():
@@ -643,8 +680,11 @@ def test_accumulators_equal_a_vdot_per_integral_bit_for_bit(cells, alpha):
             dot(u ** (1.0 - alpha) * v, cgu2), dot(v / u, cgu2), dot(u / v, cgv2),
             dot(u / v, q * q), dot(q * q, q / (v * v)), dot(u ** (7.0 / 3.0), v)]
     dt = 0.5 * _limits(s, p)
-    acc = run(s, p, StepControl(t_end=dt)).final.acc
-    assert acc.values() == tuple(dt * float(x) * g.cell_volume for x in sums)
+    # from zero and from a nonzero start: each accumulator is a + dt * x * vol in Python floats
+    for start in (Accumulators(), Accumulators(*(1.0 / (j + 3) for j in range(10)))):
+        s.acc = start
+        acc = run(s, p, StepControl(t_end=dt)).final.acc
+        assert acc.values() == tuple(a + dt * float(x) * g.cell_volume for a, x in zip(start, sums))
 
 
 _ACCUMULATORS_OF_ONE_STEP = """
